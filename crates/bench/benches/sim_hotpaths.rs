@@ -83,27 +83,31 @@ fn bench_cpu_step() {
 
 /// Decode-engine dispatch: a 64-op safe straight-line run executed
 /// through the flat bytecode (one `bookable_run` + `run_decoded` per
-/// block, then one `step` for the loop-closing jump) against the same
-/// block walked instruction by instruction through `Cpu::step`. The
-/// gap between the two lines is what DESIGN.md §13 buys per visited
-/// cycle.
+/// block, then two `step`s for the loop-closing jump and its delay
+/// slot) against the same block walked instruction by instruction
+/// through `Cpu::step`. The gap between the two lines is what
+/// DESIGN.md §13 buys per visited cycle.
 fn bench_decoded_dispatch() {
     let body = "add r1, 1, r1\n".repeat(64);
     let prog = assemble(&format!("top:\n{body}jmp top\n nop\n")).unwrap();
     let dec = DecodedProgram::lower(&prog);
     let mut cpu = Cpu::new(CpuConfig::default());
     cpu.boot(0);
-    bench("decoded/run_64", 1040, || {
+    // 64 booked ops, then the jump *and its delay slot* through `step`:
+    // `bookable_run` reports 0 until the slot has retired, so stepping
+    // only the jump would skip every second block.
+    bench("decoded/run_64", 16 * 66, || {
         for _ in 0..16 {
             let k = cpu.bookable_run(&dec);
             cpu.run_decoded(&dec, k);
-            cpu.step(&prog, &mut NullMem); // the jmp back to top
+            cpu.step(&prog, &mut NullMem);
+            cpu.step(&prog, &mut NullMem);
         }
     });
     let mut cpu = Cpu::new(CpuConfig::default());
     cpu.boot(0);
-    bench("decoded/step_64_baseline", 1040, || {
-        for _ in 0..16 * 65 {
+    bench("decoded/step_64_baseline", 16 * 66, || {
+        for _ in 0..16 * 66 {
             cpu.step(&prog, &mut NullMem);
         }
     });

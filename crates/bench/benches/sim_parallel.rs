@@ -18,6 +18,7 @@ use april_core::program::Program;
 use april_machine::config::MachineConfig;
 use april_machine::driver::SwitchSpin;
 use april_machine::parallel::ParallelAlewife;
+use april_machine::Machine;
 use april_net::network::NetConfig;
 use april_net::topology::Topology;
 use std::time::Instant;

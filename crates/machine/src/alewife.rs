@@ -14,6 +14,7 @@
 //! write-backs, contention — is simulated faithfully.
 
 use crate::config::MachineConfig;
+use crate::kernel::{progress_counts, Cells, Outbox, Scratch};
 use crate::traffic::{ArrivalPlan, NodeTraffic, IO_RETIRE};
 use crate::watchdog::{
     BusyEntry, FrameStall, InFlightMsg, MachineFault, OutstandingTxn, PostMortem, UndeliverableMsg,
@@ -35,8 +36,7 @@ use april_mem::msg::CohMsg;
 use april_net::fault::{FaultPlan, FaultStats};
 use april_net::network::Network;
 use april_net::topology::Channel;
-use april_obs::{lane, Component, EventKind, Probe, StatsReport, Trace, TraceConfig};
-use std::sync::Arc;
+use april_obs::{lane, Component, Probe, StatsReport, Trace, TraceConfig};
 
 /// I/O register: reading returns this node's id (fixnum).
 pub const IO_NODE_ID: u16 = 1;
@@ -109,9 +109,9 @@ pub(crate) fn msg_touches_cpu(msg: &CohMsg) -> bool {
     )
 }
 
-// The parallel machine moves whole nodes across worker threads; any
-// future non-`Send` field must be caught at compile time, not at the
-// first 4-worker run (DESIGN.md §9).
+// The window scheduler lends node slices to worker threads; any future
+// non-`Send` field must be caught at compile time, not at the first
+// 4-worker run (DESIGN.md §9).
 const _: () = april_util::assert_send::<Node>();
 const _: () = april_util::assert_send::<Env>();
 
@@ -155,17 +155,12 @@ pub struct Alewife {
     /// spurious `false` only costs an extra idle step.
     pub(crate) parked: Vec<bool>,
     /// Scratch buffers reused across cycles so the hot loop allocates
-    /// nothing: network deliveries, controller/directory sends, I/O
-    /// sends.
+    /// nothing: network deliveries, and the kernel's send buffers.
     scratch_deliveries: Vec<(usize, Env)>,
-    scratch_out: Vec<(usize, CohMsg)>,
-    scratch_dir: Vec<(usize, CohMsg)>,
-    scratch_io: Vec<(usize, CohMsg)>,
-    scratch_retired: Vec<u32>,
+    scratch: Scratch,
     /// The open-loop arrival plan derived from `cfg.traffic` (`None`
-    /// without traffic). Shared read-only with anyone who needs birth
-    /// cycles; derived state, never snapshotted.
-    pub(crate) plan: Option<Arc<ArrivalPlan>>,
+    /// without traffic). Derived state, never snapshotted.
+    pub(crate) plan: Option<Box<ArrivalPlan>>,
     /// Scheduler-internal events (watchdog arming/firing). Lives on
     /// the meta lane, which [`Trace::retain_semantic`] excludes from
     /// the cross-scheduler determinism contract.
@@ -174,8 +169,33 @@ pub struct Alewife {
     /// where something that feeds it ran (a dispatch, a step, a
     /// materialized run, a protocol tick). Derived state: never
     /// snapshotted, marked stale on restore.
-    sig_cache: (u64, u64, u64, u64),
+    sig_cache: (u64, u64, u64),
     pub(crate) sig_stale: bool,
+}
+
+/// The sequential machine's [`Outbox`]: every send is injected into the
+/// network the moment the kernel produces it, and the first fault is
+/// recorded on the machine (later ones are dropped — the run-time
+/// aborts on the first anyway).
+struct Direct<'a> {
+    net: &'a mut Network<Env>,
+    fault: &'a mut Option<MachineFault>,
+}
+
+impl Outbox for Direct<'_> {
+    #[inline]
+    fn unit(&mut self, _cycle: u64, _phase: u8, _unit: u64) {}
+
+    #[inline]
+    fn send(&mut self, at: u64, src: usize, dst: usize, size: u64, env: Env) {
+        self.net.send(at, src, dst, size, env);
+    }
+
+    fn fault(&mut self, fault: MachineFault) {
+        if self.fault.is_none() {
+            *self.fault = Some(fault);
+        }
+    }
 }
 
 impl Alewife {
@@ -185,7 +205,7 @@ impl Alewife {
         let n = cfg.num_nodes();
         let mut mem = FeMemory::new(cfg.total_mem_bytes());
         mem.load_image(&prog);
-        let plan = ArrivalPlan::build(&cfg).map(Arc::new);
+        let plan = ArrivalPlan::build(&cfg).map(Box::new);
         let nodes = (0..n)
             .map(|i| Node {
                 cpu: Cpu::new(cfg.cpu),
@@ -214,13 +234,10 @@ impl Alewife {
             halted_at: vec![None; n],
             parked: vec![false; n],
             scratch_deliveries: Vec::new(),
-            scratch_out: Vec::new(),
-            scratch_dir: Vec::new(),
-            scratch_io: Vec::new(),
-            scratch_retired: Vec::new(),
+            scratch: Scratch::default(),
             plan,
             meta_probe: Probe::default(),
-            sig_cache: (0, 0, 0, 0),
+            sig_cache: (0, 0, 0),
             sig_stale: true,
         }
     }
@@ -303,33 +320,6 @@ impl Alewife {
         }
     }
 
-    /// Records the first fatal fault; later ones are dropped (the
-    /// run-time aborts on the first anyway).
-    fn set_fault(&mut self, fault: MachineFault) {
-        if self.fault.is_none() {
-            self.fault = Some(fault);
-        }
-    }
-
-    /// Cuts node `i`'s booked run at the current cycle, *before* this
-    /// cycle's instruction: the `now - start` instructions whose cycles
-    /// have fully elapsed materialize, and the node becomes ready to
-    /// step (or re-book) this cycle. Called ahead of dispatching a
-    /// CPU-touching delivery, so e.g. an IPI's interrupt is taken
-    /// exactly where lockstep would take it.
-    fn cut_resv(&mut self, i: usize) {
-        let Some(r) = self.nodes[i].resv.take() else {
-            return;
-        };
-        let done = (self.now - r.start) as u32;
-        if done > 0 {
-            let dec = self.dec.as_ref().expect("booked run without decode image");
-            self.nodes[i].cpu.run_decoded(dec, done);
-            self.sig_stale = true;
-        }
-        self.ready_at[i] = self.now;
-    }
-
     /// Settles node `i`'s booked run *after* the current cycle's work:
     /// instructions through cycle `now` inclusive materialize and the
     /// node is ready next cycle. Called before anything outside the
@@ -346,94 +336,27 @@ impl Alewife {
         self.ready_at[i] = self.now + 1;
     }
 
-    fn dispatch_msg(&mut self, dst: usize, env: Env) {
-        self.sig_stale = true;
-        // On-demand clock stamp (see `advance_to`): the handlers below
-        // timestamp trace events and compute retry deadlines from
-        // their engine's clock.
-        {
-            let now = self.now;
-            let n = &mut self.nodes[dst];
-            n.cpu.set_clock(now);
-            n.ctl.set_clock(now);
-            n.dir.set_clock(now);
-        }
-        if msg_touches_cpu(&env.msg) {
-            self.cut_resv(dst);
-        }
-        let cfg = self.cfg;
-        // Reusable scratch buffers: restored (cleared) on every path.
-        let mut out = std::mem::take(&mut self.scratch_out);
-        let mut dir_out = std::mem::take(&mut self.scratch_dir);
-        out.clear();
-        dir_out.clear();
-        match dispatch_to_node(dst, &mut self.nodes[dst], env, &cfg, &mut out, &mut dir_out) {
-            Ok(()) => {
-                // Controller-originated messages leave immediately (the
-                // cache tags are SRAM); every directory-generated
-                // message pays the home memory latency — the directory
-                // lives in DRAM beside the data. The delay is uniform,
-                // which also keeps home→node message streams FIFO: a
-                // later-generated invalidation can never overtake an
-                // earlier data grant.
-                for &(to, msg) in &out {
-                    let size = msg.size_flits(cfg.block_words()) as u64;
-                    self.net
-                        .send(self.now, dst, to, size, Env { src: dst, msg });
-                }
-                for &(to, msg) in &dir_out {
-                    let size = msg.size_flits(cfg.block_words()) as u64;
-                    self.net.send(
-                        self.now + cfg.mem_latency,
-                        dst,
-                        to,
-                        size,
-                        Env { src: dst, msg },
-                    );
-                }
-            }
-            Err(fault) => self.set_fault(fault),
-        }
-        out.clear();
-        dir_out.clear();
-        self.scratch_out = out;
-        self.scratch_dir = dir_out;
-    }
-
-    /// The forward-progress signature: instructions retired, packets
-    /// delivered, and protocol events at directories and controllers.
-    /// Retransmissions count as progress — while an endpoint is still
-    /// retrying, its bounded retry budget (not the watchdog) decides
-    /// when to give up.
-    fn progress_sig(&self) -> (u64, u64, u64, u64) {
-        // One pass over the nodes, not three: this runs every visited
-        // cycle when the watchdog is on.
-        let mut instrs = 0u64;
-        let mut dir_events = 0u64;
-        let mut ctl_events = 0u64;
-        for n in &self.nodes {
-            instrs += n.cpu.stats.instructions;
-            dir_events += n.dir.stats.total();
-            ctl_events += n.ctl.stats.total();
-        }
-        (instrs, self.net.stats.delivered, dir_events, ctl_events)
-    }
-
-    /// Whether the machine still owes anyone an answer. With no
-    /// pending work a stable signature means quiescence, not deadlock.
-    fn has_pending_work(&self) -> bool {
-        self.net.in_flight_count() > 0 || nodes_pending_work(&self.nodes)
-    }
-
-    /// Public probe of `has_pending_work`, used by drivers that
-    /// stop at quiescence rather than at a single node's halt.
+    /// Whether the machine still owes anyone an answer: packets in
+    /// flight, outstanding transactions, busy directory entries, raised
+    /// fences, waiting frames. With no pending work a stable progress
+    /// signature means quiescence, not deadlock.
     pub fn pending_work(&self) -> bool {
-        self.has_pending_work()
+        self.net.in_flight_count() > 0 || nodes_pending_work(&self.nodes)
     }
 
     /// Whether every processor has executed `halt`.
     pub fn all_halted(&self) -> bool {
         self.nodes.iter().all(|n| n.cpu.is_halted())
+    }
+
+    /// Whether the run is complete: every processor halted *and* no
+    /// protocol or network work pending. The one stop predicate of
+    /// every driver loop, scheduler and supervisor; draining to
+    /// quiescence — rather than stopping at the last `halt` — is what
+    /// makes final machine states comparable across schedulers whose
+    /// clocks stop at different points.
+    pub fn finished(&self) -> bool {
+        self.all_halted() && !self.pending_work()
     }
 
     /// Per-node halt cycles: `Some(c)` once the node's CPU executed
@@ -502,12 +425,12 @@ impl Alewife {
         }
         if self.cfg.watchdog.enabled {
             let wd = self.watchdog.deadline(self.cfg.watchdog.horizon).max(floor);
-            // `has_pending_work` walks every frame of every node; only
+            // `pending_work` walks every frame of every node; only
             // pay for it when the skip would actually jump the firing
             // cycle (idle machines must not be woken by the watchdog,
             // and busy ones are checked only on the rare advance whose
             // every other event is past the horizon).
-            if wd < t && self.has_pending_work() {
+            if wd < t && self.pending_work() {
                 t = wd;
             }
         }
@@ -529,7 +452,8 @@ impl Alewife {
         }
     }
 
-    /// Advances like [`Machine::advance`], but never past cycle `cap`.
+    /// Advances like [`Machine::advance_into`], but never past cycle
+    /// `cap`.
     ///
     /// Capping is what makes cycle-exact checkpoints possible on the
     /// event-driven scheduler: the skip would otherwise jump over the
@@ -541,319 +465,133 @@ impl Alewife {
     /// # Panics
     ///
     /// Panics if `cap` is not in the future (`cap <= now()`).
-    pub fn advance_capped(&mut self, cap: u64) -> Vec<(usize, StepEvent)> {
+    pub fn advance_capped(&mut self, cap: u64, evs: &mut Vec<(usize, StepEvent)>) {
         assert!(
             cap > self.now,
             "advance_capped: cap {cap} <= now {}",
             self.now
         );
+        evs.clear();
         let target = self.advance_target().min(cap);
-        let mut evs = Vec::new();
-        self.advance_to(target, &mut evs);
-        evs
+        self.advance_to(target, evs);
     }
 
-    /// The jump-and-execute body shared by [`Machine::advance`] and
-    /// [`Alewife::advance_capped`]: moves the clock to `target` and
-    /// performs the full cycle of machine work there, appending the
-    /// events that need run-time attention onto `evs`.
+    /// The jump-and-execute body shared by [`Machine::advance_into`]
+    /// and [`Alewife::advance_capped`]: moves the clock to `target` and
+    /// runs the kernel's full cycle of machine work there over the
+    /// whole machine, appending the events that need run-time attention
+    /// onto `evs`.
+    ///
+    /// Component clocks are stamped *on demand* by the kernel, not
+    /// wholesale: only a component about to act (a dispatch, a step, a
+    /// driver mutation) needs a current clock — it marks fresh
+    /// transactions `clock + timeout` and timestamps trace events with
+    /// it. An idle node's stale clock is unobservable: `tick` stamps
+    /// itself, the idle charges are pure ledger adds, and `checkpoint`
+    /// settles every clock before encoding.
     fn advance_to(&mut self, target: u64, evs: &mut Vec<(usize, StepEvent)>) {
-        // Component clocks are stamped *on demand*, not wholesale: only
-        // a component about to act (a dispatch, a step, a driver
-        // mutation) needs a current clock — it marks fresh transactions
-        // `clock + timeout` and timestamps trace events with it. An
-        // idle node's stale clock is unobservable: `tick` stamps
-        // itself, the idle charges are pure ledger adds, and
-        // `checkpoint` settles every clock before encoding. Stamping
-        // all 3N components here would touch every node's cache lines
-        // on every visited cycle for nothing.
         self.now = target;
-        // Open-loop ingress first (DESIGN.md §15): requests whose birth
-        // cycle is due land in their edge node's ring before any
-        // deliveries or steps this cycle, so a service loop polling the
-        // slot observes them at the exact same cycle under every
-        // scheduler. Injection is a functional edge-DMA write; it makes
-        // no CPU runnable (parked nodes discover the data through their
-        // own polling, exactly as under lockstep).
-        if let Some(plan) = self.plan.clone() {
-            for &(node, _) in plan.entries() {
-                if let Some(tr) = self.nodes[node].traffic.as_deref_mut() {
-                    crate::traffic::inject_due(&plan, node, tr, target, &mut self.mem, None);
-                }
-            }
-        }
-        // Deliver network messages due this cycle. A delivery can make
-        // its destination CPU runnable — but only a CPU-touching one
-        // (a reply waking a frame, an IPI posting an interrupt; the
-        // same predicate that cuts a booked run). Directory-bound
-        // traffic never changes processor state, and no delivery
-        // touches any *other* node's processor, so exactly the
-        // CPU-touching deliveries' destinations are unparked.
-        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
+        let mut cells = Cells {
+            base: 0,
+            nodes: &mut self.nodes,
+            ready_at: &mut self.ready_at,
+            halted_at: &mut self.halted_at,
+            parked: &mut self.parked,
+            mem: &mut self.mem,
+            write_log: None,
+            prog: &self.prog,
+            dec: self.dec.as_ref(),
+            cfg: &self.cfg,
+            plan: self.plan.as_deref(),
+            scratch: &mut self.scratch,
+            sig_stale: &mut self.sig_stale,
+        };
+        let mut ob = Direct {
+            net: &mut self.net,
+            fault: &mut self.fault,
+        };
+        cells.ingress(target);
+        let deliveries = &mut self.scratch_deliveries;
         deliveries.clear();
-        self.net.poll_into(self.now, &mut deliveries);
-        for &(dst, env) in &deliveries {
-            if msg_touches_cpu(&env.msg) && self.parked[dst] {
-                // The idle span accrued since the last visit's
-                // wholesale charge ends *here*: the delivery makes the
-                // CPU runnable this very cycle, so the skipped span
-                // `[ready_at, now)` was idle but `now` itself is not —
-                // exactly the per-cycle charges lockstep would have
-                // made before the delivery woke the node.
-                let n = &mut self.nodes[dst];
-                if !n.cpu.is_halted() && self.ready_at[dst] < target {
-                    n.cpu.charge_idle(target - self.ready_at[dst]);
-                    self.ready_at[dst] = target;
-                }
-                self.parked[dst] = false;
-            }
-            self.dispatch_msg(dst, env);
+        ob.net.poll_into(target, deliveries);
+        for (unit, &(dst, env)) in deliveries.iter().enumerate() {
+            cells.deliver(target, unit as u64, dst, env, &mut ob);
         }
-        deliveries.clear();
-        self.scratch_deliveries = deliveries;
-        // Step processors.
-        let cfg = self.cfg;
-        let mut out = std::mem::take(&mut self.scratch_out);
-        let mut io_sends = std::mem::take(&mut self.scratch_io);
-        let mut retired = std::mem::take(&mut self.scratch_retired);
-        for i in 0..self.nodes.len() {
-            // A CPU still parked once this cycle's deliveries are in is
-            // charged its idle time wholesale and not stepped at all.
-            // The parked contract makes this exact: stepping it would
-            // yield `NoReadyFrame`, which every driver answers with
-            // exactly `charge_idle(i, 1)` — so the machine pre-charges
-            // the skipped window *and* the visited cycle (lockstep
-            // would charge one cycle at each of `ready_at[i ..= now`),
-            // leaving the identical ledger and `ready_at` the driver
-            // round trip would have left. Anything that could change
-            // the driver's answer (a delivery, a handler publishing
-            // work, a shared-memory write) clears the flag before this
-            // loop runs.
-            if self.parked[i] {
-                let n = &mut self.nodes[i];
-                if !n.cpu.is_halted() {
-                    n.cpu.charge_idle(target - self.ready_at[i] + 1);
-                    self.ready_at[i] = target + 1;
-                }
-                continue;
-            }
-            if self.ready_at[i] > self.now || self.nodes[i].cpu.is_halted() {
-                continue;
-            }
-            // This node acts this cycle: give all three of its engines
-            // the current clock (trace timestamps, retry deadlines).
-            {
-                let n = &mut self.nodes[i];
-                n.cpu.set_clock(target);
-                n.ctl.set_clock(target);
-                n.dir.set_clock(target);
-            }
-            // Decode engine (DESIGN.md §13): a visit first materializes
-            // the booked run that just elapsed, then — if the next
-            // instructions are a safe straight-line run — books a new
-            // one: charge the whole span now, execute at the next
-            // visit. A booked cycle emits no event and sends nothing
-            // (safe ops can't), which is exactly what lockstep's
-            // per-cycle `Executed` steps amount to.
-            if let Some(dec) = &self.dec {
-                if let Some(r) = self.nodes[i].resv.take() {
-                    self.nodes[i].cpu.run_decoded(dec, r.len);
-                    self.sig_stale = true;
-                }
-                let k = self.nodes[i].cpu.bookable_run(dec);
-                if k >= MIN_RUN {
-                    self.nodes[i].resv = Some(Resv {
-                        start: self.now,
-                        len: k,
-                    });
-                    self.ready_at[i] = self.now + k as u64;
-                    continue;
-                }
-            }
-            out.clear();
-            io_sends.clear();
-            retired.clear();
-            let node = &mut self.nodes[i];
-            let before = node.cpu.stats.total();
-            let ev = {
-                let port = NodePort {
-                    node: i,
-                    ctl: &mut node.ctl,
-                    dir: &mut node.dir,
-                    io_regs: &mut node.io_regs,
-                    mem: &mut self.mem,
-                    cfg: &cfg,
-                    out: &mut out,
-                    io_sends: &mut io_sends,
-                    write_log: None,
-                    retired: &mut retired,
-                };
-                node.cpu.step(&self.prog, port)
-            };
-            self.sig_stale = true;
-            if !retired.is_empty() {
-                if let (Some(plan), Some(tr)) = (&self.plan, node.traffic.as_deref_mut()) {
-                    for &w in &retired {
-                        crate::traffic::record_retire(plan, i, tr, w, target);
-                    }
-                }
-            }
-            let cost = node.cpu.stats.total() - before;
-            self.ready_at[i] = self.now + cost;
-            if node.cpu.is_halted() && self.halted_at[i].is_none() {
-                self.halted_at[i] = Some(self.now);
-            }
-            if !matches!(ev, StepEvent::NoReadyFrame) {
-                // The CPU did something: it is no longer known-idle.
-                self.parked[i] = false;
-            }
-            for &(to, msg) in &out {
-                let size = msg.size_flits(cfg.block_words()) as u64;
-                self.net.send(self.now, i, to, size, Env { src: i, msg });
-            }
-            for &(to, msg) in &io_sends {
-                self.net.send(self.now, i, to, 2, Env { src: i, msg });
-            }
-            match ev {
-                StepEvent::Executed | StepEvent::Stalled { .. } => {}
-                other => evs.push((i, other)),
-            }
-        }
-        // Advance the protocol clocks: retransmit overdue requests
-        // (controller side) and overdue demands (directory side).
-        // `tick` stamps its engine's clock itself and is a no-op until
-        // its `next_deadline` — so skip the call (and its scratch
-        // churn) entirely until something is actually due.
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].ctl.tick_pending(self.now) {
-                self.sig_stale = true;
-                out.clear();
-                match self.nodes[i]
-                    .ctl
-                    .tick(self.now, |a| cfg.home_of(a), &mut out)
-                {
-                    Ok(()) => {
-                        for &(to, msg) in &out {
-                            let size = msg.size_flits(cfg.block_words()) as u64;
-                            self.net.send(self.now, i, to, size, Env { src: i, msg });
-                        }
-                    }
-                    Err(e) => self.set_fault(MachineFault::Protocol { node: i, error: e }),
-                }
-            }
-            if self.nodes[i].dir.tick_pending(self.now) {
-                self.sig_stale = true;
-                out.clear();
-                match self.nodes[i].dir.tick(self.now, &mut out) {
-                    Ok(()) => {
-                        for &(to, msg) in &out {
-                            let size = msg.size_flits(cfg.block_words()) as u64;
-                            self.net.send(
-                                self.now + cfg.mem_latency,
-                                i,
-                                to,
-                                size,
-                                Env { src: i, msg },
-                            );
-                        }
-                    }
-                    Err(e) => self.set_fault(MachineFault::Protocol { node: i, error: e }),
-                }
-            }
-        }
-        out.clear();
-        io_sends.clear();
-        retired.clear();
-        self.scratch_out = out;
-        self.scratch_io = io_sends;
-        self.scratch_retired = retired;
+        cells.step(target, &mut ob, evs);
+        cells.tick(target, &mut ob);
         // Forward-progress watchdog: fire only when work is pending —
         // a stable signature on an idle machine is quiescence.
         if self.cfg.watchdog.enabled && self.fault.is_none() {
             if self.sig_stale {
-                self.sig_cache = self.progress_sig();
+                self.sig_cache = progress_counts(&self.nodes);
                 self.sig_stale = false;
             }
-            let sig = self.sig_cache;
+            let (instrs, dir_events, ctl_events) = self.sig_cache;
+            let sig = (instrs, self.net.stats.delivered, dir_events, ctl_events);
             let horizon = self.cfg.watchdog.horizon;
-            let deadline_before = self.watchdog.deadline(horizon);
-            let fired = self.watchdog.observe(self.now, sig, horizon);
-            let deadline_after = self.watchdog.deadline(horizon);
-            if deadline_after != deadline_before {
-                self.meta_probe
-                    .emit(self.now, EventKind::WatchdogArmed, deadline_after, 0);
-            }
-            if fired && self.has_pending_work() {
-                self.meta_probe
-                    .emit(self.now, EventKind::WatchdogFired, deadline_after, 0);
+            let fired = self
+                .watchdog
+                .observe_traced(target, sig, horizon, &mut self.meta_probe);
+            if fired && self.pending_work() {
                 let pm = self.post_mortem();
-                self.set_fault(MachineFault::NoForwardProgress(Box::new(pm)));
+                self.fault = Some(self.watchdog.declare_dead(pm, &mut self.meta_probe));
             }
         }
     }
 
     /// Captures the machine's stuck state for a watchdog report.
     pub fn post_mortem(&self) -> PostMortem {
-        // The network hands packets over unsorted (keeping its hot-path
-        // accessor cheap); order the owned snapshot here, where a
-        // post-mortem is actually being built.
-        let mut in_flight: Vec<InFlightMsg> = self
-            .net
-            .in_flight_packets()
-            .map(|(id, dst, sent_at, _, env)| InFlightMsg {
-                id,
-                src: env.src,
-                dst,
-                sent_at,
-                msg: env.msg,
-            })
-            .collect();
-        in_flight.sort_by_key(|m| m.id);
-        let undeliverable = self
-            .net
-            .dead_letters()
-            .iter()
-            .map(|dl| UndeliverableMsg {
-                id: dl.id,
-                dst: dl.dst,
-                at: dl.at,
-                msg: dl.payload.msg,
-            })
-            .collect();
-        let mut busy_blocks = Vec::new();
-        let mut outstanding = Vec::new();
-        let mut stalled_frames = Vec::new();
-        let mut fences = Vec::new();
-        node_post_mortem_fragments(
-            0,
-            &self.nodes,
-            &mut busy_blocks,
-            &mut outstanding,
-            &mut stalled_frames,
-            &mut fences,
-        );
-        PostMortem {
-            cycle: self.now,
-            horizon: self.cfg.watchdog.horizon,
-            in_flight,
-            undeliverable,
-            busy_blocks,
-            outstanding,
-            stalled_frames,
-            fences,
-            fault_stats: self.net.fault_stats,
-        }
+        let mut pm = net_post_mortem(&self.net, self.now, self.cfg.watchdog.horizon);
+        node_post_mortem_fragments(0, &self.nodes, &mut pm);
+        pm
+    }
+}
+
+/// The network half of a [`PostMortem`] declared at `cycle`: in-flight
+/// and dead-lettered messages plus the injected-fault counters. The
+/// node half comes from [`node_post_mortem_fragments`].
+pub(crate) fn net_post_mortem(net: &Network<Env>, cycle: u64, horizon: u64) -> PostMortem {
+    // The network hands packets over unsorted (keeping its hot-path
+    // accessor cheap); order the owned snapshot here, where a
+    // post-mortem is actually being built.
+    let mut in_flight: Vec<InFlightMsg> = net
+        .in_flight_packets()
+        .map(|(id, dst, sent_at, _, env)| InFlightMsg {
+            id,
+            src: env.src,
+            dst,
+            sent_at,
+            msg: env.msg,
+        })
+        .collect();
+    in_flight.sort_by_key(|m| m.id);
+    let undeliverable = net
+        .dead_letters()
+        .iter()
+        .map(|dl| UndeliverableMsg {
+            id: dl.id,
+            dst: dl.dst,
+            at: dl.at,
+            msg: dl.payload.msg,
+        })
+        .collect();
+    PostMortem {
+        cycle,
+        horizon,
+        in_flight,
+        undeliverable,
+        fault_stats: net.fault_stats,
+        ..PostMortem::default()
     }
 }
 
 /// Hands one delivered protocol message to its destination node,
 /// collecting the node's responses: controller-originated messages into
 /// `out` (sent at the current cycle) and directory-originated messages
-/// into `dir_out` (sent after the home memory latency). Shared by the
-/// sequential machine and the parallel shard workers so both dispatch
-/// with identical semantics. On a protocol error the node's response
-/// messages are suppressed (the fault aborts the run before they could
-/// matter) and the fault is returned for the caller to record.
+/// into `dir_out` (sent after the home memory latency). On a protocol
+/// error the node's response messages are suppressed (the fault aborts
+/// the run before they could matter) and the fault is returned for the
+/// caller to record.
 pub(crate) fn dispatch_to_node(
     dst: usize,
     node: &mut Node,
@@ -928,22 +666,15 @@ pub(crate) fn nodes_pending_work(nodes: &[Node]) -> bool {
     })
 }
 
-/// Collects one node slice's contribution to a [`PostMortem`]: busy
+/// Appends one node slice's contribution to a [`PostMortem`]: busy
 /// directory blocks, outstanding controller transactions, remotely
 /// stalled frames, and pending fences. `base` is the global id of
 /// `nodes[0]`, so parallel shards report correct node numbers.
-pub(crate) fn node_post_mortem_fragments(
-    base: usize,
-    nodes: &[Node],
-    busy_blocks: &mut Vec<BusyEntry>,
-    outstanding: &mut Vec<OutstandingTxn>,
-    stalled_frames: &mut Vec<FrameStall>,
-    fences: &mut Vec<(usize, u32)>,
-) {
+pub(crate) fn node_post_mortem_fragments(base: usize, nodes: &[Node], pm: &mut PostMortem) {
     for (k, n) in nodes.iter().enumerate() {
         let i = base + k;
         for (block, requester, write, epoch, awaiting) in n.dir.busy_entries() {
-            busy_blocks.push(BusyEntry {
+            pm.busy_blocks.push(BusyEntry {
                 home: i,
                 block,
                 requester,
@@ -953,7 +684,7 @@ pub(crate) fn node_post_mortem_fragments(
             });
         }
         for (block, xid, write_issued, frames) in n.ctl.outstanding_txns() {
-            outstanding.push(OutstandingTxn {
+            pm.outstanding.push(OutstandingTxn {
                 node: i,
                 block,
                 xid,
@@ -964,7 +695,7 @@ pub(crate) fn node_post_mortem_fragments(
         for f in 0..n.cpu.nframes() {
             let frame = n.cpu.frame(f);
             if frame.state == FrameState::WaitingRemote {
-                stalled_frames.push(FrameStall {
+                pm.stalled_frames.push(FrameStall {
                     node: i,
                     frame: f,
                     state: frame.state,
@@ -973,7 +704,7 @@ pub(crate) fn node_post_mortem_fragments(
             }
         }
         if n.ctl.fence_count() > 0 {
-            fences.push((i, n.ctl.fence_count()));
+            pm.fences.push((i, n.ctl.fence_count()));
         }
     }
 }
@@ -1225,14 +956,14 @@ impl Machine for Alewife {
     }
 
     fn retire_request(&mut self, node: usize, word: u32) -> bool {
-        let Some(plan) = self.plan.clone() else {
-            return false;
-        };
-        let Some(tr) = self.nodes[node].traffic.as_deref_mut() else {
+        let (Some(plan), Some(tr)) = (
+            self.plan.as_deref(),
+            self.nodes[node].traffic.as_deref_mut(),
+        ) else {
             return false;
         };
         let before = tr.retired;
-        crate::traffic::record_retire(&plan, node, tr, word, self.now);
+        crate::traffic::record_retire(plan, node, tr, word, self.now);
         tr.retired > before
     }
 

@@ -118,35 +118,17 @@ impl<M: Machine> EventCtx for MachineCtx<'_, M> {
     }
 }
 
-/// Drives a sequential machine with `driver` until it faults or goes
-/// fully quiescent: every processor halted *and* no protocol work
-/// pending (in-flight packets, outstanding transactions, busy
-/// directory entries, waiting frames). Draining to quiescence — rather
-/// than stopping at the last `halt` — is what makes final machine
-/// states comparable across schedulers whose clocks stop at different
-/// points. Returns the fault, if any. Panics past `max` cycles.
+/// Drives a sequential machine with `driver` until it faults or is
+/// [finished](Alewife::finished): every processor halted *and* no
+/// protocol work pending (in-flight packets, outstanding transactions,
+/// busy directory entries, waiting frames). Returns the fault, if any.
+/// Panics past `max` cycles.
 pub fn drive_sequential(
     m: &mut Alewife,
     driver: &dyn NodeDriver,
     max: u64,
 ) -> Option<MachineFault> {
-    // One event buffer for the whole run: the advance loop allocates
-    // nothing once the buffer has grown to the steady-state width.
-    let mut evs = Vec::new();
-    loop {
-        assert!(m.now() < max, "timeout at cycle {}", m.now());
-        if m.fault().is_some() {
-            return m.fault().cloned();
-        }
-        if m.all_halted() && !m.pending_work() {
-            return None;
-        }
-        m.advance_into(&mut evs);
-        for (i, ev) in evs.drain(..) {
-            let mut ctx = MachineCtx { m, node: i };
-            driver.on_event(i, ev, &mut ctx);
-        }
-    }
+    drive_sequential_until(m, driver, u64::MAX, max)
 }
 
 /// Like [`drive_sequential`], but stops as soon as the clock reaches
@@ -161,15 +143,19 @@ pub fn drive_sequential_until(
     stop_at: u64,
     max: u64,
 ) -> Option<MachineFault> {
+    // One event buffer for the whole run: the advance loop allocates
+    // nothing once the buffer has grown to the steady-state width.
+    let mut evs = Vec::new();
     loop {
         assert!(m.now() < max, "timeout at cycle {}", m.now());
         if m.fault().is_some() {
             return m.fault().cloned();
         }
-        if m.now() >= stop_at || (m.all_halted() && !m.pending_work()) {
+        if m.now() >= stop_at || m.finished() {
             return None;
         }
-        for (i, ev) in m.advance_capped(stop_at) {
+        m.advance_capped(stop_at, &mut evs);
+        for (i, ev) in evs.drain(..) {
             let mut ctx = MachineCtx { m, node: i };
             driver.on_event(i, ev, &mut ctx);
         }

@@ -23,6 +23,7 @@ pub mod alewife;
 pub mod config;
 pub mod driver;
 pub mod ideal;
+pub(crate) mod kernel;
 pub(crate) mod obs;
 pub mod parallel;
 pub mod recovery;
@@ -38,8 +39,7 @@ use april_obs::{StatsReport, Trace, TraceConfig};
 
 pub use alewife::Alewife;
 pub use config::MachineConfig;
-pub use driver::drive_sequential_until;
-pub use driver::{drive_sequential, EventCtx, NodeDriver, SwitchSpin};
+pub use driver::{drive_sequential, drive_sequential_until, EventCtx, NodeDriver, SwitchSpin};
 pub use ideal::IdealMachine;
 pub use parallel::ParallelAlewife;
 pub use recovery::{

@@ -1,60 +1,44 @@
 //! Deterministic parallel execution of the ALEWIFE machine.
 //!
-//! [`ParallelAlewife`] shards nodes (CPU + cache controller + home
-//! directory slice) across worker threads and advances them
-//! concurrently inside *conservative time windows* (classic
-//! conservative-PDES): the window width never exceeds the network's
+//! [`ParallelAlewife`] is a *window scheduler* over one [`Alewife`]: it
+//! lends the machine's nodes (CPU + cache controller + home directory
+//! slice) to worker threads as contiguous shards and runs the
+//! node-cycle kernel (`kernel.rs`) over every shard concurrently
+//! inside *conservative time windows* (classic conservative-PDES). The
+//! window width never exceeds the network's
 //! [lookahead](april_net::network::Network::lookahead) — the minimum
 //! cross-node message latency — so no worker can observe a message
-//! another worker has not yet staged. Cross-node sends produced inside
-//! a window are staged into per-worker outboxes and merged at the
-//! window barrier in a fixed deterministic order (send cycle, then
-//! machine phase, then source index, then sequence number) that
-//! replays the sequential machine's injection order exactly. Parallel
-//! runs are therefore **bit-exact** with the sequential lockstep path
-//! — and, transitively, with the event-driven skip — for any worker
-//! count. DESIGN.md §9 walks through the full argument.
+//! another worker has not yet staged. The kernel's sends go to a
+//! per-shard staging outbox and are injected at the window barrier
+//! sorted by the kernel's unit keys, which replays the order a
+//! whole-machine pass would have sent them in. Parallel runs are
+//! therefore **bit-exact** with the sequential lockstep path — and,
+//! transitively, with the event-driven skip — for any worker count.
+//! DESIGN.md §9 walks through the full argument.
 
 use crate::alewife::{
-    dispatch_to_node, msg_touches_cpu, node_post_mortem_fragments, nodes_pending_work, Env, Node,
-    NodePort, Resv, MIN_RUN,
+    net_post_mortem, node_post_mortem_fragments, nodes_pending_work, Alewife, Env, Node,
 };
 use crate::config::MachineConfig;
 use crate::driver::{EventCtx, NodeDriver};
+use crate::kernel::{progress_counts, Cells, Outbox, Scratch, MIN_FLITS};
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::traffic::ArrivalPlan;
-use crate::watchdog::{
-    BusyEntry, FrameStall, InFlightMsg, MachineFault, OutstandingTxn, PostMortem, UndeliverableMsg,
-    Watchdog,
-};
+use crate::watchdog::{MachineFault, PostMortem};
 use april_core::cpu::{Cpu, StepEvent};
 use april_core::decoded::DecodedProgram;
 use april_core::program::Program;
-use april_core::stats::CpuStats;
 use april_core::word::Word;
-use april_mem::controller::CacheController;
-use april_mem::directory::Directory;
 use april_mem::femem::FeMemory;
-use april_mem::msg::CohMsg;
-use april_net::fault::{FaultPlan, FaultStats};
-use april_net::network::Network;
-use april_net::topology::Channel;
-use april_obs::{lane, Component, EventKind, Probe, StatsReport, Trace, TraceConfig};
-use std::sync::{Arc, Condvar, Mutex};
+use april_obs::{EventKind, TraceConfig};
+use std::ops::{Deref, DerefMut};
+use std::sync::{Condvar, Mutex};
 
-/// The smallest protocol packet in flits (header + address); the
-/// lookahead bound is computed against it. `CohMsg::size_flits` never
-/// reports less.
-const MIN_FLITS: u64 = 2;
-
-/// One window's staged network injection, keyed for the deterministic
-/// merge. The key replicates the sequential machine's within-cycle
-/// injection order: phase 0 is delivery dispatch (indexed by global
-/// hand-over order), phase 1 is the CPU step loop (indexed by node),
-/// phase 2 is the controller/directory tick loop (indexed by node);
-/// `seq` orders the sends of one unit. Packet ids — and therefore
-/// fault-injection verdicts and event tie-breaks — depend only on
-/// injection order, so replaying this order makes the network
-/// evolution bit-identical to the sequential run's.
+/// One window's staged network injection, tagged with the kernel's
+/// `(cycle, phase, unit)` key plus the send's position within its unit.
+/// Injecting a window's sends sorted by this tag replays the order in
+/// which a whole-machine pass would have injected them (see
+/// [`crate::kernel`]).
 #[derive(Debug, Clone, Copy)]
 struct StagedSend {
     key: (u64, u8, u64, u32),
@@ -65,13 +49,54 @@ struct StagedSend {
     env: Env,
 }
 
-/// A fatal fault raised inside a shard, positioned by the same
-/// (cycle, phase, index, sub-unit) order the sequential machine records
-/// faults in, so the coordinator keeps the globally *first* one.
+/// A fatal fault raised inside a shard, positioned by the key of the
+/// unit that raised it so the coordinator keeps the globally *first*
+/// one — the one the sequential machine would have recorded.
 #[derive(Debug, Clone)]
 struct ShardFault {
-    key: (u64, u8, u64, u8),
+    key: (u64, u8, u64),
     fault: MachineFault,
+}
+
+/// A shard's [`Outbox`]: sends and the first fault are staged for the
+/// window barrier instead of touching the (coordinator-owned) network.
+#[derive(Debug, Default)]
+struct Staged {
+    key: (u64, u8, u64),
+    seq: u32,
+    sends: Vec<StagedSend>,
+    fault: Option<ShardFault>,
+}
+
+impl Outbox for Staged {
+    fn unit(&mut self, cycle: u64, phase: u8, unit: u64) {
+        self.key = (cycle, phase, unit);
+        self.seq = 0;
+    }
+
+    fn send(&mut self, at: u64, src: usize, dst: usize, size: u64, env: Env) {
+        let (cycle, phase, unit) = self.key;
+        self.sends.push(StagedSend {
+            key: (cycle, phase, unit, self.seq),
+            at,
+            src,
+            dst,
+            size,
+            env,
+        });
+        self.seq += 1;
+    }
+
+    fn fault(&mut self, fault: MachineFault) {
+        // Keys ascend within a shard, so the first recorded fault is
+        // the shard's earliest.
+        if self.fault.is_none() {
+            self.fault = Some(ShardFault {
+                key: self.key,
+                fault,
+            });
+        }
+    }
 }
 
 /// A shard's contribution to a watchdog post-mortem, captured at the
@@ -79,10 +104,8 @@ struct ShardFault {
 /// events — the exact point the sequential machine captures its own.
 #[derive(Debug, Default)]
 struct PmFragment {
-    busy_blocks: Vec<BusyEntry>,
-    outstanding: Vec<OutstandingTxn>,
-    stalled_frames: Vec<FrameStall>,
-    fences: Vec<(usize, u32)>,
+    /// The node half of the post-mortem, for this shard's nodes only.
+    nodes: PostMortem,
     /// `nodes_pending_work` over the shard at capture time; the
     /// watchdog only faults when some shard (or the network) still has
     /// pending work.
@@ -112,7 +135,7 @@ enum Cmd {
 /// What a shard reports back at a window barrier.
 #[derive(Default)]
 struct WindowResult {
-    sends: Vec<StagedSend>,
+    staged: Staged,
     /// Final `(addr, word, full/empty)` snapshots of every word this
     /// shard's processors wrote during the window. The coherence
     /// protocol admits one writer per word per window (write permission
@@ -123,7 +146,6 @@ struct WindowResult {
     /// Cumulative shard progress counters after each cycle of the
     /// window: (instructions, directory events, controller events).
     sigs: Vec<(u64, u64, u64)>,
-    fault: Option<ShardFault>,
     halted_all: bool,
     /// `nodes_pending_work` after driver events, for the quiescence
     /// stop check.
@@ -134,32 +156,40 @@ struct WindowResult {
     pm: Option<PmFragment>,
 }
 
-/// A contiguous slice of the machine owned by one worker thread.
+/// Earliest controller/directory retransmission deadline in a slice.
+fn earliest_deadline(nodes: &[Node]) -> u64 {
+    nodes
+        .iter()
+        .map(|n| n.ctl.next_deadline().min(n.dir.next_deadline()))
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
+/// A contiguous slice of the machine lent to one worker for the length
+/// of a run, plus the worker-private state the kernel runs against.
 struct Shard<'a> {
     base: usize,
-    nodes: Vec<Node>,
+    nodes: &'a mut [Node],
+    ready_at: &'a mut [u64],
+    halted_at: &'a mut [Option<u64>],
+    parked: &'a mut [bool],
     /// Replica of global memory. Reads are coherent because read and
     /// write permission for a word cannot coexist across shards within
     /// one window; writes are reconciled through the write logs.
+    /// Open-loop injection and retirement both happen on the edge
+    /// node's own shard, so the one-writer invariant covers them too.
     mem: FeMemory,
-    ready_at: Vec<u64>,
-    halted_at: Vec<Option<u64>>,
-    prog: &'a Program,
-    /// The coordinator's decoded image, shared read-only by every
-    /// shard (`None` with the decode engine off).
-    dec: Option<&'a DecodedProgram>,
-    cfg: MachineConfig,
-    /// The machine's open-loop arrival plan (`None` without traffic).
-    /// Injection and retirement both happen on the edge node's own
-    /// shard — producer and consumer share the write log, so the
-    /// one-writer-per-word-per-window invariant holds untouched.
-    plan: Option<Arc<ArrivalPlan>>,
     write_log: Vec<u32>,
-    scratch_out: Vec<(usize, CohMsg)>,
-    scratch_dir: Vec<(usize, CohMsg)>,
-    scratch_io: Vec<(usize, CohMsg)>,
-    scratch_evs: Vec<(usize, StepEvent)>,
-    scratch_retired: Vec<u32>,
+    prog: &'a Program,
+    dec: Option<&'a DecodedProgram>,
+    cfg: &'a MachineConfig,
+    plan: Option<&'a ArrivalPlan>,
+    scratch: Scratch,
+    evs: Vec<(usize, StepEvent)>,
+    /// The shard's progress counters, recomputed only after a cycle
+    /// whose work could have moved them.
+    sig: (u64, u64, u64),
+    sig_stale: bool,
 }
 
 /// Charging context handed to the driver for a single node's event; the
@@ -186,302 +216,74 @@ impl EventCtx for ShardCtx<'_> {
 }
 
 impl Shard<'_> {
-    fn record_fault(res: &mut WindowResult, key: (u64, u8, u64, u8), fault: MachineFault) {
-        // Keys are generated in ascending order within a shard, so the
-        // first recorded fault is the shard's earliest.
-        if res.fault.is_none() {
-            res.fault = Some(ShardFault { key, fault });
-        }
-    }
-
+    /// Runs the kernel over this shard for every cycle of the window —
+    /// no event skipping and no parking inside a window — servicing
+    /// driver events where the sequential loop does: after the cycle's
+    /// machine work, before the next cycle.
     fn run_window(&mut self, cmd: &WindowCmd, driver: &dyn NodeDriver) -> WindowResult {
         let mut res = WindowResult::default();
-        let cfg = self.cfg;
         for &(addr, w, full) in &cmd.foreign_writes {
             self.mem.set_word_state(addr, w, full);
         }
         self.write_log.clear();
-        let mut next_delivery = 0usize;
+        let mut cells = Cells {
+            base: self.base,
+            nodes: &mut *self.nodes,
+            ready_at: &mut *self.ready_at,
+            halted_at: &mut *self.halted_at,
+            parked: &mut *self.parked,
+            mem: &mut self.mem,
+            write_log: Some(&mut self.write_log),
+            prog: self.prog,
+            dec: self.dec,
+            cfg: self.cfg,
+            plan: self.plan,
+            scratch: &mut self.scratch,
+            sig_stale: &mut self.sig_stale,
+        };
+        let mut deliveries = cmd.deliveries.iter().peekable();
         for c in cmd.start..cmd.end {
-            // Phase order per cycle mirrors `Alewife::advance`: clocks,
-            // delivery dispatch, CPU steps, protocol ticks, watchdog
-            // bookkeeping, then (as the sequential driver loop does
-            // after `advance` returns) driver events.
-            for n in &mut self.nodes {
-                n.cpu.set_clock(c);
-                n.ctl.set_clock(c);
-                n.dir.set_clock(c);
+            cells.ingress(c);
+            while let Some(&(_, gidx, dst, env)) = deliveries.next_if(|d| d.0 == c) {
+                cells.deliver(c, gidx, dst, env, &mut res.staged);
             }
-            // Open-loop ingress, before deliveries and steps — the
-            // same within-cycle position as `Alewife::advance_to`.
-            // Writes land in this shard's replica and its write log;
-            // only the edge node itself ever touches its ring slots, so
-            // the replica is always current for them.
-            if let Some(plan) = &self.plan {
-                for k in 0..self.nodes.len() {
-                    if let Some(tr) = self.nodes[k].traffic.as_deref_mut() {
-                        crate::traffic::inject_due(
-                            plan,
-                            self.base + k,
-                            tr,
-                            c,
-                            &mut self.mem,
-                            Some(&mut self.write_log),
-                        );
-                    }
-                }
-            }
-            while next_delivery < cmd.deliveries.len() && cmd.deliveries[next_delivery].0 == c {
-                let (_, gidx, dst, env) = cmd.deliveries[next_delivery];
-                next_delivery += 1;
-                let local = dst - self.base;
-                // Cut a booked decode-engine run ahead of a delivery
-                // that can observe or perturb the CPU, exactly as the
-                // sequential dispatch does: the elapsed instructions
-                // materialize and the node steps again this cycle.
-                if msg_touches_cpu(&env.msg) {
-                    if let Some(r) = self.nodes[local].resv.take() {
-                        let done = (c - r.start) as u32;
-                        if done > 0 {
-                            let dec = self.dec.expect("booked run without decode image");
-                            self.nodes[local].cpu.run_decoded(dec, done);
-                        }
-                        self.ready_at[local] = c;
-                    }
-                }
-                self.scratch_out.clear();
-                self.scratch_dir.clear();
-                match dispatch_to_node(
-                    dst,
-                    &mut self.nodes[local],
-                    env,
-                    &cfg,
-                    &mut self.scratch_out,
-                    &mut self.scratch_dir,
-                ) {
-                    Ok(()) => {
-                        let mut seq = 0u32;
-                        for &(to, msg) in &self.scratch_out {
-                            res.sends.push(StagedSend {
-                                key: (c, 0, gidx, seq),
-                                at: c,
-                                src: dst,
-                                dst: to,
-                                size: msg.size_flits(cfg.block_words()) as u64,
-                                env: Env { src: dst, msg },
-                            });
-                            seq += 1;
-                        }
-                        for &(to, msg) in &self.scratch_dir {
-                            res.sends.push(StagedSend {
-                                key: (c, 0, gidx, seq),
-                                at: c + cfg.mem_latency,
-                                src: dst,
-                                dst: to,
-                                size: msg.size_flits(cfg.block_words()) as u64,
-                                env: Env { src: dst, msg },
-                            });
-                            seq += 1;
-                        }
-                    }
-                    Err(fault) => {
-                        debug_assert_eq!(c, cmd.end - 1, "fault off the window's last cycle");
-                        Self::record_fault(&mut res, (c, 0, gidx, 0), fault);
-                    }
-                }
-            }
-            // Step processors in node order.
-            self.scratch_evs.clear();
-            for k in 0..self.nodes.len() {
-                if self.ready_at[k] > c || self.nodes[k].cpu.is_halted() {
-                    continue;
-                }
-                // Decode engine: materialize the booked run that just
-                // elapsed, then book the next straight-line safe run if
-                // one is available — mirroring `Alewife::advance_to`.
-                if let Some(dec) = self.dec {
-                    if let Some(r) = self.nodes[k].resv.take() {
-                        self.nodes[k].cpu.run_decoded(dec, r.len);
-                    }
-                    let run = self.nodes[k].cpu.bookable_run(dec);
-                    if run >= MIN_RUN {
-                        self.nodes[k].resv = Some(Resv { start: c, len: run });
-                        self.ready_at[k] = c + run as u64;
-                        continue;
-                    }
-                }
-                self.scratch_out.clear();
-                self.scratch_io.clear();
-                self.scratch_retired.clear();
-                let node = &mut self.nodes[k];
-                let before = node.cpu.stats.total();
-                let ev = {
-                    let port = NodePort {
-                        node: self.base + k,
-                        ctl: &mut node.ctl,
-                        dir: &mut node.dir,
-                        io_regs: &mut node.io_regs,
-                        mem: &mut self.mem,
-                        cfg: &cfg,
-                        out: &mut self.scratch_out,
-                        io_sends: &mut self.scratch_io,
-                        write_log: Some(&mut self.write_log),
-                        retired: &mut self.scratch_retired,
-                    };
-                    node.cpu.step(self.prog, port)
-                };
-                let cost = node.cpu.stats.total() - before;
-                self.ready_at[k] = c + cost;
-                if node.cpu.is_halted() && self.halted_at[k].is_none() {
-                    self.halted_at[k] = Some(c);
-                }
-                let gid = (self.base + k) as u64;
-                let mut seq = 0u32;
-                for &(to, msg) in &self.scratch_out {
-                    res.sends.push(StagedSend {
-                        key: (c, 1, gid, seq),
-                        at: c,
-                        src: self.base + k,
-                        dst: to,
-                        size: msg.size_flits(cfg.block_words()) as u64,
-                        env: Env {
-                            src: self.base + k,
-                            msg,
-                        },
-                    });
-                    seq += 1;
-                }
-                for &(to, msg) in &self.scratch_io {
-                    res.sends.push(StagedSend {
-                        key: (c, 1, gid, seq),
-                        at: c,
-                        src: self.base + k,
-                        dst: to,
-                        size: MIN_FLITS,
-                        env: Env {
-                            src: self.base + k,
-                            msg,
-                        },
-                    });
-                    seq += 1;
-                }
-                if !self.scratch_retired.is_empty() {
-                    if let (Some(plan), Some(tr)) =
-                        (&self.plan, self.nodes[k].traffic.as_deref_mut())
-                    {
-                        for &w in &self.scratch_retired {
-                            crate::traffic::record_retire(plan, self.base + k, tr, w, c);
-                        }
-                    }
-                    self.scratch_retired.clear();
-                }
-                match ev {
-                    StepEvent::Executed | StepEvent::Stalled { .. } => {}
-                    other => self.scratch_evs.push((k, other)),
-                }
-            }
-            // Tick the protocol clocks in node order: controller, then
-            // directory, per node.
-            for k in 0..self.nodes.len() {
-                let gid = (self.base + k) as u64;
-                let mut seq = 0u32;
-                self.scratch_out.clear();
-                match self.nodes[k]
-                    .ctl
-                    .tick(c, |a| cfg.home_of(a), &mut self.scratch_out)
-                {
-                    Ok(()) => {
-                        for &(to, msg) in &self.scratch_out {
-                            res.sends.push(StagedSend {
-                                key: (c, 2, gid, seq),
-                                at: c,
-                                src: self.base + k,
-                                dst: to,
-                                size: msg.size_flits(cfg.block_words()) as u64,
-                                env: Env {
-                                    src: self.base + k,
-                                    msg,
-                                },
-                            });
-                            seq += 1;
-                        }
-                    }
-                    Err(e) => {
-                        debug_assert_eq!(c, cmd.end - 1, "fault off the window's last cycle");
-                        Self::record_fault(
-                            &mut res,
-                            (c, 2, gid, 0),
-                            MachineFault::Protocol {
-                                node: self.base + k,
-                                error: e,
-                            },
-                        );
-                    }
-                }
-                self.scratch_out.clear();
-                match self.nodes[k].dir.tick(c, &mut self.scratch_out) {
-                    Ok(()) => {
-                        for &(to, msg) in &self.scratch_out {
-                            res.sends.push(StagedSend {
-                                key: (c, 2, gid, seq),
-                                at: c + cfg.mem_latency,
-                                src: self.base + k,
-                                dst: to,
-                                size: msg.size_flits(cfg.block_words()) as u64,
-                                env: Env {
-                                    src: self.base + k,
-                                    msg,
-                                },
-                            });
-                            seq += 1;
-                        }
-                    }
-                    Err(e) => {
-                        debug_assert_eq!(c, cmd.end - 1, "fault off the window's last cycle");
-                        Self::record_fault(
-                            &mut res,
-                            (c, 2, gid, 1),
-                            MachineFault::Protocol {
-                                node: self.base + k,
-                                error: e,
-                            },
-                        );
-                    }
-                }
-            }
+            cells.step(c, &mut res.staged, &mut self.evs);
+            cells.tick(c, &mut res.staged);
             // Cumulative progress counters after this cycle; the
             // coordinator adds the network's delivered count and
             // replays the watchdog per cycle at the barrier.
-            let instrs: u64 = self.nodes.iter().map(|n| n.cpu.stats.instructions).sum();
-            let dir_events: u64 = self.nodes.iter().map(|n| n.dir.stats.total()).sum();
-            let ctl_events: u64 = self.nodes.iter().map(|n| n.ctl.stats.total()).sum();
-            res.sigs.push((instrs, dir_events, ctl_events));
+            if std::mem::take(cells.sig_stale) {
+                self.sig = progress_counts(cells.nodes);
+            }
+            res.sigs.push(self.sig);
             if cmd.capture_pm && c == cmd.end - 1 {
                 let mut pm = PmFragment {
-                    pending_pre_driver: nodes_pending_work(&self.nodes),
+                    pending_pre_driver: nodes_pending_work(cells.nodes),
                     ..PmFragment::default()
                 };
-                node_post_mortem_fragments(
-                    self.base,
-                    &self.nodes,
-                    &mut pm.busy_blocks,
-                    &mut pm.outstanding,
-                    &mut pm.stalled_frames,
-                    &mut pm.fences,
-                );
+                node_post_mortem_fragments(cells.base, cells.nodes, &mut pm.nodes);
                 res.pm = Some(pm);
             }
-            // Driver events, exactly where the sequential loop services
-            // them: after the cycle's machine work, before the next.
-            for idx in 0..self.scratch_evs.len() {
-                let (k, ev) = self.scratch_evs[idx];
+            for (i, ev) in self.evs.drain(..) {
+                let k = i - cells.base;
                 let mut ctx = ShardCtx {
-                    cpu: &mut self.nodes[k].cpu,
-                    ready_at: &mut self.ready_at[k],
+                    cpu: &mut cells.nodes[k].cpu,
+                    ready_at: &mut cells.ready_at[k],
                 };
-                driver.on_event(self.base + k, ev, &mut ctx);
+                driver.on_event(i, ev, &mut ctx);
+                // Whatever the driver did may feed the signature.
+                *cells.sig_stale = true;
             }
         }
+        // The window-shrink rule (see `run_inner`) puts every cycle
+        // that can fault last in its window.
+        debug_assert!(
+            res.staged
+                .fault
+                .as_ref()
+                .is_none_or(|f| f.key.0 == cmd.end - 1),
+            "fault off the window's last cycle"
+        );
         // Collapse the write log into final word snapshots.
         self.write_log.sort_unstable();
         self.write_log.dedup();
@@ -494,13 +296,8 @@ impl Shard<'_> {
             })
             .collect();
         res.halted_all = self.nodes.iter().all(|n| n.cpu.is_halted());
-        res.pending = nodes_pending_work(&self.nodes);
-        res.next_deadline = self
-            .nodes
-            .iter()
-            .map(|n| n.ctl.next_deadline().min(n.dir.next_deadline()))
-            .min()
-            .unwrap_or(u64::MAX);
+        res.pending = nodes_pending_work(self.nodes);
+        res.next_deadline = earliest_deadline(self.nodes);
         res
     }
 }
@@ -555,267 +352,80 @@ fn take<T>(m: &Mutex<Option<T>>, cv: &Condvar, spin: u32) -> T {
     }
 }
 
-/// The parallel ALEWIFE machine: bit-exact with [`crate::Alewife`]
-/// under the same [`NodeDriver`], for any worker count.
+/// The ALEWIFE machine under the deterministic window scheduler:
+/// bit-exact with [`Alewife`]'s own lockstep and event-driven
+/// schedulers under the same [`NodeDriver`], for any worker count.
 ///
-/// Construction, boot, and inspection mirror the sequential machine;
-/// [`ParallelAlewife::run`] replaces the `advance()` loop — the driver
-/// is embedded rather than polled, because step events are serviced on
-/// worker threads inside the conservative windows.
+/// It owns one [`Alewife`] and nothing else, and dereferences to it:
+/// construction, boot, inspection, fault plans, checkpoint and restore
+/// are the sequential machine's. What it adds is
+/// [`ParallelAlewife::run`], which replaces the `advance()` loop — the
+/// driver is embedded rather than polled, because step events are
+/// serviced on worker threads inside the conservative windows. The two
+/// schedulers may alternate freely on the one machine (through
+/// `DerefMut`), landing on identical state at every cycle.
 #[derive(Debug)]
 pub struct ParallelAlewife {
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) mem: FeMemory,
-    pub(crate) net: Network<Env>,
-    pub(crate) prog: Program,
-    /// Decoded image for the decode engine (derived state, rebuilt by
-    /// construction, never snapshotted); `None` with `cfg.decode` off.
-    pub(crate) dec: Option<DecodedProgram>,
-    pub(crate) cfg: MachineConfig,
-    pub(crate) ready_at: Vec<u64>,
-    pub(crate) halted_at: Vec<Option<u64>>,
-    pub(crate) now: u64,
-    pub(crate) watchdog: Watchdog,
-    pub(crate) fault: Option<MachineFault>,
-    /// Scheduler-internal events (window barriers, watchdog arming/
-    /// firing) on the meta lane, which [`Trace::retain_semantic`]
-    /// excludes from the cross-scheduler determinism contract.
-    pub(crate) meta_probe: Probe,
-    /// The open-loop arrival plan derived from `cfg.traffic` (`None`
-    /// without traffic); cloned into every shard. Derived state, never
-    /// snapshotted.
-    pub(crate) plan: Option<Arc<ArrivalPlan>>,
+    m: Alewife,
+}
+
+impl Deref for ParallelAlewife {
+    type Target = Alewife;
+
+    fn deref(&self) -> &Alewife {
+        &self.m
+    }
+}
+
+impl DerefMut for ParallelAlewife {
+    fn deref_mut(&mut self) -> &mut Alewife {
+        &mut self.m
+    }
 }
 
 impl ParallelAlewife {
     /// Builds the machine described by `cfg`, loading `prog`'s static
     /// image into global memory.
     pub fn new(cfg: MachineConfig, prog: Program) -> ParallelAlewife {
-        let n = cfg.num_nodes();
-        let mut mem = FeMemory::new(cfg.total_mem_bytes());
-        mem.load_image(&prog);
-        let plan = ArrivalPlan::build(&cfg).map(Arc::new);
-        let nodes = (0..n)
-            .map(|i| Node {
-                cpu: Cpu::new(cfg.cpu),
-                ctl: CacheController::new(i, cfg.cache, cfg.ctl),
-                dir: Directory::with_config(cfg.dir, cfg.num_nodes()),
-                io_regs: [0; 8],
-                resv: None,
-                traffic: plan
-                    .as_ref()
-                    .filter(|p| p.is_edge(i))
-                    .map(|_| Box::default()),
-            })
-            .collect();
-        let dec = cfg.decode.then(|| DecodedProgram::lower(&prog));
         ParallelAlewife {
-            nodes,
-            mem,
-            net: Network::new(cfg.topology, cfg.net),
-            prog,
-            dec,
-            cfg,
-            ready_at: vec![0; n],
-            halted_at: vec![None; n],
-            now: 0,
-            watchdog: Watchdog::default(),
-            fault: None,
-            meta_probe: Probe::default(),
-            plan,
+            m: Alewife::new(cfg, prog),
         }
     }
 
-    /// Installs live event probes on every node component and the
-    /// network, plus a meta-lane probe for window barriers and
-    /// watchdog events. Call before [`ParallelAlewife::run`].
-    pub fn attach_tracer(&mut self, cfg: TraceConfig) {
-        crate::obs::attach_node_probes(&mut self.nodes, cfg);
-        self.net
-            .attach_probe(Probe::new(lane(Component::Net, 0), cfg));
-        self.meta_probe = Probe::new(lane(Component::Meta, 0), cfg);
-    }
-
-    /// Merges every component probe into one canonically ordered
-    /// [`Trace`]. After [`Trace::retain_semantic`], the result is
-    /// bit-identical to the sequential machine's for the same workload
-    /// at any worker count.
-    pub fn collect_trace(&self) -> Trace {
-        let mut t = Trace::new();
-        crate::obs::collect_node_traces(&mut t, &self.nodes);
-        t.push_probe(self.net.trace_probe());
-        t.push_probe(&self.meta_probe);
-        t.sort();
-        t
-    }
-
-    /// Snapshots the machine's counters and histograms; byte-equal to
-    /// the sequential machine's report for the same workload.
-    pub fn stats_report(&self) -> StatsReport {
-        crate::obs::build_report(&self.nodes, &self.net)
-    }
-
-    /// Installs a fault-injection plan on the network; runs stay
-    /// exactly reproducible from the plan's seed for every worker
-    /// count.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.net.set_fault_plan(Some(plan));
-    }
-
-    /// Counts of faults the network has injected so far.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.net.fault_stats
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.net.fault_plan()
-    }
-
-    /// Quarantines a channel: the router detours around it from now on
-    /// (installing an inert fault plan first if none was configured).
-    /// The network is coordinator-owned, so the decision is identical
-    /// for every worker count.
-    pub fn quarantine_channel(&mut self, ch: Channel) {
-        self.net.fault_plan_mut().quarantine_channel(ch);
-    }
-
-    /// Quarantines a node: the router stops routing through or to it.
-    pub fn quarantine_node(&mut self, node: usize) {
-        self.net.fault_plan_mut().quarantine_node(node);
-    }
-
-    /// Replaces the watchdog's no-progress horizon. The recovery layer
-    /// backs this off exponentially across attempts; the horizon is
-    /// scheduler policy, not machine state, so changing it never
-    /// perturbs the simulated computation.
-    pub fn set_watchdog_horizon(&mut self, horizon: u64) {
-        self.cfg.watchdog.horizon = horizon;
-    }
-
-    /// The watchdog's current no-progress horizon.
-    pub fn watchdog_horizon(&self) -> u64 {
-        self.cfg.watchdog.horizon
-    }
-
-    /// Network statistics so far.
-    pub fn net_stats(&self) -> april_net::network::NetStats {
-        self.net.stats
-    }
-
-    /// Sum of all processors' cycle ledgers.
-    pub fn total_stats(&self) -> CpuStats {
-        let mut s = CpuStats::default();
-        for n in &self.nodes {
-            s.merge(&n.cpu.stats);
-        }
-        s
-    }
-
-    /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    /// Number of processors.
-    pub fn num_procs(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Current simulated time in cycles (the last executed cycle).
-    pub fn now(&self) -> u64 {
-        self.now
+    /// Builds the machine described by `cfg`/`prog` and immediately
+    /// restores `snap` into it (see [`Alewife::from_snapshot`]);
+    /// snapshots cross freely between schedulers and worker counts.
+    pub fn from_snapshot(
+        cfg: MachineConfig,
+        prog: Program,
+        tracer: Option<TraceConfig>,
+        snap: &Snapshot,
+    ) -> Result<ParallelAlewife, SnapshotError> {
+        Alewife::from_snapshot(cfg, prog, tracer, snap).map(|m| ParallelAlewife { m })
     }
 
     /// Node `i` (processor, controller, directory).
     pub fn node(&self, i: usize) -> &Node {
-        &self.nodes[i]
-    }
-
-    /// Processor `i`.
-    pub fn cpu(&self, i: usize) -> &Cpu {
-        &self.nodes[i].cpu
-    }
-
-    /// Mutable processor `i` (for booting and pre-run setup).
-    pub fn cpu_mut(&mut self, i: usize) -> &mut Cpu {
-        self.settle_resv(i);
-        &mut self.nodes[i].cpu
-    }
-
-    /// Materializes node `i`'s booked decode-engine run through the
-    /// current cycle, if one is outstanding, so external observers see
-    /// the state the sequential lockstep machine would show. See
-    /// [`crate::Alewife`]'s settle rules; runs booked inside a window
-    /// survive across windows and across `run` calls until settled.
-    pub(crate) fn settle_resv(&mut self, i: usize) {
-        let Some(r) = self.nodes[i].resv.take() else {
-            return;
-        };
-        let done = (self.now - r.start + 1).min(r.len as u64) as u32;
-        let dec = self.dec.as_ref().expect("booked run without decode image");
-        self.nodes[i].cpu.run_decoded(dec, done);
-        self.ready_at[i] = self.now + 1;
-    }
-
-    /// Global memory (canonical image; replicas are reconciled into it
-    /// at every window barrier, so between runs this is exact).
-    pub fn mem(&self) -> &FeMemory {
-        &self.mem
-    }
-
-    /// Mutable global memory, for pre-run setup.
-    pub fn mem_mut(&mut self) -> &mut FeMemory {
-        &mut self.mem
-    }
-
-    /// The loaded program.
-    pub fn program(&self) -> &Program {
-        &self.prog
-    }
-
-    /// Boots node 0 at the program entry.
-    pub fn boot(&mut self) {
-        let entry = self.prog.entry;
-        self.nodes[0].cpu.boot(entry);
-    }
-
-    /// Boots every node at the program entry (see
-    /// [`crate::Alewife::boot_all`]).
-    pub fn boot_all(&mut self) {
-        let entry = self.prog.entry;
-        for node in &mut self.nodes {
-            node.cpu.boot(entry);
-        }
-    }
-
-    /// The fatal fault that ended the run, if any.
-    pub fn fault(&self) -> Option<&MachineFault> {
-        self.fault.as_ref()
-    }
-
-    /// Per-node halt cycles (see [`crate::Alewife::halted_cycles`]).
-    pub fn halted_cycles(&self) -> &[Option<u64>] {
-        &self.halted_at
+        &self.m.nodes[i]
     }
 
     /// The window width the scheduler will use: the network lookahead,
     /// optionally narrowed (never widened) by
     /// [`MachineConfig::window_override`].
     pub fn window_width(&self) -> u64 {
-        let la = self.net.lookahead(MIN_FLITS);
-        if self.cfg.window_override == 0 {
+        let la = self.m.net.lookahead(MIN_FLITS);
+        if self.m.cfg.window_override == 0 {
             la
         } else {
-            self.cfg.window_override.min(la)
+            self.m.cfg.window_override.min(la)
         }
     }
 
     /// Runs the machine under `driver` until it faults or goes fully
     /// quiescent (every CPU halted, no protocol work pending, network
     /// idle), returning the fault if one ended the run. Identical to
-    /// [`crate::driver::drive_sequential`] over the sequential machine
-    /// — same final state, bit for bit — for any worker count.
+    /// [`crate::driver::drive_sequential`] over the same machine — same
+    /// final state, bit for bit — for any worker count.
     ///
     /// # Panics
     ///
@@ -847,57 +457,68 @@ impl ParallelAlewife {
         max: u64,
         stop_at: Option<u64>,
     ) -> Option<MachineFault> {
-        let n = self.nodes.len();
         let width_max = self.window_width();
         assert!(
             width_max >= 1,
             "network config admits no conservative window (lookahead 0)"
         );
-        let workers = self.cfg.workers.clamp(1, n);
-        let chunk = n.div_ceil(workers);
-        let nshards = n.div_ceil(chunk);
+        // Lend the node state to the shards and keep the rest — the
+        // network, the canonical memory image, the watchdog, the clock
+        // — for the per-window coordinator below.
+        let Alewife {
+            nodes,
+            mem,
+            net,
+            prog,
+            dec,
+            cfg,
+            ready_at,
+            now,
+            watchdog,
+            fault,
+            halted_at,
+            parked,
+            plan,
+            meta_probe: meta,
+            sig_stale,
+            ..
+        } = &mut self.m;
+        let (cfg, prog, dec, plan) = (&*cfg, &*prog, dec.as_ref(), plan.as_deref());
+        // Hand-over from the event-driven scheduler: shards step every
+        // cycle, so its idle promises are simply dropped (a cleared
+        // flag only costs an idle step), and its cached progress
+        // signature will be out of date when it next runs.
+        parked.fill(false);
+        *sig_stale = true;
 
-        // Carve the machine into contiguous shards.
-        let mut shards: Vec<Shard> = Vec::with_capacity(nshards);
-        {
-            let mut nodes = std::mem::take(&mut self.nodes);
-            let mut ready_at = std::mem::take(&mut self.ready_at);
-            let mut halted_at = std::mem::take(&mut self.halted_at);
-            let prog = &self.prog;
-            let dec = self.dec.as_ref();
-            for s in (0..nshards).rev() {
-                let lo = s * chunk;
-                shards.push(Shard {
-                    base: lo,
-                    nodes: nodes.split_off(lo),
-                    mem: self.mem.clone(),
-                    ready_at: ready_at.split_off(lo),
-                    halted_at: halted_at.split_off(lo),
-                    prog,
-                    dec,
-                    cfg: self.cfg,
-                    plan: self.plan.clone(),
-                    write_log: Vec::new(),
-                    scratch_out: Vec::new(),
-                    scratch_dir: Vec::new(),
-                    scratch_io: Vec::new(),
-                    scratch_evs: Vec::new(),
-                    scratch_retired: Vec::new(),
-                });
-            }
-            shards.reverse();
-        }
-
-        let mut min_deadline = u64::MAX;
-        for sh in &shards {
-            min_deadline = min_deadline.min(
-                sh.nodes
-                    .iter()
-                    .map(|nd| nd.ctl.next_deadline().min(nd.dir.next_deadline()))
-                    .min()
-                    .unwrap_or(u64::MAX),
-            );
-        }
+        let n = nodes.len();
+        let chunk = n.div_ceil(cfg.workers.clamp(1, n));
+        let mut min_deadline = earliest_deadline(nodes);
+        let mut shards: Vec<Shard> = nodes
+            .chunks_mut(chunk)
+            .zip(ready_at.chunks_mut(chunk))
+            .zip(halted_at.chunks_mut(chunk))
+            .zip(parked.chunks_mut(chunk))
+            .enumerate()
+            .map(|(s, (((nodes, ready_at), halted_at), parked))| Shard {
+                base: s * chunk,
+                nodes,
+                ready_at,
+                halted_at,
+                parked,
+                mem: mem.clone(),
+                write_log: Vec::new(),
+                prog,
+                dec,
+                cfg,
+                plan,
+                scratch: Scratch::default(),
+                evs: Vec::new(),
+                sig: (0, 0, 0),
+                sig_stale: true,
+            })
+            .collect();
+        let nshards = shards.len();
 
         let slots: Vec<Slot> = (0..nshards).map(|_| Slot::new()).collect();
         // Spin only when the host has a core for every thread
@@ -910,13 +531,6 @@ impl ParallelAlewife {
         // The per-window coordinator, shared by the inline and threaded
         // paths: plans each window, hands one command per shard to
         // `submit`, and merges the results it returns (in shard order).
-        let net = &mut self.net;
-        let mem = &mut self.mem;
-        let watchdog = &mut self.watchdog;
-        let fault = &mut self.fault;
-        let now = &mut self.now;
-        let meta = &mut self.meta_probe;
-        let cfg = self.cfg;
         let mut coordinate = |submit: &mut dyn FnMut(Vec<WindowCmd>) -> Vec<WindowResult>| {
             let mut quiesced = false;
             let mut deliveries: Vec<(u64, usize, Env)> = Vec::new();
@@ -949,8 +563,9 @@ impl ParallelAlewife {
                 // window is the last cycle; only those already due at
                 // `start` force a width-1 window.
                 let due_now = net.earliest_delivery(start) == Some(start);
+                let horizon = cfg.watchdog.horizon;
                 let wd_deadline = if cfg.watchdog.enabled {
-                    watchdog.deadline(cfg.watchdog.horizon)
+                    watchdog.deadline(horizon)
                 } else {
                     u64::MAX
                 };
@@ -992,11 +607,11 @@ impl ParallelAlewife {
                     .collect();
                 let mut results = submit(cmds);
 
-                // Merge staged sends in the deterministic order and
+                // Merge staged sends in the kernel's key order and
                 // inject; packet ids now match the sequential run's.
                 staged.clear();
                 for r in &results {
-                    staged.extend_from_slice(&r.sends);
+                    staged.extend_from_slice(&r.staged.sends);
                 }
                 staged.sort_unstable_by_key(|s| s.key);
                 for s in &staged {
@@ -1034,15 +649,11 @@ impl ParallelAlewife {
                 net.route_to(end - 1);
 
                 // The globally first fault wins, exactly as the
-                // sequential machine records the first `set_fault`.
-                let mut first: Option<&ShardFault> = None;
-                for r in &results {
-                    if let Some(f) = &r.fault {
-                        if first.is_none_or(|b| f.key < b.key) {
-                            first = Some(f);
-                        }
-                    }
-                }
+                // sequential machine records only the first.
+                let first = results
+                    .iter()
+                    .filter_map(|r| r.staged.fault.as_ref())
+                    .min_by_key(|f| f.key);
                 if let Some(f) = first {
                     *fault = Some(f.fault.clone());
                 } else if cfg.watchdog.enabled {
@@ -1061,60 +672,24 @@ impl ParallelAlewife {
                         let delivered = base_delivered
                             + deliveries.iter().take_while(|&&(t, ..)| t <= c).count() as u64;
                         let sig = (instrs, delivered, dir_events, ctl_events);
-                        let deadline_before = watchdog.deadline(cfg.watchdog.horizon);
-                        let fired = watchdog.observe(c, sig, cfg.watchdog.horizon);
-                        let deadline_after = watchdog.deadline(cfg.watchdog.horizon);
-                        if deadline_after != deadline_before {
-                            meta.emit(c, EventKind::WatchdogArmed, deadline_after, 0);
+                        if !watchdog.observe_traced(c, sig, horizon, meta) {
+                            continue;
                         }
-                        if fired {
-                            let net_pending = net.in_flight_count() > 0;
-                            let shard_pending = results
+                        let pending = net.in_flight_count() > 0
+                            || results
                                 .iter()
                                 .any(|r| r.pm.as_ref().is_some_and(|p| p.pending_pre_driver));
-                            if net_pending || shard_pending {
-                                debug_assert_eq!(c, end - 1, "watchdog fired mid-window");
-                                meta.emit(c, EventKind::WatchdogFired, deadline_after, 0);
-                                let mut in_flight: Vec<InFlightMsg> = net
-                                    .in_flight_packets()
-                                    .map(|(id, dst, sent_at, _, env)| InFlightMsg {
-                                        id,
-                                        src: env.src,
-                                        dst,
-                                        sent_at,
-                                        msg: env.msg,
-                                    })
-                                    .collect();
-                                in_flight.sort_by_key(|m| m.id);
-                                let undeliverable = net
-                                    .dead_letters()
-                                    .iter()
-                                    .map(|dl| UndeliverableMsg {
-                                        id: dl.id,
-                                        dst: dl.dst,
-                                        at: dl.at,
-                                        msg: dl.payload.msg,
-                                    })
-                                    .collect();
-                                let mut pm = PostMortem {
-                                    cycle: c,
-                                    horizon: cfg.watchdog.horizon,
-                                    in_flight,
-                                    undeliverable,
-                                    fault_stats: net.fault_stats,
-                                    ..PostMortem::default()
-                                };
-                                for r in &mut results {
-                                    if let Some(frag) = r.pm.take() {
-                                        pm.busy_blocks.extend(frag.busy_blocks);
-                                        pm.outstanding.extend(frag.outstanding);
-                                        pm.stalled_frames.extend(frag.stalled_frames);
-                                        pm.fences.extend(frag.fences);
-                                    }
-                                }
-                                *fault = Some(MachineFault::NoForwardProgress(Box::new(pm)));
-                                break;
+                        if pending {
+                            debug_assert_eq!(c, end - 1, "watchdog fired mid-window");
+                            let mut pm = net_post_mortem(net, c, horizon);
+                            for frag in results.iter_mut().filter_map(|r| r.pm.take()) {
+                                pm.busy_blocks.extend(frag.nodes.busy_blocks);
+                                pm.outstanding.extend(frag.nodes.outstanding);
+                                pm.stalled_frames.extend(frag.nodes.stalled_frames);
+                                pm.fences.extend(frag.nodes.fences);
                             }
+                            *fault = Some(watchdog.declare_dead(pm, meta));
+                            break;
                         }
                     }
                 }
@@ -1129,7 +704,7 @@ impl ParallelAlewife {
             }
         };
 
-        let mut shards = if nshards == 1 {
+        if nshards == 1 {
             // Single shard: run the windows inline on this thread. No
             // spawn, no hand-offs — this is also the 1-worker baseline
             // the scaling benchmark measures against, so it must not
@@ -1139,24 +714,21 @@ impl ParallelAlewife {
                 let cmd = cmds.pop().expect("one command");
                 vec![sh.run_window(&cmd, driver)]
             });
-            vec![sh]
         } else {
+            // Scoped workers borrow their node slices for the length of
+            // the run and are joined when the scope ends.
             std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .zip(&slots)
-                    .map(|(mut sh, slot)| {
-                        scope.spawn(move || loop {
-                            match take(&slot.cmd, &slot.cmd_cv, spin) {
-                                Cmd::Stop => return sh,
-                                Cmd::Window(w) => {
-                                    let res = sh.run_window(&w, driver);
-                                    post(&slot.res, &slot.res_cv, res);
-                                }
+                for (mut sh, slot) in shards.into_iter().zip(&slots) {
+                    scope.spawn(move || loop {
+                        match take(&slot.cmd, &slot.cmd_cv, spin) {
+                            Cmd::Stop => return,
+                            Cmd::Window(w) => {
+                                let res = sh.run_window(&w, driver);
+                                post(&slot.res, &slot.res_cv, res);
                             }
-                        })
-                    })
-                    .collect();
+                        }
+                    });
+                }
 
                 coordinate(&mut |cmds: Vec<WindowCmd>| {
                     for (slot, cmd) in slots.iter().zip(cmds) {
@@ -1168,27 +740,14 @@ impl ParallelAlewife {
                         .collect()
                 });
 
-                // Wind the workers down and recover their shards.
                 for slot in &slots {
                     post(&slot.cmd, &slot.cmd_cv, Cmd::Stop);
                 }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Scatter the shard state back into the machine.
-        shards.sort_by_key(|sh| sh.base);
-        for sh in shards {
-            self.nodes.extend(sh.nodes);
-            self.ready_at.extend(sh.ready_at);
-            self.halted_at.extend(sh.halted_at);
+            });
         }
 
-        assert!(!timed_out, "timeout at cycle {}", self.now);
-        self.fault.clone()
+        assert!(!timed_out, "timeout at cycle {}", self.m.now);
+        self.m.fault.clone()
     }
 }
 
@@ -1196,6 +755,7 @@ impl ParallelAlewife {
 mod tests {
     use super::*;
     use crate::driver::SwitchSpin;
+    use crate::Machine;
     use april_core::isa::asm::assemble;
     use april_net::topology::Topology;
 

@@ -32,7 +32,7 @@
 //! manager, not the machine, so the recovery saga survives rollbacks
 //! (which restore the machine's own probe rings to checkpoint state).
 
-use crate::alewife::{nodes_pending_work, Alewife};
+use crate::alewife::Alewife;
 use crate::driver::{drive_sequential_until, NodeDriver};
 use crate::parallel::ParallelAlewife;
 use crate::snapshot::{Snapshot, SnapshotError};
@@ -170,62 +170,80 @@ pub struct RecoveryReport {
     pub failure: Option<RecoveryFailure>,
 }
 
-/// What the manager needs from a machine: clocked checkpointable
-/// execution plus quarantine and watchdog-horizon control. Implemented
-/// by the sequential [`Alewife`] (covering both the lockstep and
-/// event-driven schedulers) and by [`ParallelAlewife`].
+/// What the manager needs from a machine: the [`Alewife`] underneath —
+/// clocked, checkpointable, with quarantine and watchdog-horizon
+/// control — plus a scheduler to run it with. Implemented by the
+/// sequential [`Alewife`] (covering both the lockstep and event-driven
+/// schedulers) and by [`ParallelAlewife`]; everything but the scheduler
+/// is provided from the machine itself.
 pub trait RecoverableMachine {
-    /// Current simulated time.
-    fn now(&self) -> u64;
-    /// The fatal fault that ended the run, if any.
-    fn fault(&self) -> Option<&MachineFault>;
-    /// True when the run is complete: every processor halted and no
-    /// protocol or network work pending.
-    fn finished(&self) -> bool;
-    /// Captures the machine's complete state (`&mut self`: decode-
-    /// engine booked runs materialize before encoding).
-    fn checkpoint(&mut self) -> Result<Snapshot, SnapshotError>;
-    /// Restores a checkpoint (clearing any recorded fault).
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError>;
+    /// The machine being supervised.
+    fn machine(&self) -> &Alewife;
+    /// The machine being supervised, mutably.
+    fn machine_mut(&mut self) -> &mut Alewife;
     /// Runs under `driver` until the clock reaches `stop_at`, the run
     /// finishes, or a fault surfaces (returned).
     fn run_to(&mut self, driver: &dyn NodeDriver, stop_at: u64) -> Option<MachineFault>;
+
+    /// Current simulated time.
+    fn now(&self) -> u64 {
+        Machine::now(self.machine())
+    }
+    /// The fatal fault that ended the run, if any.
+    fn fault(&self) -> Option<&MachineFault> {
+        Machine::fault(self.machine())
+    }
+    /// True when the run is complete ([`Alewife::finished`]).
+    fn finished(&self) -> bool {
+        self.machine().finished()
+    }
+    /// Captures the machine's complete state (`&mut self`: decode-
+    /// engine booked runs materialize before encoding).
+    fn checkpoint(&mut self) -> Result<Snapshot, SnapshotError> {
+        self.machine_mut().checkpoint()
+    }
+    /// Restores a checkpoint (clearing any recorded fault).
+    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
+        self.machine_mut().restore(snap)
+    }
     /// Quarantines a directed channel in the network's fault plan.
-    fn quarantine_channel(&mut self, ch: Channel);
+    fn quarantine_channel(&mut self, ch: Channel) {
+        self.machine_mut().quarantine_channel(ch);
+    }
     /// Quarantines a node in the network's fault plan.
-    fn quarantine_node(&mut self, node: usize);
+    fn quarantine_node(&mut self, node: usize) {
+        self.machine_mut().quarantine_node(node);
+    }
     /// Replaces the watchdog's no-progress horizon.
-    fn set_watchdog_horizon(&mut self, horizon: u64);
+    fn set_watchdog_horizon(&mut self, horizon: u64) {
+        self.machine_mut().set_watchdog_horizon(horizon);
+    }
     /// The watchdog's current no-progress horizon.
-    fn watchdog_horizon(&self) -> u64;
+    fn watchdog_horizon(&self) -> u64 {
+        self.machine().watchdog_horizon()
+    }
     /// The home node of byte address `addr`.
-    fn home_of(&self, addr: u32) -> usize;
+    fn home_of(&self, addr: u32) -> usize {
+        self.machine().config().home_of(addr)
+    }
     /// The network topology.
-    fn topology(&self) -> Topology;
+    fn topology(&self) -> Topology {
+        self.machine().config().topology
+    }
     /// The fault plan's seed (0 if no plan is installed); one input of
     /// the deterministic quarantine decision.
-    fn fault_seed(&self) -> u64;
+    fn fault_seed(&self) -> u64 {
+        self.machine().fault_plan().map_or(0, |p| p.seed())
+    }
 }
 
 impl RecoverableMachine for Alewife {
-    fn now(&self) -> u64 {
-        Machine::now(self)
+    fn machine(&self) -> &Alewife {
+        self
     }
 
-    fn fault(&self) -> Option<&MachineFault> {
-        Machine::fault(self)
-    }
-
-    fn finished(&self) -> bool {
-        self.all_halted() && !self.pending_work()
-    }
-
-    fn checkpoint(&mut self) -> Result<Snapshot, SnapshotError> {
-        Alewife::checkpoint(self)
-    }
-
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        Alewife::restore(self, snap)
+    fn machine_mut(&mut self) -> &mut Alewife {
+        self
     }
 
     fn run_to(&mut self, driver: &dyn NodeDriver, stop_at: u64) -> Option<MachineFault> {
@@ -233,89 +251,19 @@ impl RecoverableMachine for Alewife {
         // cycle itself; the budget proper is the manager's.
         drive_sequential_until(self, driver, stop_at, stop_at + 1)
     }
-
-    fn quarantine_channel(&mut self, ch: Channel) {
-        Alewife::quarantine_channel(self, ch);
-    }
-
-    fn quarantine_node(&mut self, node: usize) {
-        Alewife::quarantine_node(self, node);
-    }
-
-    fn set_watchdog_horizon(&mut self, horizon: u64) {
-        Alewife::set_watchdog_horizon(self, horizon);
-    }
-
-    fn watchdog_horizon(&self) -> u64 {
-        Alewife::watchdog_horizon(self)
-    }
-
-    fn home_of(&self, addr: u32) -> usize {
-        self.config().home_of(addr)
-    }
-
-    fn topology(&self) -> Topology {
-        self.config().topology
-    }
-
-    fn fault_seed(&self) -> u64 {
-        self.fault_plan().map_or(0, |p| p.seed())
-    }
 }
 
 impl RecoverableMachine for ParallelAlewife {
-    fn now(&self) -> u64 {
-        ParallelAlewife::now(self)
+    fn machine(&self) -> &Alewife {
+        self
     }
 
-    fn fault(&self) -> Option<&MachineFault> {
-        ParallelAlewife::fault(self)
-    }
-
-    fn finished(&self) -> bool {
-        self.nodes.iter().all(|n| n.cpu.is_halted())
-            && !nodes_pending_work(&self.nodes)
-            && self.net.is_idle()
-    }
-
-    fn checkpoint(&mut self) -> Result<Snapshot, SnapshotError> {
-        ParallelAlewife::checkpoint(self)
-    }
-
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        ParallelAlewife::restore(self, snap)
+    fn machine_mut(&mut self) -> &mut Alewife {
+        self
     }
 
     fn run_to(&mut self, driver: &dyn NodeDriver, stop_at: u64) -> Option<MachineFault> {
-        ParallelAlewife::run_until(self, &driver, stop_at, stop_at + 1)
-    }
-
-    fn quarantine_channel(&mut self, ch: Channel) {
-        ParallelAlewife::quarantine_channel(self, ch);
-    }
-
-    fn quarantine_node(&mut self, node: usize) {
-        ParallelAlewife::quarantine_node(self, node);
-    }
-
-    fn set_watchdog_horizon(&mut self, horizon: u64) {
-        ParallelAlewife::set_watchdog_horizon(self, horizon);
-    }
-
-    fn watchdog_horizon(&self) -> u64 {
-        ParallelAlewife::watchdog_horizon(self)
-    }
-
-    fn home_of(&self, addr: u32) -> usize {
-        self.config().home_of(addr)
-    }
-
-    fn topology(&self) -> Topology {
-        self.config().topology
-    }
-
-    fn fault_seed(&self) -> u64 {
-        self.fault_plan().map_or(0, |p| p.seed())
+        self.run_until(&driver, stop_at, stop_at + 1)
     }
 }
 

@@ -1,15 +1,15 @@
 //! Versioned binary checkpoints of the full machine state.
 //!
-//! A [`Snapshot`] captures everything [`Alewife`] and
-//! [`ParallelAlewife`] evolve at run time — CPU task frames and cycle
-//! ledgers, caches, directories with in-flight busy episodes,
-//! controller transactions, full/empty memory, the network's event
-//! heap and fault-plan state, scheduler bookkeeping, and every probe's
-//! ring — as one self-describing byte string. The two schedulers share
-//! one encoder over the identical field set, so a snapshot taken on
-//! either restores into either: checkpoint on the sequential machine,
-//! resume on the parallel one (or vice versa), and the continuation is
-//! bit-exact for any worker count.
+//! A [`Snapshot`] captures everything an [`Alewife`] evolves at run
+//! time — CPU task frames and cycle ledgers, caches, directories with
+//! in-flight busy episodes, controller transactions, full/empty memory,
+//! the network's event heap and fault-plan state, scheduler
+//! bookkeeping, and every probe's ring — as one self-describing byte
+//! string. Every scheduler runs over that one machine, so a snapshot
+//! taken under any of them restores under any other: checkpoint a
+//! sequential run, resume under [`crate::ParallelAlewife`]'s windows
+//! (or vice versa), and the continuation is bit-exact for any worker
+//! count.
 //!
 //! The format (DESIGN.md §11) is a fixed header — magic `"APRL"`,
 //! version byte, checkpoint cycle, the `Debug` rendering of the
@@ -26,19 +26,14 @@
 //! payload exactly. A failed restore leaves the machine in an
 //! unspecified state — rebuild it before retrying.
 
-use crate::alewife::Node;
 use crate::alewife::{Alewife, Env};
 use crate::config::MachineConfig;
-use crate::parallel::ParallelAlewife;
-use crate::watchdog::Watchdog;
 use april_core::program::Program;
 use april_core::snapshot::{encode_cpu, restore_cpu};
-use april_mem::femem::FeMemory;
 use april_mem::snapshot::{
     decode_msg, encode_ctl, encode_dir, encode_femem, encode_msg, restore_ctl, restore_dir,
     restore_femem,
 };
-use april_net::network::Network;
 use april_obs::{Probe, QHist};
 use april_util::wire::{digest64, ByteReader, ByteWriter, WireError};
 use std::fmt;
@@ -163,9 +158,9 @@ fn read_header<'a>(r: &mut ByteReader<'a>) -> Result<Header<'a>, SnapshotError> 
 
 /// A complete machine checkpoint: an owned, versioned byte string.
 ///
-/// Produced by [`Alewife::checkpoint`] / [`ParallelAlewife::checkpoint`]
-/// (or the [`crate::Machine::checkpoint`] trait method) and consumed by
-/// the matching `restore`. The bytes are self-contained — they can be
+/// Produced by [`Alewife::checkpoint`] (or the
+/// [`crate::Machine::checkpoint`] trait method) and consumed by the
+/// matching `restore`. The bytes are self-contained — they can be
 /// written to disk and reloaded with [`Snapshot::from_bytes`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
@@ -300,51 +295,22 @@ fn semantic_config_debug(cfg: &MachineConfig) -> String {
     format!("{c:?}")
 }
 
-/// Everything the two schedulers checkpoint, borrowed. Both machines
-/// hand their fields to [`encode_machine`] through this view, which is
-/// what guarantees their snapshots are interchangeable.
-pub(crate) struct MachineView<'a> {
-    pub nodes: &'a [Node],
-    pub mem: &'a FeMemory,
-    pub net: &'a Network<Env>,
-    pub prog: &'a Program,
-    pub cfg: &'a MachineConfig,
-    pub ready_at: &'a [u64],
-    pub halted_at: &'a [Option<u64>],
-    pub now: u64,
-    pub watchdog: &'a Watchdog,
-    pub meta_probe: &'a Probe,
-}
-
-/// The same field set, mutable, for restores.
-pub(crate) struct MachineViewMut<'a> {
-    pub nodes: &'a mut [Node],
-    pub mem: &'a mut FeMemory,
-    pub net: &'a mut Network<Env>,
-    pub prog: &'a Program,
-    pub cfg: &'a MachineConfig,
-    pub ready_at: &'a mut [u64],
-    pub halted_at: &'a mut [Option<u64>],
-    pub now: &'a mut u64,
-    pub watchdog: &'a mut Watchdog,
-    pub meta_probe: &'a mut Probe,
-}
-
 fn push_section(w: &mut ByteWriter, kind: u8, node: u32, payload: ByteWriter) {
     w.u8(kind);
     w.u32(node);
     w.bytes(&payload.finish());
 }
 
-pub(crate) fn encode_machine(v: MachineView<'_>) -> Snapshot {
+/// Encodes every section of `v`'s (settled) state.
+fn encode_machine(v: &Alewife) -> Snapshot {
     let n = v.nodes.len();
     let traffic_nodes = v.nodes.iter().filter(|nd| nd.traffic.is_some()).count();
     let mut w = ByteWriter::new();
     w.bytes(&MAGIC);
     w.u8(VERSION);
     w.u64(v.now);
-    w.str(&semantic_config_debug(v.cfg));
-    w.u64(prog_digest(v.prog));
+    w.str(&semantic_config_debug(&v.cfg));
+    w.u64(prog_digest(&v.prog));
     w.usize(n);
     w.usize(n * 4 + traffic_nodes + 5);
 
@@ -378,7 +344,7 @@ pub(crate) fn encode_machine(v: MachineView<'_>) -> Snapshot {
     }
 
     let mut p = ByteWriter::new();
-    encode_femem(v.mem, &mut p);
+    encode_femem(&v.mem, &mut p);
     push_section(&mut w, SEC_MEM, 0, p);
 
     let mut p = ByteWriter::new();
@@ -386,10 +352,10 @@ pub(crate) fn encode_machine(v: MachineView<'_>) -> Snapshot {
     push_section(&mut w, SEC_NET, 0, p);
 
     let mut p = ByteWriter::new();
-    for &r in v.ready_at {
+    for &r in &v.ready_at {
         p.u64(r);
     }
-    for &h in v.halted_at {
+    for &h in &v.halted_at {
         p.bool(h.is_some());
         p.u64(h.unwrap_or(0));
     }
@@ -410,20 +376,22 @@ pub(crate) fn encode_machine(v: MachineView<'_>) -> Snapshot {
     Snapshot { bytes: w.finish() }
 }
 
-pub(crate) fn restore_machine(v: MachineViewMut<'_>, snap: &Snapshot) -> Result<(), SnapshotError> {
+/// Validates `snap` against `v`'s configuration and program, then
+/// decodes every section into `v`.
+fn restore_machine(v: &mut Alewife, snap: &Snapshot) -> Result<(), SnapshotError> {
     {
         let mut r = ByteReader::new(&snap.bytes);
         let h = read_header(&mut r)?;
-        if h.cfg_debug != semantic_config_debug(v.cfg) {
+        if h.cfg_debug != semantic_config_debug(&v.cfg) {
             return Err(SnapshotError::ConfigMismatch);
         }
-        if h.prog_digest != prog_digest(v.prog) {
+        if h.prog_digest != prog_digest(&v.prog) {
             return Err(SnapshotError::ProgramMismatch);
         }
         if h.nodes != v.nodes.len() {
             return Err(SnapshotError::ConfigMismatch);
         }
-        *v.now = h.now;
+        v.now = h.now;
     }
     let n = v.nodes.len();
     // The canonical section sequence; restore refuses anything else.
@@ -444,13 +412,16 @@ pub(crate) fn restore_machine(v: MachineViewMut<'_>, snap: &Snapshot) -> Result<
         (SEC_META, 0),
     ]);
     let mut idx = 0usize;
-    let nodes = v.nodes;
-    let mem = v.mem;
-    let net = v.net;
-    let ready_at = v.ready_at;
-    let halted_at = v.halted_at;
-    let watchdog = v.watchdog;
-    let meta_probe = v.meta_probe;
+    let Alewife {
+        nodes,
+        mem,
+        net,
+        ready_at,
+        halted_at,
+        watchdog,
+        meta_probe,
+        ..
+    } = v;
     snap.walk_sections(|kind, node, payload| {
         let Some(&(ek, en)) = expected.get(idx) else {
             return Err(SnapshotError::Corrupt(WireError::Corrupt(
@@ -571,26 +542,15 @@ impl Alewife {
         // Clocks are stamped on demand (only when a component acts), so
         // an idle node's clock lags `now`. The lag is unobservable in a
         // run but the snapshot encodes the fields verbatim — settle
-        // them so sequential and parallel checkpoints agree bit for
-        // bit.
+        // them so checkpoints of one cycle agree bit for bit whatever
+        // schedule of visits led there.
         let now = self.now;
         for n in &mut self.nodes {
             n.cpu.set_clock(now);
             n.ctl.set_clock(now);
             n.dir.set_clock(now);
         }
-        Ok(encode_machine(MachineView {
-            nodes: &self.nodes,
-            mem: &self.mem,
-            net: &self.net,
-            prog: &self.prog,
-            cfg: &self.cfg,
-            ready_at: &self.ready_at,
-            halted_at: &self.halted_at,
-            now: self.now,
-            watchdog: &self.watchdog,
-            meta_probe: &self.meta_probe,
-        }))
+        Ok(encode_machine(self))
     }
 
     /// Restores `snap` into this machine, which must have been built
@@ -599,21 +559,7 @@ impl Alewife {
     /// was taken from, on any scheduler. A failed restore leaves the
     /// machine in an unspecified state — rebuild it before retrying.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        restore_machine(
-            MachineViewMut {
-                nodes: &mut self.nodes,
-                mem: &mut self.mem,
-                net: &mut self.net,
-                prog: &self.prog,
-                cfg: &self.cfg,
-                ready_at: &mut self.ready_at,
-                halted_at: &mut self.halted_at,
-                now: &mut self.now,
-                watchdog: &mut self.watchdog,
-                meta_probe: &mut self.meta_probe,
-            },
-            snap,
-        )?;
+        restore_machine(self, snap)?;
         self.fault = None;
         // Injection cursors are derived: every arrival with a birth
         // cycle ≤ the restored clock was already handled before the
@@ -640,91 +586,11 @@ impl Alewife {
     }
 }
 
-impl ParallelAlewife {
-    /// Builds the parallel machine described by `cfg`/`prog` and
-    /// immediately restores `snap` into it (see
-    /// [`Alewife::from_snapshot`]); snapshots cross freely between the
-    /// sequential and parallel machines and any worker count.
-    pub fn from_snapshot(
-        cfg: MachineConfig,
-        prog: Program,
-        tracer: Option<april_obs::TraceConfig>,
-        snap: &Snapshot,
-    ) -> Result<ParallelAlewife, SnapshotError> {
-        let mut m = ParallelAlewife::new(cfg, prog);
-        if let Some(t) = tracer {
-            m.attach_tracer(t);
-        }
-        m.restore(snap)?;
-        Ok(m)
-    }
-
-    /// Captures the machine's complete state at the current cycle.
-    /// Interchangeable with [`Alewife::checkpoint`]: the two machines
-    /// encode the identical field set. `&mut self` for the same reason
-    /// as the sequential machine: booked decode-engine runs
-    /// materialize before encoding.
-    pub fn checkpoint(&mut self) -> Result<Snapshot, SnapshotError> {
-        if self.fault().is_some() {
-            return Err(SnapshotError::Faulted);
-        }
-        for i in 0..self.nodes.len() {
-            self.settle_resv(i);
-        }
-        Ok(encode_machine(MachineView {
-            nodes: &self.nodes,
-            mem: &self.mem,
-            net: &self.net,
-            prog: &self.prog,
-            cfg: &self.cfg,
-            ready_at: &self.ready_at,
-            halted_at: &self.halted_at,
-            now: self.now,
-            watchdog: &self.watchdog,
-            meta_probe: &self.meta_probe,
-        }))
-    }
-
-    /// Restores `snap` into this machine (see [`Alewife::restore`]);
-    /// snapshots cross freely between the sequential and parallel
-    /// machines and any worker count.
-    pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        restore_machine(
-            MachineViewMut {
-                nodes: &mut self.nodes,
-                mem: &mut self.mem,
-                net: &mut self.net,
-                prog: &self.prog,
-                cfg: &self.cfg,
-                ready_at: &mut self.ready_at,
-                halted_at: &mut self.halted_at,
-                now: &mut self.now,
-                watchdog: &mut self.watchdog,
-                meta_probe: &mut self.meta_probe,
-            },
-            snap,
-        )?;
-        self.fault = None;
-        // Injection cursors are derived state, recomputed from the
-        // plan and the restored clock (see `Alewife::restore`).
-        if let Some(plan) = &self.plan {
-            for (node, arrivals) in plan.entries() {
-                if let Some(tr) = self.nodes[*node].traffic.as_deref_mut() {
-                    tr.reset_cursor(arrivals, self.now);
-                }
-            }
-        }
-        for n in &mut self.nodes {
-            n.resv = None;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::{drive_sequential, drive_sequential_until, SwitchSpin};
+    use crate::parallel::ParallelAlewife;
     use crate::Machine;
     use april_core::isa::asm::assemble;
     use april_net::topology::Topology;

@@ -26,7 +26,7 @@
 use crate::spec::{JobSpec, SimSpec};
 use crate::ServeError;
 use april_machine::driver::{drive_sequential_until, SwitchSpin};
-use april_machine::{Alewife, Machine, ParallelAlewife, Snapshot};
+use april_machine::{Machine, ParallelAlewife, Snapshot};
 use april_obs::TraceConfig;
 use std::time::Instant;
 
@@ -78,134 +78,68 @@ pub struct JobOutcome {
     pub trace_jsonl: Option<String>,
 }
 
-/// Either scheduler behind one surface; which one a job gets is chosen
-/// by its spec's scheduler knobs, and all choices are bit-exact.
-enum Sim {
-    Seq(Box<Alewife>),
-    Par(Box<ParallelAlewife>),
+/// Builds the machine a spec describes: cold (`snap` absent, ready to
+/// boot) or directly from a checkpoint (`snap` present — the warm-start
+/// fork). One machine type serves every job; which scheduler drives it
+/// is [`run_until`]'s business, and all choices are bit-exact.
+fn build(spec: &SimSpec, snap: Option<&Snapshot>) -> Result<ParallelAlewife, ServeError> {
+    let cfg = spec.machine_config();
+    let prog = spec.program()?;
+    let tracer = TraceConfig::default();
+    Ok(match snap {
+        Some(s) => ParallelAlewife::from_snapshot(cfg, prog, Some(tracer), s)?,
+        None => {
+            let mut m = ParallelAlewife::new(cfg, prog);
+            m.attach_tracer(tracer);
+            m
+        }
+    })
 }
 
-impl Sim {
-    /// Builds the machine a spec describes: cold (`snap` absent, ready
-    /// to boot) or directly from a checkpoint (`snap` present —
-    /// [`Alewife::from_snapshot`] construction, the warm-start fork).
-    fn build(spec: &SimSpec, snap: Option<&Snapshot>) -> Result<Sim, ServeError> {
-        let cfg = spec.machine_config();
-        let prog = spec.program()?;
-        let tracer = Some(TraceConfig::default());
-        Ok(if spec.workers >= 2 {
-            Sim::Par(Box::new(match snap {
-                Some(s) => ParallelAlewife::from_snapshot(cfg, prog, tracer, s)?,
-                None => {
-                    let mut m = ParallelAlewife::new(cfg, prog);
-                    m.attach_tracer(TraceConfig::default());
-                    m
-                }
-            }))
-        } else {
-            Sim::Seq(Box::new(match snap {
-                Some(s) => Alewife::from_snapshot(cfg, prog, tracer, s)?,
-                None => {
-                    let mut m = Alewife::new(cfg, prog);
-                    m.attach_tracer(TraceConfig::default());
-                    m
-                }
-            }))
-        })
+/// Runs to quiescence or `stop_at`, whichever comes first, under the
+/// scheduler the spec's knobs select: the window scheduler from two
+/// workers up, the machine's own sequential one otherwise.
+fn run_until(m: &mut ParallelAlewife, stop_at: u64) {
+    let driver = SwitchSpin::default();
+    let max = stop_at.saturating_add(2);
+    if m.config().workers >= 2 {
+        m.run_until(&driver, stop_at, max);
+    } else {
+        drive_sequential_until(m, &driver, stop_at, max);
     }
+}
 
-    fn boot_all(&mut self) {
-        match self {
-            Sim::Seq(m) => m.boot_all(),
-            Sim::Par(m) => m.boot_all(),
-        }
-    }
-
-    /// Runs to quiescence or `stop_at`, whichever comes first.
-    fn run_until(&mut self, stop_at: u64) {
-        let driver = SwitchSpin::default();
-        match self {
-            Sim::Seq(m) => {
-                drive_sequential_until(m, &driver, stop_at, stop_at.saturating_add(2));
-            }
-            Sim::Par(m) => {
-                m.run_until(&driver, stop_at, stop_at.saturating_add(2));
-            }
-        }
-    }
-
-    fn set_fault_plan(&mut self, plan: april_net::fault::FaultPlan) {
-        match self {
-            Sim::Seq(m) => m.set_fault_plan(plan),
-            Sim::Par(m) => m.set_fault_plan(plan),
-        }
-    }
-
-    fn now(&self) -> u64 {
-        match self {
-            Sim::Seq(m) => m.now(),
-            Sim::Par(m) => m.now(),
-        }
-    }
-
-    fn quiesced(&self) -> bool {
-        match self {
-            Sim::Seq(m) => m.all_halted() && !m.pending_work(),
-            Sim::Par(m) => m.halted_cycles().iter().all(|h| h.is_some()),
-        }
-    }
-
-    fn fault_text(&self) -> Option<String> {
-        match self {
-            Sim::Seq(m) => m.fault().map(|f| f.to_string()),
-            Sim::Par(m) => m.fault().map(|f| f.to_string()),
-        }
-    }
-
-    fn checkpoint(&mut self) -> Result<Snapshot, ServeError> {
-        match self {
-            Sim::Seq(m) => Ok(m.checkpoint()?),
-            Sim::Par(m) => Ok(m.checkpoint()?),
-        }
-    }
-
-    fn outcome(&self, spec: &JobSpec, warm_used: bool, setup_ns: u64, run_ns: u64) -> JobOutcome {
-        let (stats, fstats, report, trace) = match self {
-            Sim::Seq(m) => (
-                m.total_stats(),
-                m.fault_stats(),
-                m.stats_report(),
-                m.collect_trace(),
-            ),
-            Sim::Par(m) => (
-                m.total_stats(),
-                m.fault_stats(),
-                m.stats_report(),
-                m.collect_trace(),
-            ),
-        };
-        let fault = self
-            .fault_text()
-            .or_else(|| (!self.quiesced()).then(|| "budget exhausted".to_string()));
-        let trace_jsonl = spec.want_trace.then(|| {
-            let mut t = trace;
-            t.retain_semantic();
-            t.to_jsonl()
-        });
-        JobOutcome {
-            warm_used,
-            cycles: self.now(),
-            instrs: stats.instructions,
-            utilization: stats.instructions as f64 / (stats.total() as f64).max(1.0),
-            drops: fstats.dropped,
-            dups: fstats.duplicated,
-            delays: fstats.delayed,
-            setup_ns,
-            run_ns,
-            fault,
-            stats_json: report.to_json(),
-            trace_jsonl,
-        }
+fn outcome(
+    m: &ParallelAlewife,
+    spec: &JobSpec,
+    warm_used: bool,
+    setup_ns: u64,
+    run_ns: u64,
+) -> JobOutcome {
+    let stats = m.total_stats();
+    let fstats = m.fault_stats();
+    let fault = m
+        .fault()
+        .map(|f| f.to_string())
+        .or_else(|| (!m.finished()).then(|| "budget exhausted".to_string()));
+    let trace_jsonl = spec.want_trace.then(|| {
+        let mut t = m.collect_trace();
+        t.retain_semantic();
+        t.to_jsonl()
+    });
+    JobOutcome {
+        warm_used,
+        cycles: m.now(),
+        instrs: stats.instructions,
+        utilization: stats.instructions as f64 / (stats.total() as f64).max(1.0),
+        drops: fstats.dropped,
+        dups: fstats.duplicated,
+        delays: fstats.delayed,
+        setup_ns,
+        run_ns,
+        fault,
+        stats_json: m.stats_report().to_json(),
+        trace_jsonl,
     }
 }
 
@@ -230,15 +164,15 @@ pub fn build_warm_image(sim: &SimSpec, warm_cycles: u64) -> Result<WarmImage, Se
         ..*sim
     };
     let t0 = Instant::now();
-    let mut m = Sim::build(&base, None)?;
+    let mut m = build(&base, None)?;
     m.boot_all();
-    m.run_until(warm_cycles);
-    if let Some(f) = m.fault_text() {
+    run_until(&mut m, warm_cycles);
+    if let Some(f) = m.fault() {
         return Err(ServeError::BadSpec(format!(
             "machine faulted during warmup: {f}"
         )));
     }
-    if m.quiesced() {
+    if m.finished() {
         return Err(ServeError::BadSpec(format!(
             "workload quiesced at cycle {} before the warm point {warm_cycles}",
             m.now()
@@ -281,12 +215,12 @@ pub fn run_job(spec: &JobSpec, warm: Option<&WarmImage>) -> Result<JobOutcome, S
 
     let t0 = Instant::now();
     let (mut m, warm_used) = if let Some(img) = warm {
-        (Sim::build(&spec.sim, Some(&img.snap))?, true)
+        (build(&spec.sim, Some(&img.snap))?, true)
     } else {
-        let mut m = Sim::build(&spec.sim, None)?;
+        let mut m = build(&spec.sim, None)?;
         m.boot_all();
         if spec.warm_cycles > 0 {
-            m.run_until(spec.warm_cycles.min(spec.max_cycles));
+            run_until(&mut m, spec.warm_cycles.min(spec.max_cycles));
         }
         (m, false)
     };
@@ -299,7 +233,7 @@ pub fn run_job(spec: &JobSpec, warm: Option<&WarmImage>) -> Result<JobOutcome, S
     }
 
     let t1 = Instant::now();
-    m.run_until(spec.max_cycles);
+    run_until(&mut m, spec.max_cycles);
     let run_ns = t1.elapsed().as_nanos() as u64;
-    Ok(m.outcome(spec, warm_used, setup_ns, run_ns))
+    Ok(outcome(&m, spec, warm_used, setup_ns, run_ns))
 }

@@ -293,3 +293,48 @@ fn ping_round_trips() {
         "socket file should be removed on shutdown"
     );
 }
+
+#[test]
+fn budget_cut_between_last_halt_and_drain_reports_the_same_on_every_scheduler() {
+    use april_machine::{drive_sequential, Alewife, Machine, SwitchSpin};
+
+    // Find the gap: the last `halt` retires while the final flush's
+    // write-back and acknowledgement are still in the network.
+    let mut probe = Alewife::new(sim().machine_config(), sim().program().unwrap());
+    probe.boot_all();
+    assert_eq!(
+        drive_sequential(&mut probe, &SwitchSpin::default(), 3_000_000),
+        None
+    );
+    let last_halt = probe.halted_cycles().iter().flatten().max().copied();
+    let last_halt = last_halt.expect("every node halts");
+    let drained = probe.now();
+    assert!(
+        last_halt + 1 < drained,
+        "workload leaves no halt-to-drain gap ({last_halt} vs {drained})"
+    );
+
+    // A budget inside the gap: every CPU has halted, the machine has
+    // not quiesced. One `finished()` predicate decides, so the verdict
+    // cannot depend on which scheduler ran the job.
+    let outcome = |workers: u32| {
+        let spec = JobSpec {
+            sim: SimSpec { workers, ..sim() },
+            max_cycles: last_halt + 1,
+            ..JobSpec::default()
+        };
+        run_job(&spec, None).unwrap()
+    };
+    let reference = outcome(1);
+    assert_eq!(reference.fault.as_deref(), Some("budget exhausted"));
+    assert_eq!(reference.cycles, last_halt + 1);
+    for workers in [2, 4] {
+        let out = outcome(workers);
+        assert_eq!(out.fault, reference.fault, "x{workers}: fault diverged");
+        assert_eq!(out.cycles, reference.cycles, "x{workers}");
+        assert_eq!(
+            out.stats_json, reference.stats_json,
+            "x{workers}: stats diverged"
+        );
+    }
+}
