@@ -12,6 +12,13 @@
 //!   simulators (Section 8's "validated through simulations").
 //! * `utilization` — measured utilization on the full ALEWIFE machine
 //!   vs. the analytical model.
+//! * `ablations` — switch cost, full/empty policy and task-grain
+//!   sweeps over the design choices the paper argues for.
+//! * `postmortem` — Figure 4's trace-driven path against the
+//!   execution-driven simulator.
+//!
+//! Host performance of the simulator itself is measured by the
+//! repository benchmark (`benchmark/`, `BENCHMARK.json`), not here.
 
 #![warn(missing_docs)]
 

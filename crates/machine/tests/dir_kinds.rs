@@ -1,7 +1,7 @@
 //! Directory-representation equivalence: sparse directories are a
 //! *performance* representation, never a *semantic* one (DESIGN.md §14).
 //!
-//! Three suites:
+//! Four suites:
 //!
 //! 1. A seeded property test drives random coherence traffic through
 //!    all three directory kinds — full-map, limited-pointer (broadcast
@@ -22,6 +22,9 @@
 //!    **bit-identical** to full-map — semantic trace, statistics
 //!    report, and final memory — across lockstep, event-skipping, and
 //!    parallel schedulers, under two fault-injection seeds.
+//! 4. The size the sparse kinds exist for (release builds only): a
+//!    1089-node read fan-in halts at the same final cycle under all
+//!    three kinds, the sparse ones in less directory storage.
 
 use april_core::program::Program;
 use april_machine::alewife::Alewife;
@@ -116,16 +119,20 @@ fn random_program(rng: &mut Rng) -> Program {
 }
 
 /// Boots and runs a program to quiescence on the event-skipping
-/// sequential scheduler under the given directory kind.
-fn run_kind(kind: DirectoryKind, prog: &Program) -> Alewife {
-    let mut m = Alewife::new(cfg9(kind), prog.clone());
-    for i in 0..m.num_procs() {
-        m.cpu_mut(i).boot(0);
-    }
+/// sequential scheduler.
+fn run_cfg(cfg: MachineConfig, prog: &Program) -> Alewife {
+    let kind = cfg.dir.kind;
+    let mut m = Alewife::new(cfg, prog.clone());
+    m.boot_all();
     drive_sequential(&mut m, &SwitchSpin::default(), MAX);
     assert!(m.fault().is_none(), "{kind:?}: machine faulted");
     assert!(m.all_halted(), "{kind:?}: watchdog horizon reached");
     m
+}
+
+/// [`run_cfg`] on the 9-node mesh under the given directory kind.
+fn run_kind(kind: DirectoryKind, prog: &Program) -> Alewife {
+    run_cfg(cfg9(kind), prog)
 }
 
 fn assert_same_memory(a: &april_mem::femem::FeMemory, b: &april_mem::femem::FeMemory, who: &str) {
@@ -390,5 +397,58 @@ fn sparse_kinds_are_bit_identical_below_their_caps() {
                 &format!("seed {seed:#x}, {kind:?} parallel"),
             );
         }
+    }
+}
+
+/// The 1000+-node regime (DESIGN.md §14): every node of a 33×33 mesh
+/// writes one private word and reads one block homed at node 0, so the
+/// block's sharer set grows to all 1089 nodes. Nothing is written
+/// after a set overflows, so the sparse kinds send exactly full-map's
+/// messages and must halt at the same final cycle, in less directory
+/// storage. Release only (`scripts/ci.sh` runs it): a debug build
+/// takes seconds, out of tier-1's budget.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn kinds_agree_on_the_final_cycle_at_1089_nodes() {
+    let prog = april_core::isa::asm::assemble(
+        "
+        .entry main
+        main:
+            ldio 1, r8         ; node id (fixnum == 4*id: byte offset!)
+            add r8, r8, r8     ; 8*id
+            add r8, r8, r8     ; 16*id: one whole block per node
+            movi 0x1000, r9
+            add r9, r8, r9     ; my private block, nobody else's
+            movi 4, r10
+            st r10, r9+0
+            movi 0x200, r4
+            ld r4+0, r11       ; the block everyone shares
+            halt
+        ",
+    )
+    .unwrap();
+    let run = |kind: DirectoryKind| {
+        let mut cfg = MachineConfig {
+            topology: Topology::new(2, 33),
+            region_bytes: 0x1_0000,
+            ..MachineConfig::default()
+        };
+        cfg.dir.kind = kind;
+        let m = run_cfg(cfg, &prog);
+        let out = (
+            m.now(),
+            m.nodes.iter().map(|n| n.dir.state_bytes()).sum::<usize>(),
+        );
+        println!("{kind:?}: (final cycle, directory bytes) = {out:?}");
+        out
+    };
+    let (full_cycle, full_bytes) = run(DirectoryKind::FullMap);
+    for kind in [
+        DirectoryKind::LimitedPtr { ptrs: 8 },
+        DirectoryKind::CoarseVector { region: 64 },
+    ] {
+        let (cycle, bytes) = run(kind);
+        assert_eq!(cycle, full_cycle, "{kind:?}: final cycle");
+        assert!(bytes < full_bytes, "{kind:?}: directory bytes");
     }
 }

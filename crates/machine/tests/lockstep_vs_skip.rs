@@ -123,57 +123,65 @@ fn assert_par_matches(reference: &Alewife, par: &ParallelAlewife, workers: usize
     assert_same_memory(reference.mem(), par.mem(), &who);
 }
 
-/// Runs `prog` under all three schedulers and asserts bit-exact
-/// equivalence: lockstep vs event-skip (cycle-for-cycle, including the
-/// stop cycle), and lockstep vs parallel at 2 and 3 workers (full final
-/// state; the parallel clock may coast a partial window past the
-/// sequential stop cycle, so `now` itself is not compared).
-fn assert_equivalent(cfg: MachineConfig, prog: Program, plan: Option<FaultPlan>, max: u64) {
-    let reference = run_seq(cfg, prog.clone(), plan.clone(), true, max);
-    let skipping = run_seq(cfg, prog.clone(), plan.clone(), false, max);
-
+/// Asserts an event-skipping run ended bit-identical to the lockstep
+/// reference, cycle for cycle (the stop cycle included).
+fn assert_seq_matches(reference: &Alewife, skipping: &Alewife, who: &str) {
     assert_eq!(
         reference.now(),
         skipping.now(),
-        "halt/fault cycle diverged (lockstep {} vs skip {})",
-        reference.now(),
-        skipping.now()
+        "{who}: halt/fault cycle diverged"
     );
     assert_eq!(
         reference.fault(),
         skipping.fault(),
-        "fault outcome diverged"
+        "{who}: fault outcome diverged"
     );
     for i in 0..reference.num_procs() {
         assert_eq!(
             reference.nodes[i].cpu.stats, skipping.nodes[i].cpu.stats,
-            "node {i}: CpuStats diverged"
+            "{who}: node {i} CpuStats diverged"
         );
         assert_eq!(
             reference.nodes[i].ctl.stats, skipping.nodes[i].ctl.stats,
-            "node {i}: CtlStats diverged"
+            "{who}: node {i} CtlStats diverged"
         );
         assert_eq!(
             reference.nodes[i].dir.stats, skipping.nodes[i].dir.stats,
-            "node {i}: DirStats diverged"
+            "{who}: node {i} DirStats diverged"
         );
     }
     assert_eq!(
         reference.halted_cycles(),
         skipping.halted_cycles(),
-        "halt cycles diverged"
+        "{who}: halt cycles diverged"
     );
     assert_eq!(
         reference.net_stats(),
         skipping.net_stats(),
-        "network stats diverged"
+        "{who}: network stats diverged"
     );
     assert_eq!(
         reference.fault_stats(),
         skipping.fault_stats(),
-        "fault-injection stats diverged"
+        "{who}: fault-injection stats diverged"
     );
-    assert_same_memory(reference.mem(), skipping.mem(), "skip");
+    assert_same_memory(reference.mem(), skipping.mem(), who);
+}
+
+/// Runs `prog` under all three schedulers and asserts bit-exact
+/// equivalence: lockstep vs event-skip, with the decode engine and
+/// with `decode: false` (the per-instruction interpreter the engine
+/// falls back to), and lockstep vs parallel at 2 and 3 workers (full
+/// final state; the parallel clock may coast a partial window past the
+/// sequential stop cycle, so `now` itself is not compared).
+fn assert_equivalent(cfg: MachineConfig, prog: Program, plan: Option<FaultPlan>, max: u64) {
+    let reference = run_seq(cfg, prog.clone(), plan.clone(), true, max);
+    let skipping = run_seq(cfg, prog.clone(), plan.clone(), false, max);
+    assert_seq_matches(&reference, &skipping, "skip");
+    let mut decode_off = cfg;
+    decode_off.decode = false;
+    let interpreted = run_seq(decode_off, prog.clone(), plan.clone(), false, max);
+    assert_seq_matches(&reference, &interpreted, "skip, decode off");
 
     for workers in [2, 3] {
         let par = run_par(cfg, prog.clone(), plan.clone(), workers, max);

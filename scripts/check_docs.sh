@@ -6,7 +6,12 @@
 #      exist (relative to the file containing the link).
 #   2. In-repo section anchors [text](FILE.md#anchor) must match a
 #      heading in the target file (GitHub-style slugs).
-#   3. `RUSTDOCFLAGS="-D warnings" cargo doc` must succeed, so broken
+#   3. Repo paths cited in backticks (`crates/…`, `scripts/…`,
+#      `examples/…`, `tests/…`, `benchmark/…`, less a `:line`) in the
+#      living docs must exist, and none may name a `BENCH_*.json`, so
+#      a stale reference fails here (CHANGES.md and ROADMAP.md are
+#      history and exempt).
+#   4. `RUSTDOCFLAGS="-D warnings" cargo doc` must succeed, so broken
 #      intra-doc links and missing docs fail here too.
 #
 # External http(s) links are intentionally not fetched — CI is offline.
@@ -25,6 +30,18 @@ err() {
 slug() {
     printf '%s\n' "$1" | tr '[:upper:]' '[:lower:]' |
         sed -e 's/[^a-z0-9 -]//g' -e 's/ /-/g'
+}
+
+# Reports what a check wrote to $hits: fails with $1, or prints $2.
+hits="${TMPDIR:-/tmp}/check_docs.$$"
+verdict() {
+    if [ -s "$hits" ]; then
+        cat "$hits" >&2
+        err "$1"
+    else
+        echo "$2"
+    fi
+    rm -f "$hits"
 }
 
 docs="README.md DESIGN.md EXPERIMENTS.md ROADMAP.md PAPER.md CHANGES.md PROTOCOL.md"
@@ -64,15 +81,24 @@ EOF
                 [ "$found" = 1 ] || echo "BAD ANCHOR $doc -> $target"
             fi
         done
-done >"${TMPDIR:-/tmp}/check_docs.$$" || true
-if [ -s "${TMPDIR:-/tmp}/check_docs.$$" ]; then
-    cat "${TMPDIR:-/tmp}/check_docs.$$" >&2
-    rm -f "${TMPDIR:-/tmp}/check_docs.$$"
-    err "broken markdown links"
-else
-    rm -f "${TMPDIR:-/tmp}/check_docs.$$"
-    echo "all local links and anchors resolve"
-fi
+done >"$hits" || true
+verdict "broken markdown links" "all local links and anchors resolve"
+
+echo "== repo paths cited in docs =="
+for doc in README.md DESIGN.md EXPERIMENTS.md PROTOCOL.md .claude/skills/verify/SKILL.md; do
+    [ -f "$doc" ] || continue
+    grep -o '`[^`]*`' "$doc" | tr -d '`' |
+        while read -r tok _; do
+            case "$tok" in
+            *[*\<{]*) continue ;; # a glob or a placeholder, not one path
+            crates/* | scripts/* | examples/* | tests/* | benchmark/*) ;;
+            *) continue ;;
+            esac
+            [ -e "${tok%%:*}" ] || echo "DEAD PATH $doc -> $tok"
+        done
+    grep -Eo 'BENCH_[a-z]+\.json' "$doc" | sed "s|^|DELETED BASELINE $doc -> |"
+done >"$hits" || true
+verdict "docs cite paths that do not exist" "every cited path exists"
 
 echo "== rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace ||

@@ -57,44 +57,22 @@ stage "benchmark package tests (public-API guard)"
 # along.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
+stage "benchmark smoke (counts gated, times printed)"
+# Every workload at tiny sizes, two sets of two seeds: fails if a run
+# is incorrect or a deterministic count differs between the sets. Host
+# speed is never gated (scripts/bench_compare.sh, run by hand).
+sh benchmark/agree.sh --smoke
+
 stage "three-way scheduler equivalence (3 fault seeds)"
 # The lockstep/event/parallel bit-exactness suite is part of the
 # workspace tests above; run it again in release so the fault-soak
 # seeds and multi-worker runs execute at full depth quickly.
 cargo test -q --release -p april-machine --test lockstep_vs_skip
 
-stage "scheduler equivalence, decode engine off"
-# The same bit-exactness suite with APRIL_DECODE=0 (the legacy
-# per-instruction interpreter on every visited cycle), so the fallback
-# path the decode engine cuts over to stays honest.
-APRIL_DECODE=0 cargo test -q --release -p april-machine --test lockstep_vs_skip
-
-stage "1000+-node scale smoke (release)"
-# Constructs and runs a 1089-node machine (33x33 mesh) under all three
-# directory kinds — full-map, limited-pointer, coarse-vector — in
-# smoke mode. The bench asserts each run halts fault-free and that
-# every kind retires the workload at the same final cycle; the
-# full-size JSON baseline is regenerated by scripts/bench.sh.
-scale_tmp="$(mktemp)"
-BENCH_SMOKE=1 BENCH_SCALE_OUT="$scale_tmp" cargo bench -q -p april-bench --bench scale
-rm -f "$scale_tmp"
-
-stage "open-loop traffic smoke (release)"
-# The machine as a server under load (DESIGN.md §15): the smoke sweep
-# must halt fault-free (the bench asserts quiescence and the below-knee
-# model tolerance itself), emit a JSON-valid latency report, and show a
-# finite p999 at every below-knee offered-load point.
-ol_tmp="$(mktemp)"
-BENCH_SMOKE=1 BENCH_OPENLOOP_OUT="$ol_tmp" cargo bench -q -p april-bench --bench openloop
-jq empty "$ol_tmp" ||
-    { echo "openloop smoke emitted malformed JSON" >&2; exit 1; }
-jq -e '.points | type == "array" and length >= 2' "$ol_tmp" >/dev/null ||
-    { echo "openloop smoke emitted fewer than 2 sweep points" >&2; exit 1; }
-jq -e '.calibration.knee as $k
-       | [.points[] | select(.offered_load < $k)]
-       | (length > 0) and (map(.p999 > 0 and .p999 < 1000000) | all)' "$ol_tmp" >/dev/null ||
-    { echo "openloop smoke: no below-knee point with a finite p999" >&2; exit 1; }
-rm -f "$ol_tmp"
+stage "1089-node directory-kind agreement (release)"
+# Adds the suite's release-only case: a 33x33 mesh halts at the same
+# final cycle under all three kinds, the sparse ones in less storage.
+cargo test -q --release -p april-machine --test dir_kinds
 
 stage "open-loop determinism suite (release)"
 # Same seed => byte-identical arrival trace and latency report across
@@ -157,12 +135,5 @@ cargo fmt --all -- --check
 
 stage "clippy"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::perf
-
-stage "bench delta report"
-# Re-runs the shrunken bench smoke and prints percent deltas against
-# the committed BENCH_*.json baselines. Perf deltas are informational;
-# the stage gates only on missing or malformed JSON (harness breakage)
-# and on committed baselines nothing regenerates.
-sh scripts/check_bench.sh
 
 echo "CI green."
