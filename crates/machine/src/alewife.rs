@@ -14,7 +14,7 @@
 //! write-backs, contention — is simulated faithfully.
 
 use crate::config::MachineConfig;
-use crate::kernel::{progress_counts, Cells, Outbox, Scratch};
+use crate::kernel::{cpu_word, proto_words, Cells, Outbox, Schedule, Scratch, BLOCK};
 use crate::traffic::{ArrivalPlan, NodeTraffic, IO_RETIRE};
 use crate::watchdog::{
     BusyEntry, FrameStall, InFlightMsg, MachineFault, OutstandingTxn, PostMortem, UndeliverableMsg,
@@ -145,15 +145,22 @@ pub struct Alewife {
     /// `parked[i]`: stepping CPU `i` is known to yield `NoReadyFrame`,
     /// which every driver answers with exactly `charge_idle(i, 1)` and
     /// nothing else. A parked CPU is neither stepped nor allowed to
-    /// hold the event-driven skip back: its idle cycles (skipped ones
-    /// *and* visited ones) are charged wholesale, reproducing the
-    /// lockstep ledger bit for bit. The flag is cleared by every path
-    /// that could void the idle promise: a CPU-touching delivery to
-    /// the node, a driver mutation of its CPU, a shared-memory write
-    /// (the run queue lives there, so all nodes are cleared), or a
-    /// non-idle step event. A stale `true` could skip real work; a
-    /// spurious `false` only costs an extra idle step.
+    /// hold the event-driven skip back, and its idle cycles are a pure
+    /// function of `(ready_at[i], now)` ([`Alewife::pending_idle`]):
+    /// they are folded into the ledger when the node unparks or is
+    /// checkpointed, and added on read by every ledger reader, which
+    /// reproduces the lockstep ledger bit for bit. The flag is cleared
+    /// by every path that could void the idle promise: a CPU-touching
+    /// delivery to the node, a driver mutation of its CPU, or a
+    /// shared-memory write (the run queue lives there, so all nodes are
+    /// cleared). A stale `true` could skip real work; a spurious
+    /// `false` only costs an extra idle step.
     pub(crate) parked: Vec<bool>,
+    /// The dense per-node wake words the skip and the phase loops read
+    /// instead of the nodes (a [`Node`] is opened only when it is due),
+    /// and the forward-progress signature counts. Derived state: never
+    /// snapshotted, rebuilt on restore.
+    pub(crate) sched: Schedule,
     /// Scratch buffers reused across cycles so the hot loop allocates
     /// nothing: network deliveries, and the kernel's send buffers.
     scratch_deliveries: Vec<(usize, Env)>,
@@ -165,12 +172,11 @@ pub struct Alewife {
     /// the meta lane, which [`Trace::retain_semantic`] excludes from
     /// the cross-scheduler determinism contract.
     pub(crate) meta_probe: Probe,
-    /// Cached forward-progress signature, recomputed only on visits
-    /// where something that feeds it ran (a dispatch, a step, a
-    /// materialized run, a protocol tick). Derived state: never
-    /// snapshotted, marked stale on restore.
-    sig_cache: (u64, u64, u64),
-    pub(crate) sig_stale: bool,
+    /// The CPU last handed out by [`Machine::cpu_mut`]: a driver may
+    /// halt or boot it behind the halted count's back, so it is counted
+    /// by looking, not in `sched.halted`, until the next advance takes
+    /// it back.
+    pub(crate) lent: Option<usize>,
 }
 
 /// The sequential machine's [`Outbox`]: every send is injected into the
@@ -220,7 +226,7 @@ impl Alewife {
             })
             .collect();
         let dec = cfg.decode.then(|| DecodedProgram::lower(&prog));
-        Alewife {
+        let mut m = Alewife {
             nodes,
             mem,
             net: Network::new(cfg.topology, cfg.net),
@@ -233,13 +239,15 @@ impl Alewife {
             fault: None,
             halted_at: vec![None; n],
             parked: vec![false; n],
+            sched: Schedule::default(),
             scratch_deliveries: Vec::new(),
             scratch: Scratch::default(),
             plan,
             meta_probe: Probe::default(),
-            sig_cache: (0, 0, 0),
-            sig_stale: true,
-        }
+            lent: None,
+        };
+        m.rebuild_schedule();
+        m
     }
 
     /// Installs a fault-injection plan on the network. The run stays
@@ -296,8 +304,8 @@ impl Alewife {
     /// Sum of all processors' cycle ledgers.
     pub fn total_stats(&self) -> CpuStats {
         let mut s = CpuStats::default();
-        for n in &self.nodes {
-            s.merge(&n.cpu.stats);
+        for i in 0..self.nodes.len() {
+            s.merge(&self.cpu_stats(i));
         }
         s
     }
@@ -307,6 +315,7 @@ impl Alewife {
     pub fn boot(&mut self) {
         let entry = self.prog.entry;
         self.nodes[0].cpu.boot(entry);
+        self.rebuild_schedule();
     }
 
     /// Boots every node at the program entry — the SPMD convention the
@@ -317,6 +326,72 @@ impl Alewife {
         let entry = self.prog.entry;
         for node in &mut self.nodes {
             node.cpu.boot(entry);
+        }
+        self.rebuild_schedule();
+    }
+
+    /// Rebuilds the schedule from the nodes (construction, boot,
+    /// restore, a windowed run).
+    pub(crate) fn rebuild_schedule(&mut self) {
+        self.sched = Schedule::new(&self.nodes, &self.parked, &self.ready_at);
+        self.lent = None;
+    }
+
+    /// Idle cycles parked CPU `i` is owed: lockstep would have charged
+    /// one at each cycle `ready_at[i] ..= now`.
+    pub(crate) fn pending_idle(&self, i: usize) -> u64 {
+        if self.parked[i] && !self.nodes[i].cpu.is_halted() {
+            (self.now + 1).saturating_sub(self.ready_at[i])
+        } else {
+            0
+        }
+    }
+
+    /// Charges parked CPU `i` what it is owed, leaving the ledger and
+    /// `ready_at` lockstep would show after the current cycle.
+    pub(crate) fn settle_idle(&mut self, i: usize) {
+        let idle = self.pending_idle(i);
+        if idle > 0 {
+            self.nodes[i].cpu.charge_idle(idle);
+            self.ready_at[i] = self.now + 1;
+        }
+    }
+
+    /// Rewrites CPU `i`'s word after a driver call moved `ready_at` or
+    /// `parked`, ignoring halts: the CPU may be the one lent out.
+    fn set_cpu_wake(&mut self, i: usize) {
+        let word = if self.parked[i] {
+            u64::MAX
+        } else {
+            self.ready_at[i]
+        };
+        self.sched.cpu.set(i, word);
+    }
+
+    /// Settles and clears CPU `i`'s parked flag.
+    fn unpark(&mut self, i: usize) {
+        if self.parked[i] {
+            self.settle_idle(i);
+            self.parked[i] = false;
+            self.set_cpu_wake(i);
+        }
+    }
+
+    /// Unparks every CPU, opening only the parked nodes.
+    pub(crate) fn unpark_all(&mut self) {
+        if self.parked.iter().fold(false, |any, &p| any | p) {
+            for i in 0..self.parked.len() {
+                self.unpark(i);
+            }
+        }
+    }
+
+    /// Takes back the CPU [`Machine::cpu_mut`] lent out.
+    fn reclaim_lent(&mut self) {
+        if let Some(i) = self.lent.take() {
+            if self.nodes[i].cpu.is_halted() {
+                self.sched.halted += 1;
+            }
         }
     }
 
@@ -332,8 +407,9 @@ impl Alewife {
         let done = (self.now - r.start + 1).min(r.len as u64) as u32;
         let dec = self.dec.as_ref().expect("booked run without decode image");
         self.nodes[i].cpu.run_decoded(dec, done);
-        self.sig_stale = true;
+        self.sched.retire(done as u64);
         self.ready_at[i] = self.now + 1;
+        self.sched.cpu.set(i, self.ready_at[i]);
     }
 
     /// Whether the machine still owes anyone an answer: packets in
@@ -346,7 +422,8 @@ impl Alewife {
 
     /// Whether every processor has executed `halt`.
     pub fn all_halted(&self) -> bool {
-        self.nodes.iter().all(|n| n.cpu.is_halted())
+        let lent = self.lent.is_some_and(|i| self.nodes[i].cpu.is_halted());
+        self.sched.halted + lent as usize == self.nodes.len()
     }
 
     /// Whether the run is complete: every processor halted *and* no
@@ -385,20 +462,37 @@ impl Alewife {
     /// enter the network, which is exactly the guarantee
     /// [`Network::earliest_delivery`] needs to route in-flight packets
     /// ahead and see past its per-hop internal events.
+    ///
+    /// The node scan reads the schedule's dense words, opening a node
+    /// only to confirm that a CPU word which would lower `t` does not
+    /// name a CPU a driver has since halted.
     fn next_event(&mut self) -> u64 {
+        debug_assert!(self.wake_words_consistent());
         let floor = self.now + 1;
-        let mut t = u64::MAX;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !n.cpu.is_halted() && !self.parked[i] {
-                let r = self.ready_at[i].max(floor);
-                if r == floor {
-                    // A CPU is runnable right away: nothing to skip.
-                    return floor;
-                }
-                t = t.min(r);
+        // The block with the lowest bound first, so that `t` drops early
+        // and the other blocks' bounds skip them.
+        let n = self.nodes.len();
+        let bound = |m: &Self, s: usize| m.sched.cpu.bound(s).min(m.sched.skip.bound(s));
+        let first = (BLOCK..n).step_by(BLOCK).fold(0, |f, s| {
+            if bound(self, s) < bound(self, f) {
+                s
+            } else {
+                f
             }
-            t = t.min(n.ctl.next_deadline().max(floor));
-            t = t.min(n.dir.next_deadline().max(floor));
+        });
+        let Some(mut t) = self.scan_block(first, floor, u64::MAX) else {
+            return floor;
+        };
+        // With one block, that scan saw every node.
+        if n > BLOCK {
+            for start in (0..n).step_by(BLOCK) {
+                if start != first && bound(self, start).max(floor) < t {
+                    let Some(lower) = self.scan_block(start, floor, t) else {
+                        return floor;
+                    };
+                    t = lower;
+                }
+            }
         }
         // Open-loop arrivals are machine-driven events: the skip must
         // land exactly on each edge node's next birth cycle so the
@@ -490,13 +584,16 @@ impl Alewife {
     /// itself, the idle charges are pure ledger adds, and `checkpoint`
     /// settles every clock before encoding.
     fn advance_to(&mut self, target: u64, evs: &mut Vec<(usize, StepEvent)>) {
+        self.reclaim_lent();
         self.now = target;
+        let faulted = self.fault.is_some();
         let mut cells = Cells {
             base: 0,
             nodes: &mut self.nodes,
             ready_at: &mut self.ready_at,
             halted_at: &mut self.halted_at,
             parked: &mut self.parked,
+            sched: &mut self.sched,
             mem: &mut self.mem,
             write_log: None,
             prog: &self.prog,
@@ -504,7 +601,6 @@ impl Alewife {
             cfg: &self.cfg,
             plan: self.plan.as_deref(),
             scratch: &mut self.scratch,
-            sig_stale: &mut self.sig_stale,
         };
         let mut ob = Direct {
             net: &mut self.net,
@@ -522,11 +618,7 @@ impl Alewife {
         // Forward-progress watchdog: fire only when work is pending —
         // a stable signature on an idle machine is quiescence.
         if self.cfg.watchdog.enabled && self.fault.is_none() {
-            if self.sig_stale {
-                self.sig_cache = progress_counts(&self.nodes);
-                self.sig_stale = false;
-            }
-            let (instrs, dir_events, ctl_events) = self.sig_cache;
+            let (instrs, dir_events, ctl_events) = self.sched.settle(&self.nodes);
             let sig = (instrs, self.net.stats.delivered, dir_events, ctl_events);
             let horizon = self.cfg.watchdog.horizon;
             let fired = self
@@ -537,6 +629,55 @@ impl Alewife {
                 self.fault = Some(self.watchdog.declare_dead(pm, &mut self.meta_probe));
             }
         }
+        if !faulted && self.fault.is_some() {
+            // The run ends here: settle every parked ledger, so the
+            // faulted machine reads like the schedulers that never park.
+            for i in 0..self.nodes.len() {
+                self.settle_idle(i);
+            }
+        }
+    }
+
+    /// `t` lowered to the earliest cycle the nodes of the block starting
+    /// at `start` can act, never below `floor` — or `None` as soon as a
+    /// CPU is runnable at `floor`: nothing to skip. On a machine of more
+    /// than one block, the block's bounds are made exact.
+    fn scan_block(&mut self, start: usize, floor: u64, mut t: u64) -> Option<u64> {
+        let refresh = self.nodes.len() > BLOCK;
+        let (mut cpu_min, mut skip_min) = (u64::MAX, u64::MAX);
+        for k in start..(start + BLOCK).min(self.nodes.len()) {
+            let r = self.sched.cpu.get(k).max(floor);
+            if r < t {
+                if self.nodes[k].cpu.is_halted() {
+                    self.sched.cpu.set(k, u64::MAX);
+                } else if r == floor {
+                    return None;
+                } else {
+                    t = r;
+                }
+            }
+            let skip = self.sched.skip.get(k);
+            t = t.min(skip.max(floor));
+            if refresh {
+                cpu_min = cpu_min.min(self.sched.cpu.get(k));
+                skip_min = skip_min.min(skip);
+            }
+        }
+        if refresh {
+            self.sched.cpu.set_bound(start, cpu_min);
+            self.sched.skip.set_bound(start, skip_min);
+        }
+        Some(t)
+    }
+
+    /// Debug cross-check of the schedule's words against the nodes.
+    fn wake_words_consistent(&self) -> bool {
+        self.nodes.iter().enumerate().all(|(k, n)| {
+            let (cpu, ready_at) = (self.sched.cpu.get(k), self.ready_at[k]);
+            let halted_stale = n.cpu.is_halted() && cpu == ready_at;
+            (cpu == cpu_word(n, self.parked[k], ready_at) || halted_stale)
+                && (self.sched.tick.get(k), self.sched.skip.get(k)) == proto_words(n)
+        })
     }
 
     /// Captures the machine's stuck state for a watchdog report.
@@ -734,12 +875,16 @@ pub(crate) struct NodePort<'a> {
     /// after the step and timestamps each retirement against its
     /// arrival plan (a no-op on machines without traffic).
     pub(crate) retired: &'a mut Vec<u32>,
+    /// Set once an access or flush reaches the controller: the node's
+    /// protocol counters and deadlines may have moved.
+    pub(crate) accessed: &'a mut bool,
 }
 
 impl NodePort<'_> {
     fn access(&mut self, addr: u32, write_grade: bool, ctx: AccessCtx) -> Outcome {
         let home = self.cfg.home_of(addr);
         let cfg = self.cfg;
+        *self.accessed = true;
         let dir = if home == self.node {
             Some(&mut *self.dir)
         } else {
@@ -809,6 +954,7 @@ impl MemoryPort for NodePort<'_> {
 
     fn flush(&mut self, addr: u32) -> u32 {
         let cfg = self.cfg;
+        *self.accessed = true;
         self.ctl.flush(addr, |a| cfg.home_of(a), self.out)
     }
 
@@ -878,6 +1024,12 @@ impl Machine for Alewife {
         &self.nodes[i].cpu
     }
 
+    fn cpu_stats(&self, i: usize) -> CpuStats {
+        let mut s = self.nodes[i].cpu.stats;
+        s.idle_cycles += self.pending_idle(i);
+        s
+    }
+
     fn cpu_mut(&mut self, i: usize) -> &mut Cpu {
         // The driver is about to observe or mutate this CPU: any booked
         // run must materialize first so the caller sees the state
@@ -885,8 +1037,15 @@ impl Machine for Alewife {
         self.settle_resv(i);
         // The driver may make this CPU runnable (assign a frame, wake a
         // waiter): it can no longer be assumed idle.
-        self.parked[i] = false;
-        self.sig_stale = true;
+        self.unpark(i);
+        // It may also halt or boot it: until the next advance takes it
+        // back, it is counted by looking and keeps a finite word.
+        if self.lent != Some(i) {
+            self.reclaim_lent();
+            self.sched.halted -= self.nodes[i].cpu.is_halted() as usize;
+            self.lent = Some(i);
+            self.sched.cpu.set(i, self.ready_at[i]);
+        }
         // Whatever the driver does may emit trace events; make sure
         // they carry the current cycle even if this node has been
         // asleep (clocks are stamped on demand, see `advance_to`).
@@ -900,9 +1059,8 @@ impl Machine for Alewife {
 
     fn mem_mut(&mut self) -> &mut FeMemory {
         // A memory write (e.g. setting a full/empty bit) can unblock
-        // any node; clear every parked flag rather than reason about
-        // which.
-        self.parked.fill(false);
+        // any node; unpark every CPU rather than reason about which.
+        self.unpark_all();
         &mut self.mem
     }
 
@@ -912,8 +1070,10 @@ impl Machine for Alewife {
 
     fn charge_handler(&mut self, i: usize, cycles: u64) {
         self.settle_resv(i);
+        self.settle_idle(i);
         self.nodes[i].cpu.charge_handler(cycles);
         self.ready_at[i] += cycles;
+        self.set_cpu_wake(i);
         // No parked flags change here: a handler charge is a pure
         // cycle charge. Anything a handler *publishes* that another
         // node's scheduler could see travels through `mem_mut` (the
@@ -924,6 +1084,7 @@ impl Machine for Alewife {
     }
 
     fn charge_idle(&mut self, i: usize, cycles: u64) {
+        self.settle_idle(i);
         self.nodes[i].cpu.charge_idle(cycles);
         self.ready_at[i] += cycles;
         // `charge_idle(i, 1)` is the universal driver response to
@@ -932,6 +1093,7 @@ impl Machine for Alewife {
         // advance skip its dead cycles. Any other amount is a custom
         // charge that carries no such promise.
         self.parked[i] = cycles == 1;
+        self.set_cpu_wake(i);
     }
 
     fn send_ipi(&mut self, from: usize, to: usize) {
@@ -984,7 +1146,7 @@ impl Machine for Alewife {
     }
 
     fn stats_report(&self) -> StatsReport {
-        crate::obs::build_report(&self.nodes, &self.net)
+        crate::obs::build_report(self)
     }
 
     fn checkpoint(&mut self) -> Result<crate::snapshot::Snapshot, crate::snapshot::SnapshotError> {

@@ -72,6 +72,9 @@ pub(crate) struct Cells<'a> {
     /// See [`crate::Alewife::parked`]. Window shards never park, so
     /// theirs stays all-false and the parked branches never run.
     pub(crate) parked: &'a mut [bool],
+    /// The slice's wake words and signature counts: the phase loops
+    /// open a [`Node`] only when its word says it is due.
+    pub(crate) sched: &'a mut Schedule,
     /// The memory this slice's processors see: the canonical image, or
     /// a shard's replica.
     pub(crate) mem: &'a mut FeMemory,
@@ -83,9 +86,6 @@ pub(crate) struct Cells<'a> {
     pub(crate) cfg: &'a MachineConfig,
     pub(crate) plan: Option<&'a ArrivalPlan>,
     pub(crate) scratch: &'a mut Scratch,
-    /// Set whenever something that feeds the forward-progress
-    /// signature ran (a dispatch, a step, a materialized run, a tick).
-    pub(crate) sig_stale: &'a mut bool,
 }
 
 /// Hands one unit's messages to the outbox, sized for the wire.
@@ -96,21 +96,188 @@ fn post<O: Outbox>(ob: &mut O, cfg: &MachineConfig, at: u64, src: usize, msgs: &
     }
 }
 
-/// The slice's contribution to the forward-progress signature:
-/// instructions retired, directory events, controller events.
-pub(crate) fn progress_counts(nodes: &[Node]) -> (u64, u64, u64) {
-    // One pass over the nodes, not three: this runs on every visited
-    // cycle whose work could have moved the signature.
-    let mut sig = (0, 0, 0);
-    for n in nodes {
-        sig.0 += n.cpu.stats.instructions;
-        sig.1 += n.dir.stats.total();
-        sig.2 += n.ctl.stats.total();
+/// Forward-progress signature counts: instructions retired, directory
+/// events, controller events.
+pub(crate) type Progress = (u64, u64, u64);
+
+/// Node `n`'s protocol counts: directory events, controller events.
+fn protocol_counts(n: &Node) -> (u64, u64) {
+    (n.dir.stats.total(), n.ctl.stats.total())
+}
+
+/// The slice's signature counted from scratch.
+fn signature(nodes: &[Node]) -> Progress {
+    nodes.iter().fold((0, 0, 0), |s, n| {
+        let (dir, ctl) = protocol_counts(n);
+        (s.0 + n.cpu.stats.instructions, s.1 + dir, s.2 + ctl)
+    })
+}
+
+/// Node `n`'s CPU wake word (see [`Schedule::cpu`]).
+pub(crate) fn cpu_word(n: &Node, parked: bool, ready_at: u64) -> u64 {
+    if parked || n.cpu.is_halted() {
+        u64::MAX
+    } else {
+        ready_at
     }
-    sig
+}
+
+/// Node `n`'s tick and skip words (see [`Schedule`]).
+pub(crate) fn proto_words(n: &Node) -> (u64, u64) {
+    let ctl = n.ctl.next_deadline();
+    (
+        ctl.min(n.dir.tick_deadline()),
+        ctl.min(n.dir.next_deadline()),
+    )
+}
+
+/// Nodes per block of [`Wake`] bounds.
+pub(crate) const BLOCK: usize = 64;
+
+/// Dense per-node wake words — a cycle, or `u64::MAX` for never — with
+/// a lower bound per block of [`BLOCK`] nodes, so a scan for due nodes
+/// reads one bound per idle block instead of every word.
+#[derive(Debug, Default)]
+pub(crate) struct Wake {
+    words: Vec<u64>,
+    /// At most every word of its block; exact after a scan of it.
+    bound: Vec<u64>,
+}
+
+impl Wake {
+    fn new(words: Vec<u64>) -> Wake {
+        let bound = words.chunks(BLOCK).map(|b| *b.iter().min().expect("chunk"));
+        Wake {
+            bound: bound.collect(),
+            words,
+        }
+    }
+
+    pub(crate) fn get(&self, k: usize) -> u64 {
+        self.words[k]
+    }
+
+    pub(crate) fn set(&mut self, k: usize, word: u64) {
+        self.words[k] = word;
+        let b = &mut self.bound[k / BLOCK];
+        *b = (*b).min(word);
+    }
+
+    /// The bound on node `k`'s block.
+    pub(crate) fn bound(&self, k: usize) -> u64 {
+        self.bound[k / BLOCK]
+    }
+
+    /// Sets the bound on node `k`'s block to `min`, its exact minimum.
+    pub(crate) fn set_bound(&mut self, k: usize, min: u64) {
+        self.bound[k / BLOCK] = min;
+    }
+}
+
+/// A slice's derived scheduling state, built from its nodes in O(N)
+/// and kept current wherever the kernel or a driver call touches one:
+/// the dense words the skip and the phase loops read instead of the
+/// nodes, and the forward-progress signature counts.
+#[derive(Debug, Default)]
+pub(crate) struct Schedule {
+    /// When each CPU next steps — its `ready_at` — or `u64::MAX` while
+    /// it is parked or halted (a CPU a driver halts may keep a finite
+    /// word until a scan opens it).
+    pub(crate) cpu: Wake,
+    /// When each node's controller or directory `tick` would act: the
+    /// raw deadlines `tick_pending` tests (the controller's
+    /// `next_deadline` is raw).
+    pub(crate) tick: Wake,
+    /// Where the skip must stop for each node's protocol engines: the
+    /// masked deadlines (a directory masks a stale raw one while idle).
+    pub(crate) skip: Wake,
+    /// Instructions are added as they retire; a node whose protocol
+    /// engines ran is marked, and [`Self::settle`] adds what the marked
+    /// nodes counted since they last were.
+    sig: Progress,
+    counted: Vec<(u64, u64)>,
+    /// Bit `k % 64` of word `k / 64` marks node `k`.
+    marked: Vec<u64>,
+    /// Halted CPUs: the step loop counts each `halt` it executes.
+    pub(crate) halted: usize,
+}
+
+impl Schedule {
+    pub(crate) fn new(nodes: &[Node], parked: &[bool], ready_at: &[u64]) -> Schedule {
+        let cpu = nodes.iter().zip(parked.iter().zip(ready_at));
+        let (tick, skip) = nodes.iter().map(proto_words).unzip();
+        Schedule {
+            cpu: Wake::new(cpu.map(|(n, (&p, &r))| cpu_word(n, p, r)).collect()),
+            tick: Wake::new(tick),
+            skip: Wake::new(skip),
+            sig: signature(nodes),
+            counted: nodes.iter().map(protocol_counts).collect(),
+            marked: vec![0; nodes.len().div_ceil(64)],
+            halted: nodes.iter().filter(|n| n.cpu.is_halted()).count(),
+        }
+    }
+
+    /// Node `k`'s protocol engines ran: its counts and deadlines may
+    /// have moved.
+    fn protocol_ran(&mut self, k: usize, n: &Node) {
+        self.marked[k / 64] |= 1 << (k % 64);
+        let (tick, skip) = proto_words(n);
+        self.tick.set(k, tick);
+        self.skip.set(k, skip);
+    }
+
+    pub(crate) fn retire(&mut self, instructions: u64) {
+        self.sig.0 += instructions;
+    }
+
+    /// Adds what the marked nodes counted; returns the signature.
+    pub(crate) fn settle(&mut self, nodes: &[Node]) -> Progress {
+        for w in 0..self.marked.len() {
+            let mut bits = std::mem::take(&mut self.marked[w]);
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (now, was) = (protocol_counts(&nodes[k]), &mut self.counted[k]);
+                self.sig.1 += now.0 - was.0;
+                self.sig.2 += now.1 - was.1;
+                *was = now;
+            }
+        }
+        debug_assert_eq!(self.sig, signature(nodes));
+        self.sig
+    }
 }
 
 impl Cells<'_> {
+    /// Runs `act` on every node whose word in `wake(self)` is at most
+    /// `c`, in index order, skipping blocks whose bound is past `c`; a
+    /// block scanned with nothing due gets its exact bound.
+    fn for_each_due(
+        &mut self,
+        c: u64,
+        wake: impl Fn(&mut Self) -> &mut Wake,
+        mut act: impl FnMut(&mut Self, usize),
+    ) {
+        let n = self.nodes.len();
+        for start in (0..n).step_by(BLOCK) {
+            if wake(self).bound(start) > c {
+                continue;
+            }
+            let (mut min, mut acted) = (u64::MAX, false);
+            for k in start..(start + BLOCK).min(n) {
+                let word = wake(self).get(k);
+                if word <= c {
+                    act(self, k);
+                    acted = true;
+                }
+                min = min.min(word);
+            }
+            if !acted {
+                wake(self).set_bound(start, min);
+            }
+        }
+    }
+
     /// Phase one of cycle `c` — open-loop ingress (DESIGN.md §15):
     /// requests whose birth cycle is due land in their edge node's ring
     /// before any deliveries or steps this cycle, so a service loop
@@ -156,7 +323,6 @@ impl Cells<'_> {
     ) {
         let k = dst - self.base;
         let node = &mut self.nodes[k];
-        *self.sig_stale = true;
         // Clocks are stamped on demand: the handlers below timestamp
         // trace events and compute retry deadlines from their engine's
         // clock.
@@ -165,12 +331,12 @@ impl Cells<'_> {
         node.dir.set_clock(c);
         if msg_touches_cpu(&env.msg) {
             if self.parked[k] {
-                // The idle span accrued since the last visit's
-                // wholesale charge ends *here*: the delivery makes the
-                // CPU runnable this very cycle, so the skipped span
-                // `[ready_at, c)` was idle but `c` itself is not —
-                // exactly the per-cycle charges lockstep would have
-                // made before the delivery woke the node.
+                // The idle span accrued since the node parked ends
+                // *here*: the delivery makes the CPU runnable this very
+                // cycle, so the span `[ready_at, c)` was idle but `c`
+                // itself is not — exactly the per-cycle charges
+                // lockstep would have made before the delivery woke
+                // the node.
                 if !node.cpu.is_halted() && self.ready_at[k] < c {
                     node.cpu.charge_idle(c - self.ready_at[k]);
                     self.ready_at[k] = c;
@@ -187,9 +353,13 @@ impl Cells<'_> {
                 if done > 0 {
                     let dec = self.dec.expect("booked run without decode image");
                     node.cpu.run_decoded(dec, done);
+                    self.sched.retire(done as u64);
                 }
                 self.ready_at[k] = c;
             }
+            self.sched
+                .cpu
+                .set(k, cpu_word(node, false, self.ready_at[k]));
         }
         let Scratch { out, dir_out, .. } = &mut *self.scratch;
         out.clear();
@@ -209,139 +379,152 @@ impl Cells<'_> {
             }
             Err(fault) => ob.fault(fault),
         }
+        self.sched.protocol_ran(k, node);
     }
 
     /// Phase three of cycle `c`: steps every due processor in node
     /// order, appending the events that need run-time attention onto
     /// `evs` under global node ids.
+    ///
+    /// A CPU still parked once this cycle's deliveries are in has a
+    /// `u64::MAX` word and is not stepped at all: stepping it would
+    /// yield `NoReadyFrame`, which every driver answers with exactly
+    /// `charge_idle(i, 1)`, so its idle cycles are a pure function of
+    /// `(ready_at, now)`, charged when it unparks (see
+    /// `Alewife::pending_idle`).
     pub(crate) fn step<O: Outbox>(
         &mut self,
         c: u64,
         ob: &mut O,
         evs: &mut Vec<(usize, StepEvent)>,
     ) {
+        self.for_each_due(c, |s| &mut s.sched.cpu, |s, k| s.step_node(k, c, ob, evs));
+    }
+
+    /// Steps the node at local index `k`, whose CPU word is due.
+    fn step_node<O: Outbox>(
+        &mut self,
+        k: usize,
+        c: u64,
+        ob: &mut O,
+        evs: &mut Vec<(usize, StepEvent)>,
+    ) {
+        let node = &mut self.nodes[k];
+        if node.cpu.is_halted() {
+            // Halted behind the word's back (by a driver).
+            self.sched.cpu.set(k, u64::MAX);
+            return;
+        }
+        debug_assert!(!self.parked[k] && self.ready_at[k] == self.sched.cpu.get(k));
+        // This node acts this cycle: give all three of its engines the
+        // current clock (trace timestamps, retry deadlines).
+        node.cpu.set_clock(c);
+        node.ctl.set_clock(c);
+        node.dir.set_clock(c);
+        // Decode engine (DESIGN.md §13): a visit first materializes the
+        // booked run that just elapsed, then — if the next instructions
+        // are a safe straight-line run — books a new one: charge the
+        // whole span now, execute at the next visit. A booked cycle
+        // emits no event and sends nothing (safe ops can't), which is
+        // exactly what lockstep's per-cycle `Executed` steps amount to.
+        if let Some(dec) = self.dec {
+            if let Some(r) = node.resv.take() {
+                node.cpu.run_decoded(dec, r.len);
+                self.sched.retire(r.len as u64);
+            }
+            let len = node.cpu.bookable_run(dec);
+            if len >= MIN_RUN {
+                node.resv = Some(Resv { start: c, len });
+                self.ready_at[k] = c + len as u64;
+                self.sched.cpu.set(k, self.ready_at[k]);
+                return;
+            }
+        }
+        let i = self.base + k;
         let Scratch {
             out, io, retired, ..
         } = &mut *self.scratch;
-        for (k, node) in self.nodes.iter_mut().enumerate() {
-            // A CPU still parked once this cycle's deliveries are in is
-            // charged its idle time wholesale and not stepped at all.
-            // The parked contract makes this exact: stepping it would
-            // yield `NoReadyFrame`, which every driver answers with
-            // exactly `charge_idle(i, 1)` — so the kernel pre-charges
-            // the skipped span *and* the visited cycle (lockstep would
-            // charge one cycle at each of `ready_at[k] ..= c`), leaving
-            // the identical ledger and `ready_at` the driver round trip
-            // would have left.
-            if self.parked[k] {
-                if !node.cpu.is_halted() {
-                    node.cpu.charge_idle(c - self.ready_at[k] + 1);
-                    self.ready_at[k] = c + 1;
-                }
-                continue;
+        out.clear();
+        io.clear();
+        retired.clear();
+        let (cycles, instrs) = (node.cpu.stats.total(), node.cpu.stats.instructions);
+        let mut accessed = false;
+        let ev = node.cpu.step(
+            self.prog,
+            NodePort {
+                node: i,
+                ctl: &mut node.ctl,
+                dir: &mut node.dir,
+                io_regs: &mut node.io_regs,
+                mem: self.mem,
+                cfg: self.cfg,
+                out,
+                io_sends: io,
+                write_log: self.write_log.as_deref_mut(),
+                retired,
+                accessed: &mut accessed,
+            },
+        );
+        self.ready_at[k] = c + (node.cpu.stats.total() - cycles);
+        if node.cpu.is_halted() {
+            self.sched.halted += 1;
+            self.halted_at[k].get_or_insert(c);
+        }
+        self.sched
+            .cpu
+            .set(k, cpu_word(node, false, self.ready_at[k]));
+        self.sched.retire(node.cpu.stats.instructions - instrs);
+        if accessed {
+            self.sched.protocol_ran(k, node);
+        }
+        if let (Some(plan), Some(tr)) = (self.plan, node.traffic.as_deref_mut()) {
+            for &w in retired.iter() {
+                record_retire(plan, i, tr, w, c);
             }
-            if self.ready_at[k] > c || node.cpu.is_halted() {
-                continue;
-            }
-            // This node acts this cycle: give all three of its engines
-            // the current clock (trace timestamps, retry deadlines).
-            node.cpu.set_clock(c);
-            node.ctl.set_clock(c);
-            node.dir.set_clock(c);
-            // Decode engine (DESIGN.md §13): a visit first materializes
-            // the booked run that just elapsed, then — if the next
-            // instructions are a safe straight-line run — books a new
-            // one: charge the whole span now, execute at the next
-            // visit. A booked cycle emits no event and sends nothing
-            // (safe ops can't), which is exactly what lockstep's
-            // per-cycle `Executed` steps amount to.
-            if let Some(dec) = self.dec {
-                if let Some(r) = node.resv.take() {
-                    node.cpu.run_decoded(dec, r.len);
-                    *self.sig_stale = true;
-                }
-                let len = node.cpu.bookable_run(dec);
-                if len >= MIN_RUN {
-                    node.resv = Some(Resv { start: c, len });
-                    self.ready_at[k] = c + len as u64;
-                    continue;
-                }
-            }
-            let i = self.base + k;
-            out.clear();
-            io.clear();
-            retired.clear();
-            let before = node.cpu.stats.total();
-            let ev = node.cpu.step(
-                self.prog,
-                NodePort {
-                    node: i,
-                    ctl: &mut node.ctl,
-                    dir: &mut node.dir,
-                    io_regs: &mut node.io_regs,
-                    mem: self.mem,
-                    cfg: self.cfg,
-                    out,
-                    io_sends: io,
-                    write_log: self.write_log.as_deref_mut(),
-                    retired,
-                },
-            );
-            *self.sig_stale = true;
-            self.ready_at[k] = c + (node.cpu.stats.total() - before);
-            if node.cpu.is_halted() && self.halted_at[k].is_none() {
-                self.halted_at[k] = Some(c);
-            }
-            if !matches!(ev, StepEvent::NoReadyFrame) {
-                // The CPU did something: it is no longer known-idle.
-                self.parked[k] = false;
-            }
-            if let (Some(plan), Some(tr)) = (self.plan, node.traffic.as_deref_mut()) {
-                for &w in retired.iter() {
-                    record_retire(plan, i, tr, w, c);
-                }
-            }
-            ob.unit(c, 1, i as u64);
-            post(ob, self.cfg, c, i, out);
-            for &(to, msg) in io.iter() {
-                ob.send(c, i, to, MIN_FLITS, Env { src: i, msg });
-            }
-            match ev {
-                StepEvent::Executed | StepEvent::Stalled { .. } => {}
-                other => evs.push((i, other)),
-            }
+        }
+        ob.unit(c, 1, i as u64);
+        post(ob, self.cfg, c, i, out);
+        for &(to, msg) in io.iter() {
+            ob.send(c, i, to, MIN_FLITS, Env { src: i, msg });
+        }
+        match ev {
+            StepEvent::Executed | StepEvent::Stalled { .. } => {}
+            other => evs.push((i, other)),
         }
     }
 
     /// Phase four of cycle `c`: advances the protocol clocks in node
     /// order — controller, then directory, per node — retransmitting
     /// overdue requests and overdue demands. `tick` stamps its engine's
-    /// clock itself and is a no-op until its `next_deadline`, so the
-    /// call (and its scratch churn) is skipped until something is due.
+    /// clock itself and is a no-op until its raw deadline, so the call
+    /// (and its scratch churn) is skipped until the node's tick word
+    /// says something is due.
     pub(crate) fn tick<O: Outbox>(&mut self, c: u64, ob: &mut O) {
-        let cfg = self.cfg;
-        let out = &mut self.scratch.out;
-        for (k, node) in self.nodes.iter_mut().enumerate() {
-            let i = self.base + k;
-            if node.ctl.tick_pending(c) {
-                *self.sig_stale = true;
-                out.clear();
-                ob.unit(c, 2, 2 * i as u64);
-                match node.ctl.tick(c, |a| cfg.home_of(a), out) {
-                    Ok(()) => post(ob, cfg, c, i, out),
-                    Err(error) => ob.fault(MachineFault::Protocol { node: i, error }),
-                }
-            }
-            if node.dir.tick_pending(c) {
-                *self.sig_stale = true;
-                out.clear();
-                ob.unit(c, 2, 2 * i as u64 + 1);
-                match node.dir.tick(c, out) {
-                    Ok(()) => post(ob, cfg, c + cfg.mem_latency, i, out),
-                    Err(error) => ob.fault(MachineFault::Protocol { node: i, error }),
-                }
+        self.for_each_due(c, |s| &mut s.sched.tick, |s, k| s.tick_node(k, c, ob));
+    }
+
+    /// Ticks the node at local index `k`, whose tick word is due.
+    fn tick_node<O: Outbox>(&mut self, k: usize, c: u64, ob: &mut O) {
+        let (cfg, out) = (self.cfg, &mut self.scratch.out);
+        let node = &mut self.nodes[k];
+        let i = self.base + k;
+        if node.ctl.tick_pending(c) {
+            out.clear();
+            ob.unit(c, 2, 2 * i as u64);
+            match node.ctl.tick(c, |a| cfg.home_of(a), out) {
+                Ok(()) => post(ob, cfg, c, i, out),
+                Err(error) => ob.fault(MachineFault::Protocol { node: i, error }),
             }
         }
+        if node.dir.tick_pending(c) {
+            out.clear();
+            ob.unit(c, 2, 2 * i as u64 + 1);
+            match node.dir.tick(c, out) {
+                Ok(()) => post(ob, cfg, c + cfg.mem_latency, i, out),
+                Err(error) => ob.fault(MachineFault::Protocol { node: i, error }),
+            }
+        }
+        self.sched.protocol_ran(k, node);
     }
 }
 

@@ -34,6 +34,7 @@ pub mod watchdog;
 
 use april_core::cpu::{Cpu, StepEvent};
 use april_core::program::Program;
+use april_core::stats::CpuStats;
 use april_mem::femem::FeMemory;
 use april_obs::{StatsReport, Trace, TraceConfig};
 
@@ -84,6 +85,13 @@ pub trait Machine {
 
     /// Processor `i`.
     fn cpu(&self, i: usize) -> &Cpu;
+
+    /// Processor `i`'s cycle ledger as of the current cycle. A machine
+    /// that charges some cycles lazily (ALEWIFE's parked CPUs) adds
+    /// them here; read ledgers through this, not `cpu(i).stats`.
+    fn cpu_stats(&self, i: usize) -> CpuStats {
+        self.cpu(i).stats
+    }
 
     /// Mutable processor `i` (for the run-time's context switching and
     /// thread load/unload).

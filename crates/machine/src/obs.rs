@@ -10,11 +10,11 @@
 //! probe rings whose contents are bit-identical across schedulers (see
 //! DESIGN.md §10).
 
-use crate::alewife::{Env, Node};
+use crate::alewife::{Alewife, Node};
+use crate::Machine;
 use april_core::stats::CpuStats;
 use april_mem::controller::CtlStats;
 use april_mem::directory::DirStats;
-use april_net::network::Network;
 use april_obs::{lane, Component, Probe, QHist, Section, StatsReport, Trace, TraceConfig};
 
 /// Installs live probes on every node's processor, cache controller,
@@ -47,14 +47,16 @@ pub(crate) fn collect_node_traces(trace: &mut Trace, nodes: &[Node]) {
 /// Builds the full metrics snapshot: machine-wide aggregates (the
 /// paper's Table 4–7 style breakdowns — utilization, misses per 1k
 /// cycles, context-switch frequency) followed by one section per node.
-pub(crate) fn build_report(nodes: &[Node], net: &Network<Env>) -> StatsReport {
+pub(crate) fn build_report(m: &Alewife) -> StatsReport {
+    let (nodes, net) = (&m.nodes, &m.net);
+    let cpus: Vec<CpuStats> = (0..nodes.len()).map(|i| m.cpu_stats(i)).collect();
     let mut report = StatsReport::new();
 
     let mut cpu = CpuStats::default();
     let mut ctl = CtlStats::default();
     let mut dir = DirStats::default();
-    for n in nodes {
-        cpu.merge(&n.cpu.stats);
+    for (n, c) in nodes.iter().zip(&cpus) {
+        cpu.merge(c);
         ctl.merge(&n.ctl.stats);
         dir.merge(&n.dir.stats);
     }
@@ -181,19 +183,19 @@ pub(crate) fn build_report(nodes: &[Node], net: &Network<Env>) -> StatsReport {
         report.push(s);
     }
 
-    for (i, n) in nodes.iter().enumerate() {
+    for (i, (n, c)) in nodes.iter().zip(&cpus).enumerate() {
         let mut s = Section::new(format!("node{i}"));
-        s.counter("instructions", n.cpu.stats.instructions)
-            .counter("useful_cycles", n.cpu.stats.useful_cycles)
-            .counter("idle_cycles", n.cpu.stats.idle_cycles)
-            .counter("context_switches", n.cpu.stats.context_switches)
-            .counter("remote_misses", n.cpu.stats.remote_misses)
+        s.counter("instructions", c.instructions)
+            .counter("useful_cycles", c.useful_cycles)
+            .counter("idle_cycles", c.idle_cycles)
+            .counter("context_switches", c.context_switches)
+            .counter("remote_misses", c.remote_misses)
             .counter("cache_hits", n.ctl.stats.hits)
             .counter("local_fills", n.ctl.stats.local_fills)
             .counter("remote_txns", n.ctl.stats.remote_txns)
             .counter("dir_read_reqs", n.dir.stats.read_reqs)
             .counter("dir_write_reqs", n.dir.stats.write_reqs)
-            .gauge("utilization", n.cpu.stats.utilization());
+            .gauge("utilization", c.utilization());
         report.push(s);
     }
     report

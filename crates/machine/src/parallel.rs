@@ -21,7 +21,7 @@ use crate::alewife::{
 };
 use crate::config::MachineConfig;
 use crate::driver::{EventCtx, NodeDriver};
-use crate::kernel::{progress_counts, Cells, Outbox, Scratch, MIN_FLITS};
+use crate::kernel::{Cells, Outbox, Progress, Schedule, Scratch, Wake, MIN_FLITS};
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::traffic::ArrivalPlan;
 use crate::watchdog::{MachineFault, PostMortem};
@@ -145,7 +145,7 @@ struct WindowResult {
     writes: Vec<(u32, Word, bool)>,
     /// Cumulative shard progress counters after each cycle of the
     /// window: (instructions, directory events, controller events).
-    sigs: Vec<(u64, u64, u64)>,
+    sigs: Vec<Progress>,
     halted_all: bool,
     /// `nodes_pending_work` after driver events, for the quiescence
     /// stop check.
@@ -173,6 +173,9 @@ struct Shard<'a> {
     ready_at: &'a mut [u64],
     halted_at: &'a mut [Option<u64>],
     parked: &'a mut [bool],
+    /// The shard's own schedule over its slice; the machine rebuilds
+    /// its own after the run.
+    sched: Schedule,
     /// Replica of global memory. Reads are coherent because read and
     /// write permission for a word cannot coexist across shards within
     /// one window; writes are reconciled through the write logs.
@@ -186,10 +189,6 @@ struct Shard<'a> {
     plan: Option<&'a ArrivalPlan>,
     scratch: Scratch,
     evs: Vec<(usize, StepEvent)>,
-    /// The shard's progress counters, recomputed only after a cycle
-    /// whose work could have moved them.
-    sig: (u64, u64, u64),
-    sig_stale: bool,
 }
 
 /// Charging context handed to the driver for a single node's event; the
@@ -197,6 +196,10 @@ struct Shard<'a> {
 struct ShardCtx<'a> {
     cpu: &'a mut Cpu,
     ready_at: &'a mut u64,
+    /// The shard's CPU wake words and the node's index in them: the
+    /// word tracks `ready_at` (shards never park; a halt is caught by
+    /// the next scan).
+    wake: (&'a mut Wake, usize),
 }
 
 impl EventCtx for ShardCtx<'_> {
@@ -207,11 +210,13 @@ impl EventCtx for ShardCtx<'_> {
     fn charge_handler(&mut self, cycles: u64) {
         self.cpu.charge_handler(cycles);
         *self.ready_at += cycles;
+        self.wake.0.set(self.wake.1, *self.ready_at);
     }
 
     fn charge_idle(&mut self, cycles: u64) {
         self.cpu.charge_idle(cycles);
         *self.ready_at += cycles;
+        self.wake.0.set(self.wake.1, *self.ready_at);
     }
 }
 
@@ -232,6 +237,7 @@ impl Shard<'_> {
             ready_at: &mut *self.ready_at,
             halted_at: &mut *self.halted_at,
             parked: &mut *self.parked,
+            sched: &mut self.sched,
             mem: &mut self.mem,
             write_log: Some(&mut self.write_log),
             prog: self.prog,
@@ -239,7 +245,6 @@ impl Shard<'_> {
             cfg: self.cfg,
             plan: self.plan,
             scratch: &mut self.scratch,
-            sig_stale: &mut self.sig_stale,
         };
         let mut deliveries = cmd.deliveries.iter().peekable();
         for c in cmd.start..cmd.end {
@@ -252,10 +257,7 @@ impl Shard<'_> {
             // Cumulative progress counters after this cycle; the
             // coordinator adds the network's delivered count and
             // replays the watchdog per cycle at the barrier.
-            if std::mem::take(cells.sig_stale) {
-                self.sig = progress_counts(cells.nodes);
-            }
-            res.sigs.push(self.sig);
+            res.sigs.push(cells.sched.settle(cells.nodes));
             if cmd.capture_pm && c == cmd.end - 1 {
                 let mut pm = PmFragment {
                     pending_pre_driver: nodes_pending_work(cells.nodes),
@@ -269,10 +271,9 @@ impl Shard<'_> {
                 let mut ctx = ShardCtx {
                     cpu: &mut cells.nodes[k].cpu,
                     ready_at: &mut cells.ready_at[k],
+                    wake: (&mut cells.sched.cpu, k),
                 };
                 driver.on_event(i, ev, &mut ctx);
-                // Whatever the driver did may feed the signature.
-                *cells.sig_stale = true;
             }
         }
         // The window-shrink rule (see `run_inner`) puts every cycle
@@ -462,6 +463,10 @@ impl ParallelAlewife {
             width_max >= 1,
             "network config admits no conservative window (lookahead 0)"
         );
+        // Hand-over from the event-driven scheduler: shards step every
+        // cycle, so its idle promises are settled and dropped (a cleared
+        // flag only costs an idle step).
+        self.m.unpark_all();
         // Lend the node state to the shards and keep the rest — the
         // network, the canonical memory image, the watchdog, the clock
         // — for the per-window coordinator below.
@@ -480,16 +485,9 @@ impl ParallelAlewife {
             parked,
             plan,
             meta_probe: meta,
-            sig_stale,
             ..
         } = &mut self.m;
         let (cfg, prog, dec, plan) = (&*cfg, &*prog, dec.as_ref(), plan.as_deref());
-        // Hand-over from the event-driven scheduler: shards step every
-        // cycle, so its idle promises are simply dropped (a cleared
-        // flag only costs an idle step), and its cached progress
-        // signature will be out of date when it next runs.
-        parked.fill(false);
-        *sig_stale = true;
 
         let n = nodes.len();
         let chunk = n.div_ceil(cfg.workers.clamp(1, n));
@@ -502,6 +500,7 @@ impl ParallelAlewife {
             .enumerate()
             .map(|(s, (((nodes, ready_at), halted_at), parked))| Shard {
                 base: s * chunk,
+                sched: Schedule::new(nodes, parked, ready_at),
                 nodes,
                 ready_at,
                 halted_at,
@@ -514,8 +513,6 @@ impl ParallelAlewife {
                 plan,
                 scratch: Scratch::default(),
                 evs: Vec::new(),
-                sig: (0, 0, 0),
-                sig_stale: true,
             })
             .collect();
         let nshards = shards.len();
@@ -746,6 +743,9 @@ impl ParallelAlewife {
             });
         }
 
+        // The shards kept the wake words and their own counts; the
+        // machine's are rebuilt from the nodes they hand back.
+        self.m.rebuild_schedule();
         assert!(!timed_out, "timeout at cycle {}", self.m.now);
         self.m.fault.clone()
     }

@@ -536,8 +536,11 @@ impl Alewife {
         if self.fault.is_some() {
             return Err(SnapshotError::Faulted);
         }
+        // Booked runs materialize and parked CPUs' pending idle is
+        // charged, so the ledger and `ready_at` are what lockstep shows.
         for i in 0..self.nodes.len() {
             self.settle_resv(i);
+            self.settle_idle(i);
         }
         // Clocks are stamped on demand (only when a component acts), so
         // an idle node's clock lags `now`. The lag is unobservable in a
@@ -581,7 +584,7 @@ impl Alewife {
         for n in &mut self.nodes {
             n.resv = None;
         }
-        self.sig_stale = true;
+        self.rebuild_schedule();
         Ok(())
     }
 }

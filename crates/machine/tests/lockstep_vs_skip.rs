@@ -18,7 +18,7 @@ use april_core::isa::asm::assemble;
 use april_core::program::Program;
 use april_machine::alewife::Alewife;
 use april_machine::config::MachineConfig;
-use april_machine::driver::{drive_sequential, SwitchSpin};
+use april_machine::driver::{drive_sequential, drive_sequential_until, SwitchSpin};
 use april_machine::parallel::ParallelAlewife;
 use april_machine::watchdog::{MachineFault, WatchdogConfig};
 use april_machine::Machine;
@@ -287,6 +287,82 @@ fn fault_soak_is_cycle_exact_with_wide_windows() {
         max_delay: 40,
     });
     assert_equivalent(wide_window_cfg(), stress_program(), Some(plan), 30_000_000);
+}
+
+/// The read fan-in of the `fanin_1089node` benchmark on a `radix`²
+/// mesh under a limited-pointer directory: every node writes a private
+/// block homed at node 0, then reads the one block everyone shares, so
+/// most CPUs sit parked while node 0's directory serves the queue.
+fn fan_in(radix: usize) -> (MachineConfig, Program) {
+    let mut cfg = MachineConfig {
+        topology: Topology::new(2, radix),
+        region_bytes: 0x1_0000,
+        ..MachineConfig::default()
+    };
+    cfg.dir.kind = april_mem::DirectoryKind::LimitedPtr { ptrs: 8 };
+    let prog = assemble(
+        "
+        .entry main
+        main:
+            ldio 1, r8         ; node id (fixnum == 4*id)
+            add r8, r8, r8
+            add r8, r8, r8     ; 16*id: one whole block per node
+            movi 0x1000, r9
+            add r9, r8, r9     ; my private block
+            movi 4, r10
+            st r10, r9+0
+            movi 0x200, r4
+            ld r4+0, r11       ; the block everyone shares
+            halt
+        ",
+    )
+    .unwrap();
+    (cfg, prog)
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "1089 nodes: run in release (scripts/ci.sh)"
+)]
+fn fan_in_is_cycle_exact_at_1089_nodes() {
+    let (cfg, prog) = fan_in(33);
+    assert_equivalent(cfg, prog, None, 1_000_000);
+}
+
+#[test]
+fn ledgers_read_mid_run_match_lockstep() {
+    // The sequential schedulers charge parked CPUs their idle cycles
+    // lazily, so every reader of a ledger must add what is owed. Cut the
+    // fan-in while most of its nodes are parked and hold lockstep's and
+    // the skip's readers to the window scheduler's, whose shards never
+    // park: their ledgers are always settled.
+    let (cfg, prog) = fan_in(9);
+    let driver = SwitchSpin::default();
+    // Every report section but the network's, whose channel occupancy
+    // is charged as hops are routed — which the skip does ahead of the
+    // clock.
+    let ledgers = |m: &Alewife| {
+        let report = m.stats_report();
+        let sections = report.sections().iter().filter(|s| s.name() != "net");
+        (m.total_stats(), sections.cloned().collect::<Vec<_>>())
+    };
+    for cut in [300, 700, 1100] {
+        let mut settled = ParallelAlewife::new(MachineConfig { workers: 2, ..cfg }, prog.clone());
+        settled.boot_all();
+        assert_eq!(settled.run_until(&driver, cut, 100_000), None);
+        for lockstep in [true, false] {
+            let mut m = Alewife::new(MachineConfig { lockstep, ..cfg }, prog.clone());
+            m.boot_all();
+            assert_eq!(drive_sequential_until(&mut m, &driver, cut, 100_000), None);
+            assert!(m.now() == cut && !m.finished(), "cut {cut} is mid-run");
+            for i in 0..cfg.num_nodes() {
+                let node = &settled.node(i).cpu.stats;
+                assert_eq!(&m.cpu_stats(i), node, "cut {cut}: node {i} ledger");
+            }
+            assert_eq!(ledgers(&m), ledgers(&settled), "cut {cut}: total, report");
+        }
+    }
 }
 
 /// A 2-node machine where every packet leaving node 0 is dropped (as in

@@ -588,3 +588,68 @@ fn quarantine_with_no_alive_route_dead_letters_with_typed_post_mortem() {
     assert!(pm.fault_stats.dead_letters > 0);
     assert!(pm.to_string().contains("undeliverable messages"));
 }
+
+/// The `ckpt2000_16node` benchmark workload's oracle: a fault-free run
+/// supervised at a 2000-cycle checkpoint interval recovers with no
+/// attempt and ends exactly where the unsupervised run ends — the same
+/// memory image and statistics — so supervision costs host time only.
+#[test]
+fn fault_free_supervised_run_matches_unsupervised_run() {
+    let cfg = MachineConfig {
+        topology: Topology::new(2, 4),
+        ..mesh_cfg(fast_retry(), 50_000)
+    };
+    let prog = assemble(
+        "
+        .entry main
+        main:
+            ldio 1, r8         ; node id (fixnum == 4*id: byte offset!)
+            movi 0x200, r9
+            add r9, r8, r9     ; my word within the shared region
+            movi 120, r10
+        loop:
+            ld r9+0, r11
+            add r11, 4, r11
+            st r11, r9+0
+            sub r10, 1, r10
+            jne loop
+            nop
+            flush r9+0
+            halt
+        ",
+    )
+    .unwrap();
+    let boot = || {
+        let mut m = Alewife::new(cfg, prog.clone());
+        m.boot_all();
+        m
+    };
+    let mut plain = boot();
+    assert_eq!(
+        drive_sequential(&mut plain, &SwitchSpin::default(), 10_000_000),
+        None
+    );
+
+    let mut supervised = boot();
+    let mut mgr = RecoveryManager::new(RecoveryConfig {
+        checkpoint_interval: 2000,
+        ring_capacity: 4,
+        max_attempts: 4,
+        max_cycles: 100_000_000,
+    });
+    let report = mgr.run(&mut supervised, &SwitchSpin::default());
+    assert!(report.recovered, "{:?}", report.failure);
+    assert_eq!(report.attempts, 0, "a fault-free run never rolls back");
+    assert!(report.checkpoints_taken > 2, "{report:?}");
+
+    assert_eq!(mem_image(supervised.mem()), mem_image(plain.mem()));
+    for node in 0..16 {
+        let word = plain.mem().read(0x200 + 4 * node).as_fixnum();
+        assert_eq!(word, Some(120), "node {node}'s increments");
+    }
+    assert_eq!(
+        supervised.stats_report().to_json(),
+        plain.stats_report().to_json()
+    );
+    assert_eq!(supervised.halted_cycles(), plain.halted_cycles());
+}

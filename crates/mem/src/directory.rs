@@ -556,15 +556,25 @@ impl Directory {
         }
     }
 
-    /// Whether [`Directory::tick`] would do any work at `now` — exactly
+    /// The first cycle at which [`Directory::tick`] would do any work —
     /// its early-return test, on the raw deadline field (which, unlike
     /// [`Directory::next_deadline`], is *not* masked while no episode
     /// is busy: a stale due deadline makes tick rescan and rewrite the
-    /// field, and that cleanup is checkpointed state). Skipping the
-    /// call is state-preserving precisely when this is false.
+    /// field, and that cleanup is checkpointed state).
+    #[inline]
+    pub fn tick_deadline(&self) -> u64 {
+        if self.cfg.retry.enabled {
+            self.next_deadline
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Whether [`Directory::tick`] would do any work at `now`. Skipping
+    /// the call is state-preserving precisely when this is false.
     #[inline]
     pub fn tick_pending(&self, now: u64) -> bool {
-        self.cfg.retry.enabled && self.next_deadline <= now
+        self.tick_deadline() <= now
     }
 
     /// Advances the directory's notion of time without retransmitting.

@@ -10,15 +10,17 @@
 //! * [`network`] — the packet-level event simulator and its statistics
 //!   (average latency, hops, channel utilization), used to validate the
 //!   analytical network model of Section 8.
+//! * [`calendar`] — the simulator's bucketed calendar event queue.
 //! * [`fault`] — deterministic seeded fault injection (packet drop,
 //!   duplication, delay, transient link outages) for robustness testing
 //!   of the coherence protocol and run-time system above.
 //! * [`snapshot`] — wire encoding of the complete network state
-//!   (event heap, in-flight packets, channel reservations, fault plan)
+//!   (event queue, in-flight packets, channel reservations, fault plan)
 //!   for machine checkpoints (DESIGN.md §11).
 
 #![warn(missing_docs)]
 
+pub mod calendar;
 pub mod fault;
 pub mod network;
 pub mod snapshot;

@@ -11,12 +11,12 @@
 //! The simulator is deterministic: events are ordered by (time,
 //! sequence number), and ties resolve in send order.
 
+use crate::calendar::{Calendar, Event};
 use crate::fault::{FaultPlan, FaultStats, Verdict};
 use crate::topology::{Channel, Topology};
 use april_obs::{EventKind, Hist, Probe};
 use april_util::hash::DetState;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Packet ids with this bit set are fault-injected duplicates; they
 /// draw from a separate counter so primary ids (and therefore primary
@@ -128,15 +128,6 @@ pub(crate) struct RouteHop {
 /// router falls back to computing hops digit by digit.
 const ROUTE_TABLE_MAX: usize = 1 << 20;
 
-/// An event: packet `id`'s header arrives at `node` at `time`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Event {
-    pub(crate) time: u64,
-    pub(crate) seq: u64,
-    pub(crate) id: u64,
-    pub(crate) node: usize,
-}
-
 /// The interconnection network, generic over the payload type.
 ///
 /// # Examples
@@ -161,13 +152,15 @@ pub(crate) struct Event {
 pub struct Network<P> {
     pub(crate) topo: Topology,
     pub(crate) cfg: NetConfig,
-    pub(crate) events: BinaryHeap<Reverse<Event>>,
-    // Both hot maps use the deterministic multiply-mix hasher: they
-    // are probed several times per routed hop, keyed by values the
-    // simulator generates itself (sequential ids, small coordinates),
-    // and every serialized view sorts keys — SipHash bought nothing.
+    pub(crate) events: Calendar,
+    // The flight map uses the deterministic multiply-mix hasher: it is
+    // probed several times per routed hop, keyed by sequential ids the
+    // simulator generates itself, and every serialized view sorts keys
+    // — SipHash bought nothing.
     pub(crate) flights: HashMap<u64, Flight<P>, DetState>,
-    pub(crate) channel_free: HashMap<Channel, u64, DetState>,
+    /// The cycle each channel is next free, indexed by
+    /// [`Network::channel_index`]; 0 for a channel never used.
+    pub(crate) channel_free: Vec<u64>,
     pub(crate) ready: VecDeque<(u64, usize, u64)>, // (deliver_time, dst, id)
     pub(crate) next_id: u64,
     pub(crate) next_dup_id: u64,
@@ -230,9 +223,9 @@ impl<P> Network<P> {
             route_stride: n,
             topo,
             cfg,
-            events: BinaryHeap::new(),
+            events: Calendar::default(),
             flights: HashMap::default(),
-            channel_free: HashMap::default(),
+            channel_free: vec![0; n * topo.dim * 2],
             ready: VecDeque::new(),
             next_id: 0,
             next_dup_id: 0,
@@ -342,12 +335,18 @@ impl<P> Network<P> {
 
     fn push_event(&mut self, time: u64, id: u64, node: usize) {
         self.seq += 1;
-        self.events.push(Reverse(Event {
+        self.events.push(Event {
             time,
             seq: self.seq,
             id,
             node,
-        }));
+        });
+    }
+
+    /// `ch`'s slot in the dense channel table: `(node, dim, plus)`
+    /// order, so the table's order is the snapshot's.
+    pub(crate) fn channel_index(&self, ch: Channel) -> usize {
+        (ch.node * self.topo.dim + ch.dim) * 2 + ch.plus as usize
     }
 
     /// Advances the simulation to `now` and appends packets delivered
@@ -378,11 +377,7 @@ impl<P> Network<P> {
     where
         P: Clone,
     {
-        while let Some(&Reverse(ev)) = self.events.peek() {
-            if ev.time > bound {
-                break;
-            }
-            self.events.pop();
+        while let Some(ev) = self.events.pop_due(bound) {
             self.advance(ev);
         }
     }
@@ -629,9 +624,9 @@ impl<P> Network<P> {
                 }
             }
         }
-        let free = self.channel_free.get(&ch).copied().unwrap_or(0);
-        let start = ev.time.max(free);
-        self.channel_free.insert(ch, start + size);
+        let slot = self.channel_index(ch);
+        let start = ev.time.max(self.channel_free[slot]);
+        self.channel_free[slot] = start + size;
         self.stats.busy_flit_cycles += size;
         self.probe
             .emit(ev.time, EventKind::NetHop, ev.id, ev.node as u64);
@@ -653,7 +648,7 @@ impl<P> Network<P> {
     /// The time of the next internal event, if any (lets a machine skip
     /// quiet cycles).
     pub fn next_event_time(&self) -> Option<u64> {
-        let ev = self.events.peek().map(|Reverse(e)| e.time);
+        let ev = self.events.peek().map(|e| e.time);
         let rd = self.ready.front().map(|&(t, _, _)| t);
         match (ev, rd) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -689,20 +684,20 @@ impl<P> Network<P> {
         P: Clone,
     {
         loop {
-            if let Some(&(t, _, _)) = self.ready.front() {
-                // Tails are never earlier than the event that created
-                // them, so once the front-of-queue delivery is at or
-                // before the next unrouted event nothing can beat it.
-                if self.events.peek().is_none_or(|&Reverse(e)| t <= e.time) {
-                    return Some(t);
-                }
-            }
-            match self.events.peek() {
-                Some(&Reverse(ev)) if ev.time <= bound => {
-                    self.events.pop();
-                    self.advance(ev);
-                }
-                _ => return self.ready.front().map(|&(t, _, _)| t),
+            // Tails are never earlier than the event that created them,
+            // so once the front-of-queue delivery is at or before the
+            // next unrouted event nothing can beat it: route only the
+            // events strictly before it.
+            let limit = match self.ready.front() {
+                Some(&(t, _, _)) => match t.checked_sub(1) {
+                    Some(before) => bound.min(before),
+                    None => return Some(t),
+                },
+                None => bound,
+            };
+            match self.events.pop_due(limit) {
+                Some(ev) => self.advance(ev),
+                None => return self.ready.front().map(|&(t, _, _)| t),
             }
         }
     }

@@ -3,20 +3,21 @@
 //! The network is the one component whose state is generic over the
 //! payload type, so the entry points here take payload encode/decode
 //! closures: the machine layer passes closures that encode its own
-//! envelope type. Everything else — the event heap, in-flight packets,
+//! envelope type. Everything else — the event queue, in-flight packets,
 //! channel reservations, the fault plan and its statistics — is encoded
-//! in a canonical order (heaps drained to sorted vectors, maps sorted
-//! by key) so that two networks in the same logical state always
-//! produce identical bytes. See DESIGN.md §11 for the format rules.
+//! in a canonical order (queues drained to sorted vectors, maps sorted
+//! by key, channels in `(node, dim, plus)` order) so that two networks
+//! in the same logical state always produce identical bytes. See
+//! DESIGN.md §11 for the format rules.
 
+use crate::calendar::{Calendar, Event};
 use crate::fault::{FaultPlan, FaultRule, FaultStats, Outage};
-use crate::network::{DeadLetter, Event, Flight, NetStats, Network};
+use crate::network::{DeadLetter, Flight, NetStats, Network};
 use crate::topology::Channel;
 use april_obs::{Hist, Probe};
 use april_util::hash::DetState;
 use april_util::wire::{ByteReader, ByteWriter, WireError};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 fn encode_channel(ch: &Channel, w: &mut ByteWriter) {
     w.usize(ch.node);
@@ -209,7 +210,7 @@ impl<P> Network<P> {
         w.u64(self.cfg.hop_latency);
         w.u64(self.cfg.loopback_latency);
 
-        let mut events: Vec<Event> = self.events.iter().map(|Reverse(e)| *e).collect();
+        let mut events: Vec<Event> = self.events.iter().copied().collect();
         events.sort();
         w.usize(events.len());
         for e in &events {
@@ -232,12 +233,20 @@ impl<P> Network<P> {
             enc(&f.payload, w);
         }
 
-        let mut chans: Vec<&Channel> = self.channel_free.keys().collect();
-        chans.sort_by_key(|c| (c.node, c.dim, c.plus));
-        w.usize(chans.len());
-        for ch in chans {
-            encode_channel(ch, w);
-            w.u64(self.channel_free[ch]);
+        // Every channel ever crossed (its free time is nonzero), in
+        // table — `(node, dim, plus)` — order.
+        let dim = self.topo.dim;
+        w.usize(self.channel_free.iter().filter(|&&t| t != 0).count());
+        for (i, &t) in self.channel_free.iter().enumerate() {
+            if t != 0 {
+                let ch = Channel {
+                    node: i / (2 * dim),
+                    dim: i / 2 % dim,
+                    plus: i % 2 == 1,
+                };
+                encode_channel(&ch, w);
+                w.u64(t);
+            }
         }
 
         w.usize(self.ready.len());
@@ -294,15 +303,22 @@ impl<P> Network<P> {
             return Err(WireError::Corrupt("network timing config mismatch"));
         }
 
+        // Sorted, as encoded: the order the calendar requires of pushes.
         let nevents = r.usize()?;
-        let mut events = BinaryHeap::with_capacity(nevents);
+        let mut events = Calendar::default();
+        let mut last = None;
         for _ in 0..nevents {
-            events.push(Reverse(Event {
+            let ev = Event {
                 time: r.u64()?,
                 seq: r.u64()?,
                 id: r.u64()?,
                 node: r.usize()?,
-            }));
+            };
+            if ev.node >= self.topo.num_nodes() || last.is_some_and(|l| l >= ev) {
+                return Err(WireError::Corrupt("network event out of range or order"));
+            }
+            last = Some(ev);
+            events.push(ev);
         }
 
         let nflights = r.usize()?;
@@ -330,10 +346,13 @@ impl<P> Network<P> {
         }
 
         let nchan = r.usize()?;
-        let mut channel_free = HashMap::with_capacity_and_hasher(nchan, DetState);
+        let mut channel_free = vec![0; self.channel_free.len()];
         for _ in 0..nchan {
             let ch = decode_channel(r)?;
-            channel_free.insert(ch, r.u64()?);
+            if ch.node >= self.topo.num_nodes() || ch.dim >= self.topo.dim {
+                return Err(WireError::Corrupt("channel out of range"));
+            }
+            channel_free[self.channel_index(ch)] = r.u64()?;
         }
 
         let nready = r.usize()?;

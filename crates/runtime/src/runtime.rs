@@ -291,7 +291,7 @@ impl<M: Machine> Runtime<M> {
             }
             if let Some(value) = self.result {
                 let per_cpu: Vec<CpuStats> = (0..self.machine.num_procs())
-                    .map(|i| self.machine.cpu(i).stats)
+                    .map(|i| self.machine.cpu_stats(i))
                     .collect();
                 let mut total = CpuStats::default();
                 for s in &per_cpu {

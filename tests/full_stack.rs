@@ -109,6 +109,45 @@ fn alewife_runs_are_deterministic() {
     assert_eq!(a.total, b.total);
 }
 
+/// The scheduler-equivalence contract at the run-time layer: lockstep,
+/// the event-driven skip and the skip over the interpreter (`decode:
+/// false`) agree on the value, the clock, every processor's ledger and
+/// the whole stats report. The run-time mutates the machine between
+/// cycles — `mem_mut` on every future allocation, `cpu_mut` on every
+/// thread load, `charge_handler` on every trap — paths the machine-level
+/// suites, driven by a switch-spin driver, barely touch.
+#[test]
+fn runtime_runs_agree_across_schedulers() {
+    let cases = [
+        (4, programs::fib(12), CompileOptions::april_lazy(), 144),
+        (3, programs::queens(5), CompileOptions::april(), 10),
+    ];
+    for (radix, src, opts, want) in cases {
+        let prog = compile(&src, &opts).expect("compiles");
+        let runs: Vec<_> = [(true, true), (false, true), (false, false)]
+            .into_iter()
+            .map(|(lockstep, decode)| {
+                let cfg = MachineConfig {
+                    topology: Topology::new(2, radix),
+                    region_bytes: REGION,
+                    lockstep,
+                    decode,
+                    ..MachineConfig::default()
+                };
+                let mut rt = Runtime::new(Alewife::new(cfg, prog.clone()), rt_cfg());
+                let r = rt
+                    .run()
+                    .unwrap_or_else(|e| panic!("alewife run failed: {e}"));
+                let report = rt.stats_report().to_json();
+                (r.value, r.cycles, r.total, r.per_cpu, report)
+            })
+            .collect();
+        assert_eq!(runs[0].0.as_fixnum(), Some(want));
+        assert_eq!(runs[0], runs[1], "{radix}x{radix}: event-driven diverged");
+        assert_eq!(runs[0], runs[2], "{radix}x{radix}: decode off diverged");
+    }
+}
+
 #[test]
 fn speech_pipeline_on_full_machine() {
     let src = programs::speech(3, 4);
