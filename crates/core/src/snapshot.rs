@@ -1,4 +1,4 @@
-//! Wire encoding of processor state for machine snapshots.
+//! Wire layout of processor state for machine snapshots.
 //!
 //! The checkpoint subsystem (DESIGN.md §11) serializes each APRIL
 //! processor — task frames, PC chains, PSRs, globals, pending
@@ -6,7 +6,7 @@
 //! machine resumes *bit-exactly*: same register contents, same trap
 //! behavior, same trace event stream.
 //!
-//! Restore targets an existing [`Cpu`] built from the same
+//! A restore targets an existing [`Cpu`] built from the same
 //! [`CpuConfig`](crate::cpu::CpuConfig); the configuration itself is
 //! validated at the machine layer (it is part of the snapshot header),
 //! so this module only checks structural invariants such as the frame
@@ -15,135 +15,93 @@
 use crate::cpu::Cpu;
 use crate::frame::{FrameState, TaskFrame, FREGS_PER_FRAME, REGS_PER_FRAME};
 use crate::psr::Psr;
+use crate::stats::CpuStats;
 use crate::word::Word;
-use april_obs::Probe;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
-use std::collections::VecDeque;
+use april_util::wire::{Codec, Wire, WireError};
 
-fn encode_frame(f: &TaskFrame, w: &mut ByteWriter) {
-    for r in &f.regs {
-        w.u32(r.0);
+impl Wire for Word {
+    #[inline]
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.u32(&mut self.0)
     }
-    for &fr in &f.fregs {
-        w.u32(fr);
-    }
-    w.u32(f.pc);
-    w.u32(f.npc);
-    w.u32(f.psr.to_word().0);
-    w.u8(match f.state {
-        FrameState::Empty => 0,
-        FrameState::Ready => 1,
-        FrameState::WaitingRemote => 2,
-    });
 }
 
-fn decode_frame(r: &mut ByteReader<'_>) -> Result<TaskFrame, WireError> {
-    let mut f = TaskFrame::default();
-    for i in 0..REGS_PER_FRAME {
-        f.regs[i] = Word(r.u32()?);
+impl Wire for Psr {
+    /// The PSR travels as its architectural word.
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.via(self, |p| p.to_word().0, |w| Ok(Psr::from_word(Word(w))))
     }
-    for i in 0..FREGS_PER_FRAME {
-        f.fregs[i] = r.u32()?;
-    }
-    f.pc = r.u32()?;
-    f.npc = r.u32()?;
-    f.psr = Psr::from_word(Word(r.u32()?));
-    let at = r.pos();
-    f.state = match r.u8()? {
-        0 => FrameState::Empty,
-        1 => FrameState::Ready,
-        2 => FrameState::WaitingRemote,
-        tag => return Err(WireError::BadTag { at, tag }),
-    };
-    Ok(f)
 }
 
-/// Appends `cpu`'s complete architectural and accounting state to a
-/// snapshot buffer.
-pub fn encode_cpu(cpu: &Cpu, w: &mut ByteWriter) {
-    w.usize(cpu.frames.len());
-    for f in &cpu.frames {
-        encode_frame(f, w);
-    }
-    for g in &cpu.globals {
-        w.u32(g.0);
-    }
-    w.usize(cpu.fp);
-    w.bool(cpu.halted);
-    w.usize(cpu.irqs.len());
-    for &src in &cpu.irqs {
-        w.usize(src);
-    }
-    let s = &cpu.stats;
-    for v in [
-        s.useful_cycles,
-        s.trap_cycles,
-        s.handler_cycles,
-        s.stall_cycles,
-        s.idle_cycles,
-        s.instructions,
-        s.context_switches,
-        s.traps,
-        s.mem_ops,
-        s.remote_misses,
-        s.fe_traps,
-        s.future_traps,
-    ] {
-        w.u64(v);
-    }
-    w.u64(cpu.clock);
-    cpu.probe.encode(w);
+/// The register image of a task frame — registers, floating-point
+/// registers, PC chain and PSR. Hardware task frames, the run-time
+/// system's unloaded threads and its saved inline-evaluation frames
+/// (paper §3–§4) all carry their registers in this one layout.
+pub fn wire_image<C: Codec>(
+    c: &mut C,
+    regs: &mut [Word; REGS_PER_FRAME],
+    fregs: &mut [u32; FREGS_PER_FRAME],
+    pc: &mut u32,
+    npc: &mut u32,
+    psr: &mut Psr,
+) -> Result<(), WireError> {
+    regs.wire(c)?;
+    fregs.wire(c)?;
+    c.u32(pc)?;
+    c.u32(npc)?;
+    psr.wire(c)
 }
 
-/// Restores state written by [`encode_cpu`] into an existing processor
-/// constructed with the same configuration.
-///
-/// The processor's [`CpuConfig`](crate::cpu::CpuConfig) is untouched;
-/// a frame-count mismatch (snapshot from a differently sized machine)
-/// is rejected as [`WireError::Corrupt`].
-pub fn restore_cpu(cpu: &mut Cpu, r: &mut ByteReader<'_>) -> Result<(), WireError> {
-    let nframes = r.usize()?;
-    if nframes != cpu.frames.len() {
-        return Err(WireError::Corrupt("task frame count mismatch"));
+impl Wire for TaskFrame {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        use FrameState::*;
+        let f = self;
+        wire_image(
+            c,
+            &mut f.regs,
+            &mut f.fregs,
+            &mut f.pc,
+            &mut f.npc,
+            &mut f.psr,
+        )?;
+        c.variant(&mut f.state, &[Empty, Ready, WaitingRemote])
     }
-    for i in 0..nframes {
-        cpu.frames[i] = decode_frame(r)?;
+}
+
+april_util::wire_fields!(CpuStats {
+    useful_cycles,
+    trap_cycles,
+    handler_cycles,
+    stall_cycles,
+    idle_cycles,
+    instructions,
+    context_switches,
+    traps,
+    mem_ops,
+    remote_misses,
+    fe_traps,
+    future_traps,
+});
+
+/// A processor's complete architectural and accounting state. The
+/// [`CpuConfig`](crate::cpu::CpuConfig) is not part of it; a restore
+/// into a processor with another frame count is
+/// [`WireError::Corrupt`].
+impl Wire for Cpu {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.same(self.frames.len(), "task frame count mismatch")?;
+        self.frames.as_mut_slice().wire(c)?;
+        self.globals.wire(c)?;
+        c.usize(&mut self.fp)?;
+        if self.fp >= self.frames.len() {
+            return Err(WireError::Corrupt("frame pointer out of range"));
+        }
+        c.bool(&mut self.halted)?;
+        self.irqs.wire(c)?;
+        self.stats.wire(c)?;
+        c.u64(&mut self.clock)?;
+        self.probe.wire(c)
     }
-    for g in cpu.globals.iter_mut() {
-        *g = Word(r.u32()?);
-    }
-    let fp = r.usize()?;
-    if fp >= nframes {
-        return Err(WireError::Corrupt("frame pointer out of range"));
-    }
-    cpu.fp = fp;
-    cpu.halted = r.bool()?;
-    let nirqs = r.usize()?;
-    let mut irqs = VecDeque::with_capacity(nirqs);
-    for _ in 0..nirqs {
-        irqs.push_back(r.usize()?);
-    }
-    cpu.irqs = irqs;
-    let s = &mut cpu.stats;
-    for v in [
-        &mut s.useful_cycles,
-        &mut s.trap_cycles,
-        &mut s.handler_cycles,
-        &mut s.stall_cycles,
-        &mut s.idle_cycles,
-        &mut s.instructions,
-        &mut s.context_switches,
-        &mut s.traps,
-        &mut s.mem_ops,
-        &mut s.remote_misses,
-        &mut s.fe_traps,
-        &mut s.future_traps,
-    ] {
-        *v = r.u64()?;
-    }
-    cpu.clock = r.u64()?;
-    cpu.probe = Probe::decode(r)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -151,7 +109,8 @@ mod tests {
     use super::*;
     use crate::cpu::CpuConfig;
     use crate::frame::FrameState;
-    use april_obs::{lane, Component, EventKind, TraceConfig};
+    use april_obs::{lane, Component, EventKind, Probe, TraceConfig};
+    use april_util::wire::{ByteReader, ByteWriter};
 
     fn busy_cpu() -> Cpu {
         let mut cpu = Cpu::new(CpuConfig::default());
@@ -172,13 +131,13 @@ mod tests {
 
     #[test]
     fn cpu_roundtrips_exactly() {
-        let cpu = busy_cpu();
+        let mut cpu = busy_cpu();
         let mut w = ByteWriter::new();
-        encode_cpu(&cpu, &mut w);
+        cpu.wire(&mut w).unwrap();
         let bytes = w.finish();
 
         let mut restored = Cpu::new(CpuConfig::default());
-        restore_cpu(&mut restored, &mut ByteReader::new(&bytes)).unwrap();
+        restored.wire(&mut ByteReader::new(&bytes)).unwrap();
 
         assert_eq!(restored.fp(), cpu.fp());
         assert_eq!(restored.is_halted(), cpu.is_halted());
@@ -200,25 +159,25 @@ mod tests {
 
     #[test]
     fn frame_count_mismatch_is_rejected() {
-        let cpu = busy_cpu();
+        let mut cpu = busy_cpu();
         let mut w = ByteWriter::new();
-        encode_cpu(&cpu, &mut w);
+        cpu.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut other = Cpu::new(CpuConfig {
             nframes: 2,
             ..CpuConfig::default()
         });
-        assert!(restore_cpu(&mut other, &mut ByteReader::new(&bytes)).is_err());
+        assert!(other.wire(&mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]
     fn restored_probe_resumes_event_stream() {
         let mut cpu = busy_cpu();
         let mut w = ByteWriter::new();
-        encode_cpu(&cpu, &mut w);
+        cpu.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut restored = Cpu::new(CpuConfig::default());
-        restore_cpu(&mut restored, &mut ByteReader::new(&bytes)).unwrap();
+        restored.wire(&mut ByteReader::new(&bytes)).unwrap();
         cpu.set_clock(501);
         restored.set_clock(501);
         cpu.count_context_switch();

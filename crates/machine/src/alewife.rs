@@ -116,7 +116,7 @@ const _: () = april_util::assert_send::<Node>();
 const _: () = april_util::assert_send::<Env>();
 
 /// A protocol message in flight.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Env {
     pub(crate) src: usize,
     pub(crate) msg: CohMsg,

@@ -28,14 +28,11 @@
 
 use crate::alewife::{Alewife, Env};
 use crate::config::MachineConfig;
+use crate::traffic::NodeTraffic;
+use crate::watchdog::Watchdog;
 use april_core::program::Program;
-use april_core::snapshot::{encode_cpu, restore_cpu};
-use april_mem::snapshot::{
-    decode_msg, encode_ctl, encode_dir, encode_femem, encode_msg, restore_ctl, restore_dir,
-    restore_femem,
-};
-use april_obs::{Probe, QHist};
-use april_util::wire::{digest64, ByteReader, ByteWriter, WireError};
+use april_util::wire::{digest64, ByteReader, ByteWriter, Codec, Wire, WireError};
+use april_util::wire_fields;
 use std::fmt;
 
 /// The four-byte magic prefix of every snapshot.
@@ -129,30 +126,71 @@ impl From<WireError> for SnapshotError {
     }
 }
 
-/// Parsed header fields (borrowed from the snapshot's bytes).
-struct Header<'a> {
+/// The snapshot header.
+#[derive(Default)]
+struct Header {
     now: u64,
-    cfg_debug: &'a str,
+    cfg_debug: String,
     prog_digest: u64,
     nodes: usize,
     sections: usize,
 }
 
-fn read_header<'a>(r: &mut ByteReader<'a>) -> Result<Header<'a>, SnapshotError> {
-    let magic = r.bytes()?;
-    if magic != MAGIC {
-        return Err(SnapshotError::BadMagic);
+impl Header {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let mut magic = MAGIC.to_vec();
+        magic.wire(c)?;
+        if magic != MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        let mut version = VERSION;
+        c.u8(&mut version)?;
+        if version != VERSION {
+            return Err(SnapshotError::Version(version));
+        }
+        c.u64(&mut self.now)?;
+        c.str(&mut self.cfg_debug)?;
+        c.u64(&mut self.prog_digest)?;
+        c.usize(&mut self.nodes)?;
+        c.usize(&mut self.sections)?;
+        Ok(())
     }
-    let version = r.u8()?;
-    if version != VERSION {
-        return Err(SnapshotError::Version(version));
+
+    fn read(bytes: &[u8]) -> Result<(Header, ByteReader<'_>), SnapshotError> {
+        let mut r = ByteReader::new(bytes);
+        let mut h = Header::default();
+        h.wire(&mut r)?;
+        Ok((h, r))
     }
-    Ok(Header {
-        now: r.u64()?,
-        cfg_debug: r.str()?,
-        prog_digest: r.u64()?,
-        nodes: r.usize()?,
-        sections: r.usize()?,
+}
+
+/// One section's framing: its kind byte and node id, then its payload,
+/// length-prefixed; `body` visits the payload and must consume it.
+fn section<C: Codec>(
+    c: &mut C,
+    kind: &mut u8,
+    node: &mut u32,
+    body: impl FnOnce(&mut C, u8, u32) -> Result<(), WireError>,
+) -> Result<(), SnapshotError> {
+    c.u8(kind)?;
+    c.u32(node)?;
+    let (kind, node) = (*kind, *node);
+    Ok(c.nested(|c| body(c, kind, node))?)
+}
+
+/// The section [`wire_machine`] expects next in the canonical order.
+fn expected_section<C: Codec>(
+    c: &mut C,
+    kind: u8,
+    node: u32,
+    body: impl FnOnce(&mut C) -> Result<(), WireError>,
+) -> Result<(), SnapshotError> {
+    let (mut k, mut n) = (kind, node);
+    section(c, &mut k, &mut n, |c, k, n| {
+        if (k, n) != (kind, node) {
+            return Err(WireError::Corrupt("section out of canonical order"));
+        }
+        body(c)
     })
 }
 
@@ -177,43 +215,41 @@ impl Snapshot {
     /// walking the section framing (payloads are validated at restore).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot, SnapshotError> {
         let snap = Snapshot { bytes };
-        snap.walk_sections(|_, _, _| Ok(()))?;
+        snap.walk_sections(|_, _, _| ())?;
         Ok(snap)
+    }
+
+    /// The raw encoded bytes, by value.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
     }
 
     /// The cycle at which the checkpoint was taken.
     pub fn cycle(&self) -> u64 {
-        let mut r = ByteReader::new(&self.bytes);
-        read_header(&mut r).map(|h| h.now).unwrap_or(0)
+        Header::read(&self.bytes).map_or(0, |(h, _)| h.now)
     }
 
     /// The `Debug` rendering of the configuration the snapshot was
     /// taken under.
-    pub fn config_debug(&self) -> Result<&str, SnapshotError> {
-        let mut r = ByteReader::new(&self.bytes);
-        Ok(read_header(&mut r)?.cfg_debug)
+    pub fn config_debug(&self) -> Result<String, SnapshotError> {
+        Ok(Header::read(&self.bytes)?.0.cfg_debug)
     }
 
     /// Walks the header and every section, handing `(kind, node,
     /// payload)` to `f` in file order.
     fn walk_sections<'a>(
         &'a self,
-        mut f: impl FnMut(u8, u32, &'a [u8]) -> Result<(), SnapshotError>,
+        mut f: impl FnMut(u8, u32, &'a [u8]),
     ) -> Result<(), SnapshotError> {
-        let mut r = ByteReader::new(&self.bytes);
-        let h = read_header(&mut r)?;
+        let (h, mut r) = Header::read(&self.bytes)?;
         for _ in 0..h.sections {
-            let kind = r.u8()?;
-            let node = r.u32()?;
-            let payload = r.bytes()?;
-            f(kind, node, payload)?;
+            let (mut kind, mut node) = (0, 0);
+            section(&mut r, &mut kind, &mut node, |p, kind, node| {
+                f(kind, node, p.rest());
+                Ok(())
+            })?;
         }
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt(WireError::Corrupt(
-                "trailing bytes after last section",
-            )));
-        }
-        Ok(())
+        trailing(&r)
     }
 }
 
@@ -227,11 +263,8 @@ pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> Option<String> {
     }
     let collect = |s: &Snapshot| {
         let mut v: Vec<(u8, u32, Vec<u8>)> = Vec::new();
-        s.walk_sections(|kind, node, payload| {
-            v.push((kind, node, payload.to_vec()));
-            Ok(())
-        })
-        .map(|_| v)
+        s.walk_sections(|kind, node, payload| v.push((kind, node, payload.to_vec())))
+            .map(|_| v)
     };
     let (sa, sb) = match (collect(a), collect(b)) {
         (Ok(sa), Ok(sb)) => (sa, sb),
@@ -257,17 +290,19 @@ pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> Option<String> {
     Some("header (cycle/config/program)".to_string())
 }
 
-fn encode_env(env: &Env, w: &mut ByteWriter) {
-    w.usize(env.src);
-    encode_msg(&env.msg, w);
-}
-
-fn decode_env(r: &mut ByteReader<'_>) -> Result<Env, WireError> {
-    Ok(Env {
-        src: r.usize()?,
-        msg: decode_msg(r)?,
-    })
-}
+wire_fields!(Env { src, msg });
+wire_fields!(Watchdog { sig, last_change });
+// `cursor` is absent: it is derived from the arrival plan and the
+// restored clock, and the restore recomputes it.
+wire_fields!(NodeTraffic {
+    injected,
+    dropped,
+    retired,
+    last_retire,
+    poison_sent,
+    latency,
+    probe,
+});
 
 fn prog_digest(prog: &Program) -> u64 {
     digest64(format!("{prog:?}").as_bytes())
@@ -295,206 +330,69 @@ fn semantic_config_debug(cfg: &MachineConfig) -> String {
     format!("{c:?}")
 }
 
-fn push_section(w: &mut ByteWriter, kind: u8, node: u32, payload: ByteWriter) {
-    w.u8(kind);
-    w.u32(node);
-    w.bytes(&payload.finish());
-}
-
-/// Encodes every section of `v`'s (settled) state.
-fn encode_machine(v: &Alewife) -> Snapshot {
-    let n = v.nodes.len();
-    let traffic_nodes = v.nodes.iter().filter(|nd| nd.traffic.is_some()).count();
-    let mut w = ByteWriter::new();
-    w.bytes(&MAGIC);
-    w.u8(VERSION);
-    w.u64(v.now);
-    w.str(&semantic_config_debug(&v.cfg));
-    w.u64(prog_digest(&v.prog));
-    w.usize(n);
-    w.usize(n * 4 + traffic_nodes + 5);
-
-    for (i, node) in v.nodes.iter().enumerate() {
-        let i = i as u32;
-        let mut p = ByteWriter::new();
-        encode_cpu(&node.cpu, &mut p);
-        push_section(&mut w, SEC_CPU, i, p);
-        let mut p = ByteWriter::new();
-        encode_ctl(&node.ctl, &mut p);
-        push_section(&mut w, SEC_CTL, i, p);
-        let mut p = ByteWriter::new();
-        encode_dir(&node.dir, &mut p);
-        push_section(&mut w, SEC_DIR, i, p);
-        let mut p = ByteWriter::new();
-        for &r in &node.io_regs {
-            p.u32(r);
-        }
-        push_section(&mut w, SEC_IO, i, p);
-        if let Some(tr) = node.traffic.as_deref() {
-            let mut p = ByteWriter::new();
-            p.u64(tr.injected);
-            p.u64(tr.dropped);
-            p.u64(tr.retired);
-            p.u64(tr.last_retire);
-            p.bool(tr.poison_sent);
-            tr.latency.encode(&mut p);
-            tr.probe.encode(&mut p);
-            push_section(&mut w, SEC_TRAFFIC, i, p);
-        }
-    }
-
-    let mut p = ByteWriter::new();
-    encode_femem(&v.mem, &mut p);
-    push_section(&mut w, SEC_MEM, 0, p);
-
-    let mut p = ByteWriter::new();
-    v.net.encode_with(&mut p, encode_env);
-    push_section(&mut w, SEC_NET, 0, p);
-
-    let mut p = ByteWriter::new();
-    for &r in &v.ready_at {
-        p.u64(r);
-    }
-    for &h in &v.halted_at {
-        p.bool(h.is_some());
-        p.u64(h.unwrap_or(0));
-    }
-    push_section(&mut w, SEC_SCHED, 0, p);
-
-    let mut p = ByteWriter::new();
-    p.u64(v.watchdog.sig.0);
-    p.u64(v.watchdog.sig.1);
-    p.u64(v.watchdog.sig.2);
-    p.u64(v.watchdog.sig.3);
-    p.u64(v.watchdog.last_change);
-    push_section(&mut w, SEC_WATCHDOG, 0, p);
-
-    let mut p = ByteWriter::new();
-    v.meta_probe.encode(&mut p);
-    push_section(&mut w, SEC_META, 0, p);
-
-    Snapshot { bytes: w.finish() }
-}
-
-/// Validates `snap` against `v`'s configuration and program, then
-/// decodes every section into `v`.
-fn restore_machine(v: &mut Alewife, snap: &Snapshot) -> Result<(), SnapshotError> {
-    {
-        let mut r = ByteReader::new(&snap.bytes);
-        let h = read_header(&mut r)?;
-        if h.cfg_debug != semantic_config_debug(&v.cfg) {
-            return Err(SnapshotError::ConfigMismatch);
-        }
-        if h.prog_digest != prog_digest(&v.prog) {
-            return Err(SnapshotError::ProgramMismatch);
-        }
-        if h.nodes != v.nodes.len() {
-            return Err(SnapshotError::ConfigMismatch);
-        }
-        v.now = h.now;
-    }
-    let n = v.nodes.len();
-    // The canonical section sequence; restore refuses anything else.
-    // Traffic sections appear exactly on the edge nodes, which the
-    // receiving machine knows from its own (already validated) config.
-    let mut expected: Vec<(u8, u32)> = Vec::with_capacity(n * 5 + 5);
-    for i in 0..n as u32 {
-        expected.extend([(SEC_CPU, i), (SEC_CTL, i), (SEC_DIR, i), (SEC_IO, i)]);
-        if v.nodes[i as usize].traffic.is_some() {
-            expected.push((SEC_TRAFFIC, i));
-        }
-    }
-    expected.extend([
-        (SEC_MEM, 0),
-        (SEC_NET, 0),
-        (SEC_SCHED, 0),
-        (SEC_WATCHDOG, 0),
-        (SEC_META, 0),
-    ]);
-    let mut idx = 0usize;
-    let Alewife {
-        nodes,
-        mem,
-        net,
-        ready_at,
-        halted_at,
-        watchdog,
-        meta_probe,
-        ..
-    } = v;
-    snap.walk_sections(|kind, node, payload| {
-        let Some(&(ek, en)) = expected.get(idx) else {
-            return Err(SnapshotError::Corrupt(WireError::Corrupt(
-                "more sections than expected",
-            )));
-        };
-        if (kind, node) != (ek, en) {
-            return Err(SnapshotError::Corrupt(WireError::Corrupt(
-                "section out of canonical order",
-            )));
-        }
-        idx += 1;
-        let mut r = ByteReader::new(payload);
-        match kind {
-            SEC_CPU => restore_cpu(&mut nodes[node as usize].cpu, &mut r)?,
-            SEC_CTL => restore_ctl(&mut nodes[node as usize].ctl, &mut r)?,
-            SEC_DIR => restore_dir(&mut nodes[node as usize].dir, &mut r)?,
-            SEC_IO => {
-                for reg in &mut nodes[node as usize].io_regs {
-                    *reg = r.u32()?;
-                }
-            }
-            SEC_TRAFFIC => {
-                let tr = nodes[node as usize]
-                    .traffic
-                    .as_deref_mut()
-                    .expect("expected list admits traffic sections only on edge nodes");
-                tr.injected = r.u64()?;
-                tr.dropped = r.u64()?;
-                tr.retired = r.u64()?;
-                tr.last_retire = r.u64()?;
-                tr.poison_sent = r.bool()?;
-                tr.latency = QHist::decode(&mut r)?;
-                tr.probe = Probe::decode(&mut r)?;
-                // `cursor` is derived from the arrival plan and the
-                // restored clock; the caller recomputes it.
-            }
-            SEC_MEM => restore_femem(mem, &mut r)?,
-            SEC_NET => net.restore_with(&mut r, decode_env)?,
-            SEC_SCHED => {
-                for slot in ready_at.iter_mut() {
-                    *slot = r.u64()?;
-                }
-                for slot in halted_at.iter_mut() {
-                    let some = r.bool()?;
-                    let c = r.u64()?;
-                    *slot = if some { Some(c) } else { None };
-                }
-            }
-            SEC_WATCHDOG => {
-                watchdog.sig = (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-                watchdog.last_change = r.u64()?;
-            }
-            SEC_META => *meta_probe = Probe::decode(&mut r)?,
-            _ => {
-                return Err(SnapshotError::Corrupt(WireError::Corrupt(
-                    "unknown section kind",
-                )))
-            }
-        }
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt(WireError::Corrupt(
-                "section payload not fully consumed",
-            )));
-        }
-        Ok(())
-    })?;
-    if idx != expected.len() {
-        return Err(SnapshotError::Corrupt(WireError::Corrupt(
-            "fewer sections than expected",
-        )));
+fn trailing<C: Codec>(c: &C) -> Result<(), SnapshotError> {
+    if C::READS && c.remaining() != 0 {
+        return Err(WireError::Corrupt("trailing bytes after last section").into());
     }
     Ok(())
+}
+
+/// The machine snapshot's one field list: the header, validated against
+/// `v`'s configuration and program, then every section of `v`'s
+/// (settled) state in the canonical order.
+fn wire_machine<C: Codec>(v: &mut Alewife, c: &mut C) -> Result<(), SnapshotError> {
+    let n = v.nodes.len();
+    let edges = v.nodes.iter().filter(|nd| nd.traffic.is_some()).count();
+    let cfg_debug = semantic_config_debug(&v.cfg);
+    let digest = prog_digest(&v.prog);
+    let sections = n * 4 + edges + 5;
+    let mut h = Header {
+        now: v.now,
+        cfg_debug: cfg_debug.clone(),
+        prog_digest: digest,
+        nodes: n,
+        sections,
+    };
+    h.wire(c)?;
+    if h.cfg_debug != cfg_debug {
+        return Err(SnapshotError::ConfigMismatch);
+    }
+    if h.prog_digest != digest {
+        return Err(SnapshotError::ProgramMismatch);
+    }
+    if h.nodes != n {
+        return Err(SnapshotError::ConfigMismatch);
+    }
+    if h.sections != sections {
+        return Err(WireError::Corrupt("section count mismatch").into());
+    }
+    v.now = h.now;
+
+    // The canonical section order; a restore refuses anything else.
+    // Traffic sections appear exactly on the edge nodes, which the
+    // receiving machine knows from its own (already validated) config.
+    for (i, nd) in v.nodes.iter_mut().enumerate() {
+        let i = i as u32;
+        expected_section(c, SEC_CPU, i, |c| nd.cpu.wire(c))?;
+        expected_section(c, SEC_CTL, i, |c| nd.ctl.wire(c))?;
+        expected_section(c, SEC_DIR, i, |c| nd.dir.wire(c))?;
+        expected_section(c, SEC_IO, i, |c| nd.io_regs.wire(c))?;
+        if let Some(tr) = nd.traffic.as_deref_mut() {
+            expected_section(c, SEC_TRAFFIC, i, |c| tr.wire(c))?;
+        }
+    }
+    expected_section(c, SEC_MEM, 0, |c| v.mem.wire(c))?;
+    expected_section(c, SEC_NET, 0, |c| v.net.wire(c))?;
+    expected_section(c, SEC_SCHED, 0, |c| {
+        v.ready_at.as_mut_slice().wire(c)?;
+        let flagged = |h: &Option<u64>| (h.is_some(), h.unwrap_or(0));
+        v.halted_at
+            .iter_mut()
+            .try_for_each(|h| c.via(h, flagged, |(halted, at)| Ok(halted.then_some(at))))
+    })?;
+    expected_section(c, SEC_WATCHDOG, 0, |c| v.watchdog.wire(c))?;
+    expected_section(c, SEC_META, 0, |c| v.meta_probe.wire(c))?;
+    trailing(c)
 }
 
 impl Alewife {
@@ -553,7 +451,9 @@ impl Alewife {
             n.ctl.set_clock(now);
             n.dir.set_clock(now);
         }
-        Ok(encode_machine(self))
+        let mut w = ByteWriter::new();
+        wire_machine(self, &mut w)?;
+        Ok(Snapshot { bytes: w.finish() })
     }
 
     /// Restores `snap` into this machine, which must have been built
@@ -562,7 +462,7 @@ impl Alewife {
     /// was taken from, on any scheduler. A failed restore leaves the
     /// machine in an unspecified state — rebuild it before retrying.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        restore_machine(self, snap)?;
+        wire_machine(self, &mut ByteReader::new(&snap.bytes))?;
         self.fault = None;
         // Injection cursors are derived: every arrival with a birth
         // cycle ≤ the restored clock was already handled before the

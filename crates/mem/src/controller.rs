@@ -83,7 +83,7 @@ pub(crate) struct Txn {
     pub(crate) next_retry: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FenceFlush {
     pub(crate) block: u32,
     pub(crate) retries: u32,

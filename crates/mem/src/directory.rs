@@ -304,8 +304,9 @@ pub enum DirState {
 }
 
 /// Which demand message a busy episode is waiting on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum BusyKind {
+    #[default]
     Inval,
     Down,
     WbInval,
@@ -321,7 +322,7 @@ impl BusyKind {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Busy {
     pub(crate) requester: usize,
     /// The requester's transaction id, echoed in the eventual reply.

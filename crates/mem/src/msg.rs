@@ -32,7 +32,7 @@
 const _: () = april_util::assert_send::<CohMsg>();
 
 /// One protocol (or out-of-band) message between cache controllers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CohMsg {
     /// Requester → home: read (shared) copy of a block.
     RdReq {
@@ -135,6 +135,7 @@ pub enum CohMsg {
         xid: u32,
     },
     /// Preemptive interprocessor interrupt (Section 3.4).
+    #[default]
     Ipi,
     /// Block transfer of `words` words into the receiver's memory
     /// (Section 3.4; timing-only in this model).

@@ -1,4 +1,4 @@
-//! Wire encoding of memory-substrate state for machine snapshots.
+//! Wire layouts of memory-substrate state for machine snapshots.
 //!
 //! Serializes everything between the processor and the network
 //! (DESIGN.md §11): the full/empty memory image, the set-associative
@@ -7,635 +7,305 @@
 //! directory with busy episodes and waiter queues. Capturing the
 //! in-flight state — outstanding transactions, retry deadlines, busy
 //! epochs — is what lets a restored machine replay the exact same
-//! protocol schedule as the original run.
-//!
-//! Determinism rule: hash-map-backed state (transactions, directory
-//! entries, pinned blocks) is written in sorted key order, so equal
-//! states encode to equal bytes.
+//! protocol schedule as the original run. Hash-map-backed state
+//! (transactions, directory entries, pinned blocks) is written in
+//! sorted key order, so equal states encode to equal bytes.
 
 use crate::alloc::BumpAllocator;
-use crate::cache::{Cache, LineState};
-use crate::controller::{CacheController, FenceFlush, Txn};
-use crate::directory::{Busy, BusyKind, DirEntry, DirState, Directory, SharerRepr, SharerSet};
+use crate::cache::{Cache, CacheStats, Line, LineState};
+use crate::controller::{CacheController, CtlStats, FenceFlush, Txn};
+use crate::directory::{
+    Busy, BusyKind, DirEntry, DirState, DirStats, Directory, SharerRepr, SharerSet,
+};
 use crate::femem::{Chunk, FeMemory};
 use crate::msg::CohMsg;
-use april_core::word::Word;
-use april_obs::Probe;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use april_util::wire::{u32_index, Codec, Wire, WireError};
+use april_util::wire_fields;
 
-/// Appends a coherence message to a snapshot buffer (used for deferred
-/// protocol requests and for in-flight network payloads).
-pub fn encode_msg(msg: &CohMsg, w: &mut ByteWriter) {
-    match *msg {
-        CohMsg::RdReq { block, xid } => {
-            w.u8(0);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::WrReq { block, xid } => {
-            w.u8(1);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::RdReply { block, xid } => {
-            w.u8(2);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::WrReply { block, xid } => {
-            w.u8(3);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::Nack { block, xid } => {
-            w.u8(4);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::Inval { block, xid } => {
-            w.u8(5);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::InvAck { block, xid } => {
-            w.u8(6);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::DownReq { block, xid } => {
-            w.u8(7);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::DownAck { block, xid } => {
-            w.u8(8);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::WbInvalReq { block, xid } => {
-            w.u8(9);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::WbInvalAck { block, xid } => {
-            w.u8(10);
-            w.u32(block);
-            w.u32(xid);
-        }
-        CohMsg::FlushData { block, fenced, xid } => {
-            w.u8(11);
-            w.u32(block);
-            w.bool(fenced);
-            w.u32(xid);
-        }
-        CohMsg::FlushAck { block, fenced, xid } => {
-            w.u8(12);
-            w.u32(block);
-            w.bool(fenced);
-            w.u32(xid);
-        }
-        CohMsg::Ipi => w.u8(13),
-        CohMsg::BlockXfer { block, words } => {
-            w.u8(14);
-            w.u32(block);
-            w.u32(words);
-        }
-    }
-}
-
-/// Decodes a coherence message written by [`encode_msg`].
-pub fn decode_msg(r: &mut ByteReader<'_>) -> Result<CohMsg, WireError> {
-    let at = r.pos();
-    let tag = r.u8()?;
-    Ok(match tag {
-        0..=10 => {
-            let block = r.u32()?;
-            let xid = r.u32()?;
-            match tag {
-                0 => CohMsg::RdReq { block, xid },
-                1 => CohMsg::WrReq { block, xid },
-                2 => CohMsg::RdReply { block, xid },
-                3 => CohMsg::WrReply { block, xid },
-                4 => CohMsg::Nack { block, xid },
-                5 => CohMsg::Inval { block, xid },
-                6 => CohMsg::InvAck { block, xid },
-                7 => CohMsg::DownReq { block, xid },
-                8 => CohMsg::DownAck { block, xid },
-                9 => CohMsg::WbInvalReq { block, xid },
-                _ => CohMsg::WbInvalAck { block, xid },
-            }
-        }
-        11 | 12 => {
-            let block = r.u32()?;
-            let fenced = r.bool()?;
-            let xid = r.u32()?;
-            if tag == 11 {
-                CohMsg::FlushData { block, fenced, xid }
-            } else {
-                CohMsg::FlushAck { block, fenced, xid }
-            }
-        }
-        13 => CohMsg::Ipi,
-        14 => CohMsg::BlockXfer {
-            block: r.u32()?,
-            words: r.u32()?,
+/// The coherence messages in wire-tag order: a message's tag is its
+/// variant's index here.
+const MSG_TAGS: [CohMsg; 15] = {
+    use CohMsg::*;
+    [
+        RdReq { block: 0, xid: 0 },
+        WrReq { block: 0, xid: 0 },
+        RdReply { block: 0, xid: 0 },
+        WrReply { block: 0, xid: 0 },
+        Nack { block: 0, xid: 0 },
+        Inval { block: 0, xid: 0 },
+        InvAck { block: 0, xid: 0 },
+        DownReq { block: 0, xid: 0 },
+        DownAck { block: 0, xid: 0 },
+        WbInvalReq { block: 0, xid: 0 },
+        WbInvalAck { block: 0, xid: 0 },
+        FlushData {
+            block: 0,
+            fenced: false,
+            xid: 0,
         },
-        tag => return Err(WireError::BadTag { at, tag }),
-    })
-}
+        FlushAck {
+            block: 0,
+            fenced: false,
+            xid: 0,
+        },
+        Ipi,
+        BlockXfer { block: 0, words: 0 },
+    ]
+};
 
-/// Appends a bump allocator's cursor to a snapshot buffer.
-pub fn encode_alloc(a: &BumpAllocator, w: &mut ByteWriter) {
-    w.u32(a.base);
-    w.u32(a.next);
-    w.u32(a.limit);
-}
-
-/// Decodes a bump allocator written by [`encode_alloc`].
-pub fn decode_alloc(r: &mut ByteReader<'_>) -> Result<BumpAllocator, WireError> {
-    let base = r.u32()?;
-    let next = r.u32()?;
-    let limit = r.u32()?;
-    if base > next || next > limit || base & 3 != 0 {
-        return Err(WireError::Corrupt("bump allocator cursor out of range"));
-    }
-    Ok(BumpAllocator { base, next, limit })
-}
-
-/// Appends the full/empty memory image to a snapshot buffer as a
-/// sparse sequence of non-default 4 KiB chunks; untouched (or
-/// touched-but-still-pristine) regions serialize as holes. The
-/// encoding is a pure function of memory *content* — which chunks a
-/// scheduler happened to materialize never shows in the bytes — so
-/// snapshots stay byte-identical across lockstep/event/parallel runs.
-pub fn encode_femem(m: &FeMemory, w: &mut ByteWriter) {
-    w.usize(m.len_words);
-    let present: Vec<(usize, &Chunk)> = m
-        .chunks
-        .iter()
-        .enumerate()
-        .filter_map(|(i, c)| c.as_deref().filter(|c| !c.is_default()).map(|c| (i, c)))
-        .collect();
-    w.usize(present.len());
-    for (i, c) in present {
-        w.u32(i as u32);
-        for word in &c.words {
-            w.u32(word.0);
-        }
-        for &bits in &c.fe {
-            w.u64(bits);
+/// A coherence message — a deferred protocol request or an in-flight
+/// network payload: its tag, then its fields.
+impl Wire for CohMsg {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        use CohMsg::*;
+        c.variant(self, &MSG_TAGS)?;
+        match self {
+            RdReq { block, xid }
+            | WrReq { block, xid }
+            | RdReply { block, xid }
+            | WrReply { block, xid }
+            | Nack { block, xid }
+            | Inval { block, xid }
+            | InvAck { block, xid }
+            | DownReq { block, xid }
+            | DownAck { block, xid }
+            | WbInvalReq { block, xid }
+            | WbInvalAck { block, xid } => {
+                c.u32(block)?;
+                c.u32(xid)
+            }
+            FlushData { block, fenced, xid } | FlushAck { block, fenced, xid } => {
+                c.u32(block)?;
+                c.bool(fenced)?;
+                c.u32(xid)
+            }
+            Ipi => Ok(()),
+            BlockXfer { block, words } => {
+                c.u32(block)?;
+                c.u32(words)
+            }
         }
     }
 }
 
-/// Restores a memory image written by [`encode_femem`] into an
-/// existing memory of the same size. Chunks absent from the stream
-/// become holes, so a restored image has the footprint of its content,
-/// not of the donor machine's address space.
-pub fn restore_femem(m: &mut FeMemory, r: &mut ByteReader<'_>) -> Result<(), WireError> {
-    let n = r.usize()?;
-    if n != m.len_words {
-        return Err(WireError::Corrupt("memory size mismatch"));
-    }
-    for slot in m.chunks.iter_mut() {
-        *slot = None;
-    }
-    let npresent = r.usize()?;
-    let mut last: Option<usize> = None;
-    for _ in 0..npresent {
-        let idx = r.u32()? as usize;
-        if idx >= m.chunks.len() || last.is_some_and(|l| idx <= l) {
-            return Err(WireError::Corrupt("memory chunk index out of order"));
+/// A bump allocator's cursor; a restored cursor must lie in its
+/// word-aligned region.
+impl Wire for BumpAllocator {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.u32(&mut self.base)?;
+        c.u32(&mut self.next)?;
+        c.u32(&mut self.limit)?;
+        if self.base > self.next || self.next > self.limit || self.base & 3 != 0 {
+            return Err(WireError::Corrupt("bump allocator cursor out of range"));
         }
-        last = Some(idx);
-        let mut c = Chunk::fresh();
-        for word in c.words.iter_mut() {
-            *word = Word(r.u32()?);
-        }
-        for bits in c.fe.iter_mut() {
-            *bits = r.u64()?;
-        }
-        m.chunks[idx] = Some(c);
-    }
-    Ok(())
-}
-
-fn encode_cache(c: &Cache, w: &mut ByteWriter) {
-    w.usize(c.lines.len());
-    for line in &c.lines {
-        w.u32(line.block);
-        w.u8(match line.state {
-            LineState::Shared => 0,
-            LineState::Modified => 1,
-        });
-        w.u64(line.lru);
-    }
-    w.u64(c.clock);
-    let s = &c.stats;
-    for v in [
-        s.reads,
-        s.writes,
-        s.read_misses,
-        s.write_misses,
-        s.evictions,
-        s.invalidations,
-    ] {
-        w.u64(v);
+        Ok(())
     }
 }
 
-fn restore_cache(c: &mut Cache, r: &mut ByteReader<'_>) -> Result<(), WireError> {
-    let n = r.usize()?;
-    if n != c.lines.len() {
-        return Err(WireError::Corrupt("cache geometry mismatch"));
+/// The full/empty memory image as a sparse sequence of non-default
+/// 4 KiB chunks; untouched (or touched-but-still-pristine) regions
+/// serialize as holes. The encoding is a pure function of memory
+/// *content* — which chunks a scheduler happened to materialize never
+/// shows in the bytes — so snapshots stay byte-identical across
+/// lockstep/event/parallel runs, and a restored image has the
+/// footprint of its content, not of the donor machine's address space.
+/// Restores require a memory of the same size.
+impl Wire for FeMemory {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.same(self.len_words, "memory size mismatch")?;
+        let resident = |slot: &Option<Box<Chunk>>| slot.as_deref().is_some_and(|k| !k.is_default());
+        c.sparse(&mut self.chunks, resident, u32_index, |c, slot| {
+            let chunk = slot.get_or_insert_with(Chunk::fresh);
+            chunk.words.wire(c)?;
+            chunk.fe.wire(c)
+        })
     }
-    for line in c.lines.iter_mut() {
-        line.block = r.u32()?;
-        let at = r.pos();
-        line.state = match r.u8()? {
-            0 => LineState::Shared,
-            1 => LineState::Modified,
-            tag => return Err(WireError::BadTag { at, tag }),
-        };
-        line.lru = r.u64()?;
-    }
-    c.clock = r.u64()?;
-    let s = &mut c.stats;
-    for v in [
-        &mut s.reads,
-        &mut s.writes,
-        &mut s.read_misses,
-        &mut s.write_misses,
-        &mut s.evictions,
-        &mut s.invalidations,
-    ] {
-        *v = r.u64()?;
-    }
-    Ok(())
 }
 
-/// Appends a cache controller's complete state — cache contents,
-/// outstanding transactions, fenced flushes, pinned blocks, deferred
-/// requests, counters, and trace probe — to a snapshot buffer.
-pub fn encode_ctl(ctl: &CacheController, w: &mut ByteWriter) {
-    w.usize(ctl.node);
-    encode_cache(&ctl.cache, w);
-    let mut blocks: Vec<&u32> = ctl.txns.keys().collect();
-    blocks.sort();
-    w.usize(blocks.len());
-    for &block in blocks {
-        let t = &ctl.txns[&block];
-        w.u32(block);
-        w.u32(t.xid);
-        w.usize(t.frames.len());
-        for &(frame, needs_write) in &t.frames {
-            w.usize(frame);
-            w.bool(needs_write);
-        }
-        w.bool(t.write_issued);
-        w.u32(t.retries);
-        w.u64(t.next_retry);
+impl Wire for LineState {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.variant(self, &[LineState::Shared, LineState::Modified])
     }
-    let mut fids: Vec<&u32> = ctl.flushes.keys().collect();
-    fids.sort();
-    w.usize(fids.len());
-    for &fid in fids {
-        let f = &ctl.flushes[&fid];
-        w.u32(fid);
-        w.u32(f.block);
-        w.u32(f.retries);
-        w.u64(f.next_retry);
-    }
-    w.u32(ctl.next_xid);
-    w.u64(ctl.clock);
-    w.u64(ctl.next_deadline);
-    let mut pinned: Vec<&u32> = ctl.pinned.iter().collect();
-    pinned.sort();
-    w.usize(pinned.len());
-    for &b in pinned {
-        w.u32(b);
-    }
-    w.usize(ctl.deferred.len());
-    for (src, msg) in &ctl.deferred {
-        w.usize(*src);
-        encode_msg(msg, w);
-    }
-    w.u32(ctl.fence);
-    let s = &ctl.stats;
-    for v in [
-        s.hits,
-        s.local_fills,
-        s.remote_txns,
-        s.invals,
-        s.downgrades,
-        s.writebacks,
-        s.retransmits,
-        s.nacks,
-        s.stale_replies,
-    ] {
-        w.u64(v);
-    }
-    ctl.probe.encode(w);
 }
 
-/// Restores controller state written by [`encode_ctl`] into an
-/// existing controller with the same node id and cache geometry.
-pub fn restore_ctl(ctl: &mut CacheController, r: &mut ByteReader<'_>) -> Result<(), WireError> {
-    if r.usize()? != ctl.node {
-        return Err(WireError::Corrupt("controller node id mismatch"));
+wire_fields!(Line { block, state, lru });
+wire_fields!(CacheStats {
+    reads,
+    writes,
+    read_misses,
+    write_misses,
+    evictions,
+    invalidations,
+});
+
+/// Every line of the cache, valid or not; restores require the same
+/// geometry.
+impl Wire for Cache {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.same(self.lines.len(), "cache geometry mismatch")?;
+        self.lines.as_mut_slice().wire(c)?;
+        c.u64(&mut self.clock)?;
+        self.stats.wire(c)
     }
-    restore_cache(&mut ctl.cache, r)?;
-    let ntxns = r.usize()?;
-    let mut txns = HashMap::with_capacity(ntxns);
-    for _ in 0..ntxns {
-        let block = r.u32()?;
-        let xid = r.u32()?;
-        let nframes = r.usize()?;
-        let mut frames = Vec::with_capacity(nframes);
-        for _ in 0..nframes {
-            let frame = r.usize()?;
-            let needs_write = r.bool()?;
-            frames.push((frame, needs_write));
-        }
-        let write_issued = r.bool()?;
-        let retries = r.u32()?;
-        let next_retry = r.u64()?;
-        txns.insert(
-            block,
-            Txn {
-                xid,
-                frames,
-                write_issued,
-                retries,
-                next_retry,
-            },
-        );
-    }
-    ctl.txns = txns;
-    let nflushes = r.usize()?;
-    let mut flushes = HashMap::with_capacity(nflushes);
-    for _ in 0..nflushes {
-        let fid = r.u32()?;
-        let block = r.u32()?;
-        let retries = r.u32()?;
-        let next_retry = r.u64()?;
-        flushes.insert(
-            fid,
-            FenceFlush {
-                block,
-                retries,
-                next_retry,
-            },
-        );
-    }
-    ctl.flushes = flushes;
-    ctl.next_xid = r.u32()?;
-    ctl.clock = r.u64()?;
-    ctl.next_deadline = r.u64()?;
-    let npinned = r.usize()?;
-    let mut pinned = HashSet::with_capacity(npinned);
-    for _ in 0..npinned {
-        pinned.insert(r.u32()?);
-    }
-    ctl.pinned = pinned;
-    let ndeferred = r.usize()?;
-    let mut deferred = Vec::with_capacity(ndeferred);
-    for _ in 0..ndeferred {
-        let src = r.usize()?;
-        let msg = decode_msg(r)?;
-        deferred.push((src, msg));
-    }
-    ctl.deferred = deferred;
-    ctl.fence = r.u32()?;
-    let s = &mut ctl.stats;
-    for v in [
-        &mut s.hits,
-        &mut s.local_fills,
-        &mut s.remote_txns,
-        &mut s.invals,
-        &mut s.downgrades,
-        &mut s.writebacks,
-        &mut s.retransmits,
-        &mut s.nacks,
-        &mut s.stale_replies,
-    ] {
-        *v = r.u64()?;
-    }
-    ctl.probe = Probe::decode(r)?;
-    Ok(())
 }
 
-fn encode_dir_state(state: &DirState, w: &mut ByteWriter) {
+wire_fields!(Txn {
+    xid,
+    frames,
+    write_issued,
+    retries,
+    next_retry,
+});
+wire_fields!(FenceFlush {
+    block,
+    retries,
+    next_retry,
+});
+wire_fields!(CtlStats {
+    hits,
+    local_fills,
+    remote_txns,
+    invals,
+    downgrades,
+    writebacks,
+    retransmits,
+    nacks,
+    stale_replies,
+});
+
+/// A cache controller's complete state — cache contents, outstanding
+/// transactions, fenced flushes, pinned blocks, deferred requests,
+/// counters, and trace probe. Restores require the same node id and
+/// cache geometry.
+impl Wire for CacheController {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.same(self.node, "controller node id mismatch")?;
+        self.cache.wire(c)?;
+        self.txns.wire(c)?;
+        self.flushes.wire(c)?;
+        c.u32(&mut self.next_xid)?;
+        c.u64(&mut self.clock)?;
+        c.u64(&mut self.next_deadline)?;
+        self.pinned.wire(c)?;
+        self.deferred.wire(c)?;
+        c.u32(&mut self.fence)?;
+        self.stats.wire(c)?;
+        self.probe.wire(c)
+    }
+}
+
+/// A directory state's tag: precise sharer sets (inline or spill)
+/// share one wire form, the ordered member list, and the coarse and
+/// broadcast forms have their own.
+fn dir_state_tag(state: &DirState) -> u8 {
     match state {
-        DirState::Uncached => w.u8(0),
-        DirState::Shared(set) => match &set.repr {
-            // Precise sets (inline or spill) share one wire form: the
-            // ordered member list. The canonical inline-iff-it-fits
-            // invariant means decoding via `SharerSet::of` rebuilds the
-            // exact in-memory representation, so re-encoding a restored
-            // snapshot is a byte fixed point.
-            SharerRepr::Inline { .. } | SharerRepr::Spill(_) => {
-                let nodes = set.as_list().unwrap_or(&[]);
-                w.u8(1);
-                w.usize(nodes.len());
-                for &n in nodes {
-                    w.usize(n as usize);
-                }
-            }
-            SharerRepr::Coarse { region, bits } => {
-                w.u8(3);
-                w.u32(*region as u32);
-                w.usize(bits.len());
-                for &word in bits.iter() {
-                    w.u64(word);
-                }
-            }
-            SharerRepr::All => w.u8(4),
+        DirState::Uncached => 0,
+        DirState::Shared(set) => match set.repr {
+            SharerRepr::Inline { .. } | SharerRepr::Spill(_) => 1,
+            SharerRepr::Coarse { .. } => 3,
+            SharerRepr::All => 4,
         },
-        DirState::Exclusive(owner) => {
-            w.u8(2);
-            w.usize(*owner);
-        }
+        DirState::Exclusive(_) => 2,
     }
 }
 
-fn decode_dir_state(r: &mut ByteReader<'_>) -> Result<DirState, WireError> {
-    let at = r.pos();
-    Ok(match r.u8()? {
-        0 => DirState::Uncached,
-        1 => {
-            let n = r.usize()?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                nodes.push(r.usize()?);
-            }
-            DirState::Shared(SharerSet::of(&nodes))
-        }
-        2 => DirState::Exclusive(r.usize()?),
-        3 => {
-            let region = r.u32()? as u16;
-            let nwords = r.usize()?;
-            let mut bits = Vec::with_capacity(nwords);
-            for _ in 0..nwords {
-                bits.push(r.u64()?);
-            }
-            DirState::Shared(SharerSet {
-                repr: SharerRepr::Coarse {
-                    region,
-                    bits: bits.into_boxed_slice(),
-                },
-            })
-        }
-        4 => DirState::Shared(SharerSet {
-            repr: SharerRepr::All,
-        }),
-        tag => return Err(WireError::BadTag { at, tag }),
-    })
-}
-
-/// Appends a directory's complete state — per-block protocol states,
-/// busy episodes with their epochs and retry deadlines, waiter queues,
-/// counters, and trace probe — to a snapshot buffer.
-pub fn encode_dir(dir: &Directory, w: &mut ByteWriter) {
-    let mut blocks: Vec<&u32> = dir.entries.keys().collect();
-    blocks.sort();
-    w.usize(blocks.len());
-    for &block in blocks {
-        let e = &dir.entries[&block];
-        w.u32(block);
-        encode_dir_state(&e.state, w);
-        match &e.busy {
-            None => w.bool(false),
-            Some(b) => {
-                w.bool(true);
-                w.usize(b.requester);
-                w.u32(b.req_xid);
-                w.bool(b.write);
-                w.u8(match b.kind {
-                    BusyKind::Inval => 0,
-                    BusyKind::Down => 1,
-                    BusyKind::WbInval => 2,
-                });
-                w.u32(b.epoch);
-                w.usize(b.pending.len());
-                for &n in &b.pending {
-                    w.usize(n);
-                }
-                w.u32(b.retries);
-                w.u64(b.next_retry);
-            }
-        }
-        w.usize(e.waiters.len());
-        for &(node, write, xid) in &e.waiters {
-            w.usize(node);
-            w.bool(write);
-            w.u32(xid);
-        }
-    }
-    w.u32(dir.epoch_counter);
-    w.u64(dir.clock);
-    w.u64(dir.next_deadline);
-    w.usize(dir.busy_ct);
-    let s = &dir.stats;
-    for v in [
-        s.read_reqs,
-        s.write_reqs,
-        s.invals_sent,
-        s.wb_reqs_sent,
-        s.deferred,
-        s.nacks,
-        s.retransmits,
-        s.stale_acks,
-        s.overflows,
-    ] {
-        w.u64(v);
-    }
-    dir.probe.encode(w);
-}
-
-/// Restores directory state written by [`encode_dir`].
-pub fn restore_dir(dir: &mut Directory, r: &mut ByteReader<'_>) -> Result<(), WireError> {
-    let nentries = r.usize()?;
-    let mut entries = HashMap::with_capacity(nentries);
-    for _ in 0..nentries {
-        let block = r.u32()?;
-        let state = decode_dir_state(r)?;
-        let busy = if r.bool()? {
-            let requester = r.usize()?;
-            let req_xid = r.u32()?;
-            let write = r.bool()?;
-            let at = r.pos();
-            let kind = match r.u8()? {
-                0 => BusyKind::Inval,
-                1 => BusyKind::Down,
-                2 => BusyKind::WbInval,
-                tag => return Err(WireError::BadTag { at, tag }),
-            };
-            let epoch = r.u32()?;
-            let npending = r.usize()?;
-            let mut pending = Vec::with_capacity(npending);
-            for _ in 0..npending {
-                pending.push(r.usize()?);
-            }
-            let retries = r.u32()?;
-            let next_retry = r.u64()?;
-            Some(Box::new(Busy {
-                requester,
-                req_xid,
-                write,
-                kind,
-                epoch,
-                pending,
-                retries,
-                next_retry,
-            }))
-        } else {
-            None
+impl Wire for DirState {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        let shared = |repr| Some(DirState::Shared(SharerSet { repr }));
+        c.tag(self, dir_state_tag, |tag| match tag {
+            0 => Some(DirState::Uncached),
+            1 => Some(DirState::Shared(SharerSet::of(&[]))),
+            2 => Some(DirState::Exclusive(0)),
+            3 => shared(SharerRepr::Coarse {
+                region: 0,
+                bits: Box::new([]),
+            }),
+            4 => shared(SharerRepr::All),
+            _ => None,
+        })?;
+        let set = match self {
+            DirState::Uncached => return Ok(()),
+            DirState::Exclusive(owner) => return c.usize(owner),
+            DirState::Shared(set) => set,
         };
-        let nwaiters = r.usize()?;
-        let mut waiters = VecDeque::with_capacity(nwaiters);
-        for _ in 0..nwaiters {
-            let node = r.usize()?;
-            let write = r.bool()?;
-            let xid = r.u32()?;
-            waiters.push_back((node, write, xid));
+        match set.repr {
+            // The canonical inline-iff-it-fits invariant means decoding
+            // via `SharerSet::of` rebuilds the exact in-memory
+            // representation, so re-encoding a restored snapshot is a
+            // byte fixed point.
+            SharerRepr::Inline { .. } | SharerRepr::Spill(_) => c.via(
+                set,
+                |s| {
+                    s.as_list()
+                        .unwrap_or(&[])
+                        .iter()
+                        .map(|&n| n as usize)
+                        .collect::<Vec<_>>()
+                },
+                |nodes| Ok(SharerSet::of(&nodes)),
+            ),
+            SharerRepr::Coarse {
+                ref mut region,
+                ref mut bits,
+            } => {
+                c.via(region, |&r| r as u32, |r| Ok(r as u16))?;
+                c.via(bits, |b| b.to_vec(), |b: Vec<u64>| Ok(b.into_boxed_slice()))
+            }
+            SharerRepr::All => Ok(()),
         }
-        entries.insert(
-            block,
-            DirEntry {
-                state,
-                busy,
-                waiters,
-            },
-        );
     }
-    let busy_found = entries.values().filter(|e| e.busy.is_some()).count();
-    dir.entries = entries;
-    dir.epoch_counter = r.u32()?;
-    dir.clock = r.u64()?;
-    dir.next_deadline = r.u64()?;
-    let busy_ct = r.usize()?;
-    if busy_ct != busy_found {
-        return Err(WireError::Corrupt("directory busy count mismatch"));
+}
+
+impl Wire for BusyKind {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.variant(self, &[BusyKind::Inval, BusyKind::Down, BusyKind::WbInval])
     }
-    dir.busy_ct = busy_ct;
-    let s = &mut dir.stats;
-    for v in [
-        &mut s.read_reqs,
-        &mut s.write_reqs,
-        &mut s.invals_sent,
-        &mut s.wb_reqs_sent,
-        &mut s.deferred,
-        &mut s.nacks,
-        &mut s.retransmits,
-        &mut s.stale_acks,
-        &mut s.overflows,
-    ] {
-        *v = r.u64()?;
+}
+
+wire_fields!(Busy {
+    requester,
+    req_xid,
+    write,
+    kind,
+    epoch,
+    pending,
+    retries,
+    next_retry,
+});
+wire_fields!(DirEntry {
+    state,
+    busy,
+    waiters,
+});
+wire_fields!(DirStats {
+    read_reqs,
+    write_reqs,
+    invals_sent,
+    wb_reqs_sent,
+    deferred,
+    nacks,
+    retransmits,
+    stale_acks,
+    overflows,
+});
+
+/// A directory's complete state — per-block protocol states, busy
+/// episodes with their epochs and retry deadlines, waiter queues,
+/// counters, and trace probe.
+impl Wire for Directory {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        self.entries.wire(c)?;
+        c.u32(&mut self.epoch_counter)?;
+        c.u64(&mut self.clock)?;
+        c.u64(&mut self.next_deadline)?;
+        let busy = self.entries.values().filter(|e| e.busy.is_some()).count();
+        c.same(busy, "directory busy count mismatch")?;
+        if C::READS {
+            self.busy_ct = busy;
+        }
+        self.stats.wire(c)?;
+        self.probe.wire(c)
     }
-    dir.probe = Probe::decode(r)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -643,6 +313,8 @@ mod tests {
     use super::*;
     use crate::cache::CacheConfig;
     use crate::controller::CtlConfig;
+    use april_core::word::Word;
+    use april_util::wire::{ByteReader, ByteWriter};
 
     #[test]
     fn every_coherence_message_roundtrips() {
@@ -675,13 +347,15 @@ mod tests {
             },
         ];
         let mut w = ByteWriter::new();
-        for m in &msgs {
-            encode_msg(m, &mut w);
+        for mut m in msgs {
+            m.wire(&mut w).unwrap();
         }
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
         for m in &msgs {
-            assert_eq!(decode_msg(&mut r).unwrap(), *m);
+            let mut back = CohMsg::default();
+            back.wire(&mut r).unwrap();
+            assert_eq!(back, *m);
         }
         assert!(r.is_empty());
     }
@@ -694,16 +368,16 @@ mod tests {
         m.set_fe(4, false);
         m.set_fe(92, false);
         let mut w = ByteWriter::new();
-        encode_femem(&m, &mut w);
+        m.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut n = FeMemory::new(100);
-        restore_femem(&mut n, &mut ByteReader::new(&bytes)).unwrap();
+        n.wire(&mut ByteReader::new(&bytes)).unwrap();
         for a in (0..100).step_by(4) {
             assert_eq!(n.read(a), m.read(a), "word at {a:#x}");
             assert_eq!(n.fe(a), m.fe(a), "fe bit at {a:#x}");
         }
         let mut small = FeMemory::new(96);
-        assert!(restore_femem(&mut small, &mut ByteReader::new(&bytes)).is_err());
+        assert!(small.wire(&mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -718,10 +392,10 @@ mod tests {
         m.write(0x3000, Word(9));
         m.write(0x3000, Word::ZERO);
         let mut w = ByteWriter::new();
-        encode_femem(&m, &mut w);
+        m.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut n = FeMemory::new(32 * 1024);
-        restore_femem(&mut n, &mut ByteReader::new(&bytes)).unwrap();
+        n.wire(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(n.read(0x10), Word(1));
         assert_eq!(n.read(0x7000), Word(2));
         assert_eq!(n.read(0x3000), Word::ZERO);
@@ -732,7 +406,7 @@ mod tests {
         );
         // Re-encode fixed point: pristine-again chunks never reappear.
         let mut w2 = ByteWriter::new();
-        encode_femem(&n, &mut w2);
+        n.wire(&mut w2).unwrap();
         assert_eq!(w2.finish(), bytes);
     }
 
@@ -741,16 +415,17 @@ mod tests {
         let mut a = BumpAllocator::new(0x100, 0x400);
         a.alloc(40, 8).unwrap();
         let mut w = ByteWriter::new();
-        encode_alloc(&a, &mut w);
+        a.wire(&mut w).unwrap();
         let bytes = w.finish();
-        let b = decode_alloc(&mut ByteReader::new(&bytes)).unwrap();
+        let mut b = BumpAllocator::new(0, 0);
+        b.wire(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(a, b);
         let mut w = ByteWriter::new();
-        w.u32(0x200);
-        w.u32(0x100); // next < base
-        w.u32(0x400);
+        (0x200u32, 0x100u32, 0x400u32).wire(&mut w).unwrap(); // next < base
         let bad = w.finish();
-        assert!(decode_alloc(&mut ByteReader::new(&bad)).is_err());
+        assert!(BumpAllocator::new(0, 0)
+            .wire(&mut ByteReader::new(&bad))
+            .is_err());
     }
 
     #[test]
@@ -765,16 +440,16 @@ mod tests {
         ctl.cpu_access(0x9000, true, 1, 0, None, |_| 0, &mut out);
         assert_eq!(ctl.outstanding(), 2);
         let mut w = ByteWriter::new();
-        encode_ctl(&ctl, &mut w);
+        ctl.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut restored = mk();
-        restore_ctl(&mut restored, &mut ByteReader::new(&bytes)).unwrap();
+        restored.wire(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(restored.outstanding_txns(), ctl.outstanding_txns());
         assert_eq!(restored.stats, ctl.stats);
         assert_eq!(restored.fence_count(), ctl.fence_count());
         // A node-id mismatch is rejected.
         let mut other = CacheController::new(5, CacheConfig::default(), CtlConfig::default());
-        assert!(restore_ctl(&mut other, &mut ByteReader::new(&bytes)).is_err());
+        assert!(other.wire(&mut ByteReader::new(&bytes)).is_err());
     }
 
     #[test]
@@ -787,10 +462,10 @@ mod tests {
         dir.handle_request(2, 64, true, 2);
         assert_eq!(dir.busy_count(), 1);
         let mut w = ByteWriter::new();
-        encode_dir(&dir, &mut w);
+        dir.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut restored = Directory::new();
-        restore_dir(&mut restored, &mut ByteReader::new(&bytes)).unwrap();
+        restored.wire(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(restored.stats, dir.stats);
         assert_eq!(restored.busy_entries(), dir.busy_entries());
         assert_eq!(restored.busy_count(), dir.busy_count());
@@ -826,16 +501,16 @@ mod tests {
             }
             dir.handle_request(0, 128, true, 99);
             let mut w = ByteWriter::new();
-            encode_dir(&dir, &mut w);
+            dir.wire(&mut w).unwrap();
             let bytes = w.finish();
             let mut restored = Directory::with_config(cfg, 24);
-            restore_dir(&mut restored, &mut ByteReader::new(&bytes)).unwrap();
+            restored.wire(&mut ByteReader::new(&bytes)).unwrap();
             assert_eq!(restored.state(64), dir.state(64), "{kind:?}");
             assert_eq!(restored.stats, dir.stats, "{kind:?}");
             // Re-encoding the restored directory must be a byte fixed
             // point: the sharer representation is canonical.
             let mut w2 = ByteWriter::new();
-            encode_dir(&restored, &mut w2);
+            restored.wire(&mut w2).unwrap();
             assert_eq!(w2.finish(), bytes, "{kind:?}");
         }
     }

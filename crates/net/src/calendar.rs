@@ -13,7 +13,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 /// An event: packet `id`'s header arrives at `node` at `time`; `seq`
 /// breaks ties in push order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Event {
     /// Cycle the header arrives.
     pub time: u64,

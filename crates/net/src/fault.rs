@@ -19,7 +19,7 @@ use april_util::splitmix64;
 use std::collections::{HashMap, HashSet};
 
 /// Per-channel fault probabilities.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultRule {
     /// Probability a packet crossing the channel is dropped.
     pub drop: f64,
@@ -71,7 +71,7 @@ impl FaultRule {
 }
 
 /// A transient link failure: the channel is unusable in `start..end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Outage {
     /// First cycle of the outage.
     pub start: u64,
@@ -137,7 +137,7 @@ pub(crate) enum Verdict {
 /// let plan = FaultPlan::new(0x5eed).with_default_rule(FaultRule::drop(0.01));
 /// assert!(!plan.is_inert());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     pub(crate) seed: u64,
     pub(crate) default_rule: FaultRule,

@@ -92,7 +92,7 @@ impl NetStats {
 /// form of loss — recorded with their payload, counted in
 /// [`FaultStats::dead_letters`], and surfaced in machine post-mortems —
 /// as opposed to the silent swallowing a fail-stop fault produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeadLetter<P> {
     /// The packet's id.
     pub id: u64,
@@ -104,7 +104,7 @@ pub struct DeadLetter<P> {
     pub payload: P,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Flight<P> {
     pub(crate) dst: usize,
     pub(crate) size: u64,

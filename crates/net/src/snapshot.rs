@@ -1,416 +1,155 @@
-//! Wire encoding of the network simulator's full state.
+//! Wire layout of the network simulator's full state.
 //!
-//! The network is the one component whose state is generic over the
-//! payload type, so the entry points here take payload encode/decode
-//! closures: the machine layer passes closures that encode its own
-//! envelope type. Everything else — the event queue, in-flight packets,
-//! channel reservations, the fault plan and its statistics — is encoded
-//! in a canonical order (queues drained to sorted vectors, maps sorted
-//! by key, channels in `(node, dim, plus)` order) so that two networks
-//! in the same logical state always produce identical bytes. See
+//! The network is generic over its payload type `P`, which brings its
+//! own [`Wire`] layout (the machine layer's protocol envelope).
+//! Everything else — the event queue, in-flight packets, channel
+//! reservations, the fault plan and its statistics — is written in a
+//! canonical order (queues drained to sorted vectors, maps sorted by
+//! key, channels in `(node, dim, plus)` order) so that two networks in
+//! the same logical state always produce identical bytes. See
 //! DESIGN.md §11 for the format rules.
 
 use crate::calendar::{Calendar, Event};
 use crate::fault::{FaultPlan, FaultRule, FaultStats, Outage};
 use crate::network::{DeadLetter, Flight, NetStats, Network};
 use crate::topology::Channel;
-use april_obs::{Hist, Probe};
-use april_util::hash::DetState;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use april_util::wire::{Codec, Wire, WireError};
+use april_util::wire_fields;
 
-fn encode_channel(ch: &Channel, w: &mut ByteWriter) {
-    w.usize(ch.node);
-    w.usize(ch.dim);
-    w.bool(ch.plus);
-}
+wire_fields!(Channel { node, dim, plus });
+wire_fields!(FaultRule {
+    drop,
+    dup,
+    delay,
+    max_delay,
+});
+wire_fields!(FaultPlan {
+    seed,
+    default_rule,
+    per_channel,
+    outages,
+    link_kills,
+    node_kills,
+    quarantined_channels,
+    quarantined_nodes,
+});
+wire_fields!(NetStats {
+    delivered,
+    total_latency,
+    total_hops,
+    busy_flit_cycles,
+});
+wire_fields!(FaultStats {
+    dropped,
+    duplicated,
+    delayed,
+    outage_stalls,
+    failstop_drops,
+    dead_letters,
+});
+wire_fields!(Event {
+    time,
+    seq,
+    id,
+    node
+});
+wire_fields!([P] Flight<P> {
+    dst,
+    size,
+    sent_at,
+    hops,
+    payload,
+});
+wire_fields!([P] DeadLetter<P> {
+    id,
+    dst,
+    at,
+    payload,
+});
 
-fn decode_channel(r: &mut ByteReader) -> Result<Channel, WireError> {
-    Ok(Channel {
-        node: r.usize()?,
-        dim: r.usize()?,
-        plus: r.bool()?,
-    })
-}
-
-fn encode_rule(rule: &FaultRule, w: &mut ByteWriter) {
-    w.f64(rule.drop);
-    w.f64(rule.dup);
-    w.f64(rule.delay);
-    w.u64(rule.max_delay);
-}
-
-fn decode_rule(r: &mut ByteReader) -> Result<FaultRule, WireError> {
-    Ok(FaultRule {
-        drop: r.f64()?,
-        dup: r.f64()?,
-        delay: r.f64()?,
-        max_delay: r.u64()?,
-    })
-}
-
-/// Encode a fault plan (seed, default rule, per-channel rules, outage
-/// windows) in canonical key order.
-pub fn encode_fault_plan(plan: &FaultPlan, w: &mut ByteWriter) {
-    w.u64(plan.seed);
-    encode_rule(&plan.default_rule, w);
-    let mut chans: Vec<&Channel> = plan.per_channel.keys().collect();
-    chans.sort_by_key(|c| (c.node, c.dim, c.plus));
-    w.usize(chans.len());
-    for ch in chans {
-        encode_channel(ch, w);
-        encode_rule(&plan.per_channel[ch], w);
-    }
-    let mut outs: Vec<&Channel> = plan.outages.keys().collect();
-    outs.sort_by_key(|c| (c.node, c.dim, c.plus));
-    w.usize(outs.len());
-    for ch in outs {
-        encode_channel(ch, w);
-        let windows = &plan.outages[ch];
-        w.usize(windows.len());
-        for o in windows {
-            w.u64(o.start);
-            w.u64(o.end);
+/// An outage window; a restored window must be non-empty.
+impl Wire for Outage {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.u64(&mut self.start)?;
+        c.u64(&mut self.end)?;
+        if self.start >= self.end {
+            return Err(WireError::Corrupt("outage window start >= end"));
         }
-    }
-    let mut kills: Vec<&Channel> = plan.link_kills.keys().collect();
-    kills.sort_by_key(|c| (c.node, c.dim, c.plus));
-    w.usize(kills.len());
-    for ch in kills {
-        encode_channel(ch, w);
-        w.u64(plan.link_kills[ch]);
-    }
-    let mut nodes: Vec<&usize> = plan.node_kills.keys().collect();
-    nodes.sort();
-    w.usize(nodes.len());
-    for n in nodes {
-        w.usize(*n);
-        w.u64(plan.node_kills[n]);
-    }
-    let mut qc: Vec<&Channel> = plan.quarantined_channels.iter().collect();
-    qc.sort_by_key(|c| (c.node, c.dim, c.plus));
-    w.usize(qc.len());
-    for ch in qc {
-        encode_channel(ch, w);
-    }
-    let mut qn: Vec<&usize> = plan.quarantined_nodes.iter().collect();
-    qn.sort();
-    w.usize(qn.len());
-    for n in qn {
-        w.usize(*n);
+        Ok(())
     }
 }
 
-/// Decode a fault plan encoded by [`encode_fault_plan`].
-pub fn decode_fault_plan(r: &mut ByteReader) -> Result<FaultPlan, WireError> {
-    let seed = r.u64()?;
-    let default_rule = decode_rule(r)?;
-    let nchan = r.usize()?;
-    let mut per_channel = HashMap::new();
-    for _ in 0..nchan {
-        let ch = decode_channel(r)?;
-        per_channel.insert(ch, decode_rule(r)?);
-    }
-    let nout = r.usize()?;
-    let mut outages: HashMap<Channel, Vec<Outage>> = HashMap::new();
-    for _ in 0..nout {
-        let ch = decode_channel(r)?;
-        let nwin = r.usize()?;
-        let mut windows = Vec::with_capacity(nwin);
-        for _ in 0..nwin {
-            let start = r.u64()?;
-            let end = r.u64()?;
-            if start >= end {
-                return Err(WireError::Corrupt("outage window start >= end"));
-            }
-            windows.push(Outage { start, end });
+/// The network's complete state.
+///
+/// The topology and timing configuration lead, so a restore into a
+/// differently shaped network is rejected rather than silently
+/// corrupting routing state: `self` must have been constructed with the
+/// same topology and timing as the encoded network, and a mismatch is
+/// reported as [`WireError::Corrupt`] and leaves `self` unchanged.
+impl<P: Wire + Default> Wire for Network<P> {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        let (dim, nodes) = (self.topo.dim, self.topo.num_nodes());
+        c.same(dim, "network topology mismatch")?;
+        c.same(self.topo.radix, "network topology mismatch")?;
+        c.same(self.cfg.hop_latency, "network timing config mismatch")?;
+        c.same(self.cfg.loopback_latency, "network timing config mismatch")?;
+
+        // Sorted: the order the calendar requires of pushes on restore.
+        let mut events: Vec<Event> = Vec::new();
+        if !C::READS {
+            events.extend(self.events.iter());
+            events.sort();
         }
-        outages.insert(ch, windows);
-    }
-    let nkill = r.usize()?;
-    let mut link_kills = HashMap::new();
-    for _ in 0..nkill {
-        let ch = decode_channel(r)?;
-        link_kills.insert(ch, r.u64()?);
-    }
-    let nnode = r.usize()?;
-    let mut node_kills = HashMap::new();
-    for _ in 0..nnode {
-        let n = r.usize()?;
-        node_kills.insert(n, r.u64()?);
-    }
-    let nqc = r.usize()?;
-    let mut quarantined_channels = HashSet::new();
-    for _ in 0..nqc {
-        quarantined_channels.insert(decode_channel(r)?);
-    }
-    let nqn = r.usize()?;
-    let mut quarantined_nodes = HashSet::new();
-    for _ in 0..nqn {
-        quarantined_nodes.insert(r.usize()?);
-    }
-    Ok(FaultPlan {
-        seed,
-        default_rule,
-        per_channel,
-        outages,
-        link_kills,
-        node_kills,
-        quarantined_channels,
-        quarantined_nodes,
-    })
-}
-
-fn encode_net_stats(s: &NetStats, w: &mut ByteWriter) {
-    w.u64(s.delivered);
-    w.u64(s.total_latency);
-    w.u64(s.total_hops);
-    w.u64(s.busy_flit_cycles);
-}
-
-fn decode_net_stats(r: &mut ByteReader) -> Result<NetStats, WireError> {
-    Ok(NetStats {
-        delivered: r.u64()?,
-        total_latency: r.u64()?,
-        total_hops: r.u64()?,
-        busy_flit_cycles: r.u64()?,
-    })
-}
-
-fn encode_fault_stats(s: &FaultStats, w: &mut ByteWriter) {
-    w.u64(s.dropped);
-    w.u64(s.duplicated);
-    w.u64(s.delayed);
-    w.u64(s.outage_stalls);
-    w.u64(s.failstop_drops);
-    w.u64(s.dead_letters);
-}
-
-fn decode_fault_stats(r: &mut ByteReader) -> Result<FaultStats, WireError> {
-    Ok(FaultStats {
-        dropped: r.u64()?,
-        duplicated: r.u64()?,
-        delayed: r.u64()?,
-        outage_stalls: r.u64()?,
-        failstop_drops: r.u64()?,
-        dead_letters: r.u64()?,
-    })
-}
-
-impl<P> Network<P> {
-    /// Encode the network's complete state, using `enc` to encode each
-    /// in-flight payload.
-    ///
-    /// The topology and timing configuration are included so a restore
-    /// into a differently-shaped network is rejected rather than
-    /// silently corrupting routing state.
-    pub fn encode_with(&self, w: &mut ByteWriter, mut enc: impl FnMut(&P, &mut ByteWriter)) {
-        w.usize(self.topo.dim);
-        w.usize(self.topo.radix);
-        w.u64(self.cfg.hop_latency);
-        w.u64(self.cfg.loopback_latency);
-
-        let mut events: Vec<Event> = self.events.iter().copied().collect();
-        events.sort();
-        w.usize(events.len());
-        for e in &events {
-            w.u64(e.time);
-            w.u64(e.seq);
-            w.u64(e.id);
-            w.usize(e.node);
-        }
-
-        let mut ids: Vec<&u64> = self.flights.keys().collect();
-        ids.sort();
-        w.usize(ids.len());
-        for id in ids {
-            let f = &self.flights[id];
-            w.u64(*id);
-            w.usize(f.dst);
-            w.u64(f.size);
-            w.u64(f.sent_at);
-            w.u64(f.hops);
-            enc(&f.payload, w);
-        }
-
-        // Every channel ever crossed (its free time is nonzero), in
-        // table — `(node, dim, plus)` — order.
-        let dim = self.topo.dim;
-        w.usize(self.channel_free.iter().filter(|&&t| t != 0).count());
-        for (i, &t) in self.channel_free.iter().enumerate() {
-            if t != 0 {
-                let ch = Channel {
-                    node: i / (2 * dim),
-                    dim: i / 2 % dim,
-                    plus: i % 2 == 1,
-                };
-                encode_channel(&ch, w);
-                w.u64(t);
-            }
-        }
-
-        w.usize(self.ready.len());
-        for &(time, dst, id) in &self.ready {
-            w.u64(time);
-            w.usize(dst);
-            w.u64(id);
-        }
-
-        w.u64(self.next_id);
-        w.u64(self.next_dup_id);
-        w.u64(self.seq);
-
-        w.bool(self.fault.is_some());
-        if let Some(plan) = &self.fault {
-            encode_fault_plan(plan, w);
-        }
-
-        encode_net_stats(&self.stats, w);
-        encode_fault_stats(&self.fault_stats, w);
-
-        w.usize(self.dead_letters.len());
-        for dl in &self.dead_letters {
-            w.u64(dl.id);
-            w.usize(dl.dst);
-            w.u64(dl.at);
-            enc(&dl.payload, w);
-        }
-
-        self.latency_hist.encode(w);
-        self.hops_hist.encode(w);
-        self.probe.encode(w);
-    }
-
-    /// Restore state encoded by [`Network::encode_with`] into `self`,
-    /// using `dec` to decode each in-flight payload.
-    ///
-    /// `self` must have been constructed with the same topology and
-    /// timing configuration as the encoded network; a mismatch is
-    /// reported as [`WireError::Corrupt`] and leaves `self` unchanged.
-    pub fn restore_with(
-        &mut self,
-        r: &mut ByteReader,
-        mut dec: impl FnMut(&mut ByteReader) -> Result<P, WireError>,
-    ) -> Result<(), WireError> {
-        let dim = r.usize()?;
-        let radix = r.usize()?;
-        if dim != self.topo.dim || radix != self.topo.radix {
-            return Err(WireError::Corrupt("network topology mismatch"));
-        }
-        let hop = r.u64()?;
-        let loopback = r.u64()?;
-        if hop != self.cfg.hop_latency || loopback != self.cfg.loopback_latency {
-            return Err(WireError::Corrupt("network timing config mismatch"));
-        }
-
-        // Sorted, as encoded: the order the calendar requires of pushes.
-        let nevents = r.usize()?;
-        let mut events = Calendar::default();
-        let mut last = None;
-        for _ in 0..nevents {
-            let ev = Event {
-                time: r.u64()?,
-                seq: r.u64()?,
-                id: r.u64()?,
-                node: r.usize()?,
-            };
-            if ev.node >= self.topo.num_nodes() || last.is_some_and(|l| l >= ev) {
+        events.wire(c)?;
+        if C::READS {
+            if events.iter().any(|e| e.node >= nodes) || events.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(WireError::Corrupt("network event out of range or order"));
             }
-            last = Some(ev);
-            events.push(ev);
+            self.events = Calendar::default();
+            events.into_iter().for_each(|e| self.events.push(e));
         }
 
-        let nflights = r.usize()?;
-        let mut flights = HashMap::with_capacity_and_hasher(nflights, DetState);
-        for _ in 0..nflights {
-            let id = r.u64()?;
-            let dst = r.usize()?;
-            let size = r.u64()?;
-            let sent_at = r.u64()?;
-            let hops = r.u64()?;
-            let payload = dec(r)?;
-            if dst >= self.topo.num_nodes() {
-                return Err(WireError::Corrupt("flight destination out of range"));
-            }
-            flights.insert(
-                id,
-                Flight {
-                    dst,
-                    size,
-                    sent_at,
-                    hops,
-                    payload,
-                },
-            );
+        self.flights.wire(c)?;
+        if C::READS && self.flights.values().any(|f| f.dst >= nodes) {
+            return Err(WireError::Corrupt("flight destination out of range"));
         }
 
-        let nchan = r.usize()?;
-        let mut channel_free = vec![0; self.channel_free.len()];
-        for _ in 0..nchan {
-            let ch = decode_channel(r)?;
-            if ch.node >= self.topo.num_nodes() || ch.dim >= self.topo.dim {
-                return Err(WireError::Corrupt("channel out of range"));
-            }
-            channel_free[self.channel_index(ch)] = r.u64()?;
+        // Every channel ever crossed (its free time is nonzero), at its
+        // [`Network::channel_index`] slot.
+        let in_use = |&t: &u64| t != 0;
+        c.sparse(
+            &mut self.channel_free,
+            in_use,
+            |c, i| {
+                let mut ch = Channel {
+                    node: *i / (2 * dim),
+                    dim: *i / 2 % dim,
+                    plus: *i % 2 == 1,
+                };
+                ch.wire(c)?;
+                if ch.node >= nodes || ch.dim >= dim {
+                    return Err(WireError::Corrupt("channel out of range"));
+                }
+                *i = (ch.node * dim + ch.dim) * 2 + ch.plus as usize;
+                Ok(())
+            },
+            |c, t| c.u64(t),
+        )?;
+
+        self.ready.wire(c)?;
+        c.u64(&mut self.next_id)?;
+        c.u64(&mut self.next_dup_id)?;
+        c.u64(&mut self.seq)?;
+        self.fault.wire(c)?;
+        self.stats.wire(c)?;
+        self.fault_stats.wire(c)?;
+        self.dead_letters.wire(c)?;
+        if C::READS && self.dead_letters.iter().any(|d| d.dst >= nodes) {
+            return Err(WireError::Corrupt("dead letter destination out of range"));
         }
-
-        let nready = r.usize()?;
-        let mut ready = VecDeque::with_capacity(nready);
-        for _ in 0..nready {
-            ready.push_back((r.u64()?, r.usize()?, r.u64()?));
-        }
-
-        let next_id = r.u64()?;
-        let next_dup_id = r.u64()?;
-        let seq = r.u64()?;
-
-        let fault = if r.bool()? {
-            Some(decode_fault_plan(r)?)
-        } else {
-            None
-        };
-
-        let stats = decode_net_stats(r)?;
-        let fault_stats = decode_fault_stats(r)?;
-
-        let ndead = r.usize()?;
-        let mut dead_letters = Vec::with_capacity(ndead);
-        for _ in 0..ndead {
-            let id = r.u64()?;
-            let dst = r.usize()?;
-            let at = r.u64()?;
-            let payload = dec(r)?;
-            if dst >= self.topo.num_nodes() {
-                return Err(WireError::Corrupt("dead letter destination out of range"));
-            }
-            dead_letters.push(DeadLetter {
-                id,
-                dst,
-                at,
-                payload,
-            });
-        }
-
-        let latency_hist = Hist::decode(r)?;
-        let hops_hist = Hist::decode(r)?;
-        let probe = Probe::decode(r)?;
-
-        self.events = events;
-        self.flights = flights;
-        self.channel_free = channel_free;
-        self.ready = ready;
-        self.next_id = next_id;
-        self.next_dup_id = next_dup_id;
-        self.seq = seq;
-        self.fault = fault;
-        self.stats = stats;
-        self.fault_stats = fault_stats;
-        self.dead_letters = dead_letters;
-        self.latency_hist = latency_hist;
-        self.hops_hist = hops_hist;
-        self.probe = probe;
-        Ok(())
+        self.latency_hist.wire(c)?;
+        self.hops_hist.wire(c)?;
+        self.probe.wire(c)
     }
 }
 
@@ -419,14 +158,7 @@ mod tests {
     use super::*;
     use crate::network::NetConfig;
     use crate::topology::Topology;
-
-    fn enc_u64(p: &u64, w: &mut ByteWriter) {
-        w.u64(*p);
-    }
-
-    fn dec_u64(r: &mut ByteReader) -> Result<u64, WireError> {
-        r.u64()
-    }
+    use april_util::wire::{ByteReader, ByteWriter};
 
     fn loaded_net(seed: u64) -> Network<u64> {
         let plan = FaultPlan::new(seed)
@@ -460,15 +192,15 @@ mod tests {
         net
     }
 
-    fn snapshot(net: &Network<u64>) -> Vec<u8> {
+    fn snapshot(net: &mut Network<u64>) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        net.encode_with(&mut w, enc_u64);
+        net.wire(&mut w).unwrap();
         w.finish()
     }
 
     #[test]
     fn fault_plan_roundtrips() {
-        let plan = FaultPlan::new(99)
+        let mut plan = FaultPlan::new(99)
             .with_default_rule(FaultRule {
                 drop: 0.25,
                 dup: 0.0,
@@ -513,13 +245,14 @@ mod tests {
             })
             .with_quarantined_node(4);
         let mut w = ByteWriter::new();
-        encode_fault_plan(&plan, &mut w);
+        plan.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
-        let back = decode_fault_plan(&mut r).unwrap();
+        let mut back = FaultPlan::default();
+        back.wire(&mut r).unwrap();
         assert!(r.is_empty());
         let mut w2 = ByteWriter::new();
-        encode_fault_plan(&back, &mut w2);
+        back.wire(&mut w2).unwrap();
         assert_eq!(bytes, w2.finish());
     }
 
@@ -530,14 +263,14 @@ mod tests {
         // restored) identically: deliveries, ids, and stats must match
         // cycle for cycle.
         let mut original = loaded_net(0xA11CE);
-        let bytes = snapshot(&original);
+        let bytes = snapshot(&mut original);
 
         let plan = original.fault_plan().cloned().unwrap();
         let mut restored = Network::with_faults(Topology::new(2, 4), NetConfig::default(), plan);
         let mut r = ByteReader::new(&bytes);
-        restored.restore_with(&mut r, dec_u64).unwrap();
+        restored.wire(&mut r).unwrap();
         assert!(r.is_empty());
-        assert_eq!(bytes, snapshot(&restored), "re-encoding is byte-stable");
+        assert_eq!(bytes, snapshot(&mut restored), "re-encoding is byte-stable");
 
         let mut out_a = Vec::new();
         let mut out_b = Vec::new();
@@ -554,7 +287,7 @@ mod tests {
         }
         assert_eq!(original.stats, restored.stats);
         assert_eq!(original.fault_stats, restored.fault_stats);
-        assert_eq!(snapshot(&original), snapshot(&restored));
+        assert_eq!(snapshot(&mut original), snapshot(&mut restored));
     }
 
     #[test]
@@ -568,38 +301,38 @@ mod tests {
         net.poll_into(10, &mut out);
         assert_eq!(net.dead_letters().len(), 1);
 
-        let bytes = snapshot(&net);
+        let bytes = snapshot(&mut net);
         let mut restored: Network<u64> = Network::with_faults(
             topo,
             NetConfig::default(),
             net.fault_plan().cloned().unwrap(),
         );
         let mut r = ByteReader::new(&bytes);
-        restored.restore_with(&mut r, dec_u64).unwrap();
+        restored.wire(&mut r).unwrap();
         assert!(r.is_empty());
         assert_eq!(restored.dead_letters(), net.dead_letters());
         assert_eq!(restored.fault_stats, net.fault_stats);
-        assert_eq!(bytes, snapshot(&restored));
+        assert_eq!(bytes, snapshot(&mut restored));
     }
 
     #[test]
     fn topology_mismatch_is_rejected() {
-        let net = loaded_net(7);
-        let bytes = snapshot(&net);
+        let mut net = loaded_net(7);
+        let bytes = snapshot(&mut net);
         let mut other: Network<u64> = Network::new(Topology::new(2, 8), NetConfig::default());
         let mut r = ByteReader::new(&bytes);
-        assert!(other.restore_with(&mut r, dec_u64).is_err());
+        assert!(other.wire(&mut r).is_err());
     }
 
     #[test]
     fn truncated_bytes_are_rejected() {
-        let net = loaded_net(7);
-        let bytes = snapshot(&net);
+        let mut net = loaded_net(7);
+        let bytes = snapshot(&mut net);
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             let mut r = ByteReader::new(&bytes[..cut]);
             let mut victim: Network<u64> =
                 Network::with_faults(Topology::new(2, 4), NetConfig::default(), FaultPlan::new(7));
-            assert!(victim.restore_with(&mut r, dec_u64).is_err());
+            assert!(victim.wire(&mut r).is_err());
         }
     }
 }

@@ -29,7 +29,8 @@ pub struct Topology {
 }
 
 /// One directed channel: from `node` along `dim` in direction `plus`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Channels order by `(node, dim, plus)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Channel {
     /// Source node of the channel.
     pub node: usize,

@@ -10,7 +10,7 @@ use april_net::fault::{FaultPlan, FaultRule};
 use april_net::network::{NetConfig, Network};
 use april_net::topology::{Channel, Topology};
 use april_util::rng::Rng;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
+use april_util::wire::{ByteReader, ByteWriter, Wire, WireError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -62,14 +62,14 @@ fn calendar_pops_exactly_as_a_binary_heap() {
     }
 }
 
-fn encode(net: &Network<u64>) -> Vec<u8> {
+fn encode(net: &mut Network<u64>) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    net.encode_with(&mut w, |p, w| w.u64(*p));
+    net.wire(&mut w).expect("writing cannot fail");
     w.finish()
 }
 
 fn restore(net: &mut Network<u64>, bytes: &[u8]) -> Result<(), WireError> {
-    net.restore_with(&mut ByteReader::new(bytes), |r| r.u64())
+    net.wire(&mut ByteReader::new(bytes))
 }
 
 #[test]
@@ -111,16 +111,20 @@ fn far_future_hops_restore_mid_run_and_continue_identically() {
         };
         let mut original = Network::with_faults(topo, cfg, plan.clone());
         run(&mut original, 0..1500);
-        let cut = encode(&original);
+        let cut = encode(&mut original);
         let mut restored = Network::with_faults(topo, cfg, plan);
         restore(&mut restored, &cut).expect("restores");
-        assert_eq!(encode(&restored), cut, "seed {seed}: re-encoding is stable");
+        assert_eq!(
+            encode(&mut restored),
+            cut,
+            "seed {seed}: re-encoding is stable"
+        );
 
         let later = run(&mut original, 1500..12_000);
         assert_eq!(run(&mut restored, 1500..12_000), later, "seed {seed}");
         assert!(!later.is_empty() && original.is_idle(), "seed {seed}");
         assert!(original.fault_stats.delayed > 0 && original.fault_stats.outage_stalls > 0);
-        assert_eq!(encode(&restored), encode(&original), "seed {seed}");
+        assert_eq!(encode(&mut restored), encode(&mut original), "seed {seed}");
     }
 }
 
@@ -136,7 +140,7 @@ fn out_of_range_entries_restore_to_corrupt() {
         net.poll_into(t, &mut out);
     }
     assert_eq!(out, vec![(1, 7)]);
-    let bytes = encode(&net);
+    let bytes = encode(&mut net);
     // dim, radix, hop latency, loopback latency, no events, no flights,
     // then the channel table: one entry, (node, dim, plus, free time).
     assert_eq!(bytes[48..56], 1u64.to_le_bytes());
@@ -150,7 +154,7 @@ fn out_of_range_entries_restore_to_corrupt() {
     // A packet just sent: one event (time, seq, id, node) queued.
     let mut net: Network<u64> = Network::new(topo, NetConfig::default());
     net.send(0, 1, 0, 4, 7);
-    let bytes = encode(&net);
+    let bytes = encode(&mut net);
     assert_eq!(bytes[32..40], 1u64.to_le_bytes());
     assert_eq!(bytes[64..72], 1u64.to_le_bytes(), "event at node 1");
     assert_corrupt(&bytes, 64, 2);

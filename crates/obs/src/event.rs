@@ -1,6 +1,6 @@
 //! Structured trace events and lane encoding.
 
-use april_util::wire::{ByteReader, ByteWriter, WireError};
+use april_util::wire::{Codec, Wire, WireError};
 
 /// The component a lane belongs to. Together with a node index it
 /// forms a [`lane`] id; each lane carries one deterministic event
@@ -85,11 +85,12 @@ pub const fn lane_node(lane: u32) -> u32 {
 /// What happened. The payload registers `a`/`b` carry kind-specific
 /// detail (addresses, packet ids, thread ids); the full schema is
 /// documented in DESIGN.md §10.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(u8)]
 pub enum EventKind {
     /// A processor took a trap other than full/empty or future touch.
     /// `a` = trap code, `b` = faulting address or service number.
+    #[default]
     TrapTaken = 0,
     /// The run-time performed a context switch on this processor.
     ContextSwitch = 1,
@@ -189,7 +190,7 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Decodes the wire discriminant written by [`Event::encode`].
+    /// Decodes the wire discriminant of an [`Event`]'s kind.
     pub(crate) fn from_u8(tag: u8, at: usize) -> Result<EventKind, WireError> {
         Ok(match tag {
             0 => EventKind::TrapTaken,
@@ -268,7 +269,7 @@ impl EventKind {
 /// `(cycle, lane, seq)` is the canonical sort key: `seq` numbers every
 /// emission on its lane (sampled out or not), so the key is unique and
 /// the canonical order is identical across schedulers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Event {
     /// Simulated cycle at which the event occurred.
     pub cycle: u64,
@@ -290,16 +291,18 @@ impl Event {
     pub fn key(&self) -> (u64, u32, u64) {
         (self.cycle, self.lane, self.seq)
     }
+}
 
-    /// Appends the event to a snapshot buffer (DESIGN.md §11).
+impl Wire for Event {
+    /// The event's snapshot layout (DESIGN.md §11).
     ///
     /// # Examples
     ///
     /// ```
     /// use april_obs::{lane, Component, Event, EventKind};
-    /// use april_util::wire::{ByteReader, ByteWriter};
+    /// use april_util::wire::{ByteReader, ByteWriter, Wire};
     ///
-    /// let e = Event {
+    /// let mut e = Event {
     ///     cycle: 42,
     ///     lane: lane(Component::Cpu, 3),
     ///     seq: 7,
@@ -308,42 +311,30 @@ impl Event {
     ///     b: 1,
     /// };
     /// let mut w = ByteWriter::new();
-    /// e.encode(&mut w);
+    /// e.wire(&mut w).unwrap();
     /// let bytes = w.finish();
-    /// assert_eq!(Event::decode(&mut ByteReader::new(&bytes)).unwrap(), e);
+    /// let mut back = Event::default();
+    /// back.wire(&mut ByteReader::new(&bytes)).unwrap();
+    /// assert_eq!(back, e);
     /// ```
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.u64(self.cycle);
-        w.u32(self.lane);
-        w.u64(self.seq);
-        w.u8(self.kind as u8);
-        w.u64(self.a);
-        w.u64(self.b);
-    }
-
-    /// Decodes an event written by [`Event::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Event, WireError> {
-        let cycle = r.u64()?;
-        let lane = r.u32()?;
-        let seq = r.u64()?;
-        let at = r.pos();
-        let kind = EventKind::from_u8(r.u8()?, at)?;
-        let a = r.u64()?;
-        let b = r.u64()?;
-        Ok(Event {
-            cycle,
-            lane,
-            seq,
-            kind,
-            a,
-            b,
-        })
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.u64(&mut self.cycle)?;
+        c.u32(&mut self.lane)?;
+        c.u64(&mut self.seq)?;
+        c.tag(
+            &mut self.kind,
+            |&k| k as u8,
+            |t| EventKind::from_u8(t, 0).ok(),
+        )?;
+        c.u64(&mut self.a)?;
+        c.u64(&mut self.b)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use april_util::wire::{ByteReader, ByteWriter};
 
     #[test]
     fn lane_roundtrip() {
@@ -383,10 +374,13 @@ mod tests {
                 b: tag as u64,
             };
             let mut w = ByteWriter::new();
-            e.encode(&mut w);
+            let mut sent = e;
+            sent.wire(&mut w).unwrap();
             let bytes = w.finish();
             let mut r = ByteReader::new(&bytes);
-            assert_eq!(Event::decode(&mut r).unwrap(), e);
+            let mut back = Event::default();
+            back.wire(&mut r).unwrap();
+            assert_eq!(back, e);
             assert!(r.is_empty());
         }
         assert!(EventKind::from_u8(30, 0).is_err());

@@ -42,6 +42,6 @@ mod trace;
 
 pub use event::{lane, lane_component, lane_node, Component, Event, EventKind};
 pub use json::{validate_json, JsonWriter};
-pub use probe::{Probe, TraceConfig};
+pub use probe::{Probe, TraceConfig, MAX_RING_CAPACITY};
 pub use report::{Hist, QHist, Section, StatsReport};
 pub use trace::Trace;

@@ -2,15 +2,16 @@
 
 use crate::event::{Event, EventKind};
 use april_util::splitmix64;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
+use april_util::wire::{Codec, Wire, WireError};
 
 /// Tracing configuration shared by every probe of a machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Master switch. A disabled probe's `emit` is a single branch.
     pub enabled: bool,
-    /// Ring capacity per lane, in events. Each lane retains its most
-    /// recent `capacity` sampled events; older ones are overwritten
+    /// Ring capacity per lane, in events, at most
+    /// [`MAX_RING_CAPACITY`]. Each lane retains its most recent
+    /// `capacity` sampled events; older ones are overwritten
     /// (oldest-first *within the lane*, which keeps eviction
     /// deterministic across schedulers). Total trace memory is bounded
     /// by `lanes × capacity × size_of::<Event>()`.
@@ -23,6 +24,13 @@ pub struct TraceConfig {
     /// everything.
     pub sample: f64,
 }
+
+/// The largest ring capacity a probe takes: [`Probe::new`] clamps to
+/// it, and a snapshot naming a larger one is refused. A ring is
+/// allocated at full capacity up front, so unlike an element count the
+/// capacity is not bounded by the length of the snapshot that carries
+/// it.
+pub const MAX_RING_CAPACITY: usize = 1 << 20;
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
@@ -89,7 +97,8 @@ pub struct Probe {
 
 impl Probe {
     /// Creates a probe for `lane`. With `cfg.enabled == false` (or a
-    /// zero capacity) the probe stays inert and allocates nothing.
+    /// zero capacity) the probe stays inert and allocates nothing; the
+    /// capacity is clamped to [`MAX_RING_CAPACITY`].
     pub fn new(lane: u32, cfg: TraceConfig) -> Probe {
         let enabled = cfg.enabled && cfg.capacity > 0;
         Probe {
@@ -98,7 +107,7 @@ impl Probe {
             threshold: cfg.threshold(),
             seed: cfg.seed,
             ring: if enabled {
-                Vec::with_capacity(cfg.capacity)
+                Vec::with_capacity(cfg.capacity.min(MAX_RING_CAPACITY))
             } else {
                 Vec::new()
             },
@@ -178,10 +187,11 @@ impl Probe {
     pub fn overwritten(&self) -> u64 {
         self.overwritten
     }
+}
 
-    /// Appends the probe's complete state — configuration, counters,
-    /// and retained ring contents — to a snapshot buffer
-    /// (DESIGN.md §11).
+impl Wire for Probe {
+    /// The probe's complete state — configuration, counters, and
+    /// retained ring contents (DESIGN.md §11).
     ///
     /// Snapshotting the full state (not just the ring) matters for
     /// restore-equivalence: `seq` feeds both the sampling hash and the
@@ -192,66 +202,51 @@ impl Probe {
     ///
     /// ```
     /// use april_obs::{lane, Component, EventKind, Probe, TraceConfig};
-    /// use april_util::wire::{ByteReader, ByteWriter};
+    /// use april_util::wire::{ByteReader, ByteWriter, Wire};
     ///
     /// let mut p = Probe::new(lane(Component::Cpu, 0), TraceConfig::default());
     /// p.emit(3, EventKind::TrapTaken, 1, 2);
     /// let mut w = ByteWriter::new();
-    /// p.encode(&mut w);
+    /// p.wire(&mut w).unwrap();
     /// let bytes = w.finish();
-    /// let q = Probe::decode(&mut ByteReader::new(&bytes)).unwrap();
+    /// let mut q = Probe::default();
+    /// q.wire(&mut ByteReader::new(&bytes)).unwrap();
     /// assert_eq!(q.emitted(), 1);
     /// assert_eq!(q.events().count(), 1);
     /// ```
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.u32(self.lane);
-        w.bool(self.enabled);
-        w.u64(self.threshold);
-        w.u64(self.seed);
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.u32(&mut self.lane)?;
+        c.bool(&mut self.enabled)?;
+        c.u64(&mut self.threshold)?;
+        c.u64(&mut self.seed)?;
         // The ring's *capacity* (not just its contents) is state: it
         // decides when overwriting starts, so it must survive the
         // round trip for eviction to stay deterministic.
-        w.usize(self.ring.capacity());
-        w.usize(self.ring.len());
-        for ev in &self.ring {
-            ev.encode(w);
+        let at = c.pos();
+        let mut cap = self.ring.capacity();
+        c.usize(&mut cap)?;
+        if cap > MAX_RING_CAPACITY {
+            return Err(WireError::BadLen {
+                at,
+                len: cap as u64,
+            });
         }
-        w.usize(self.head);
-        w.u64(self.seq);
-        w.u64(self.sampled_out);
-        w.u64(self.overwritten);
-    }
-
-    /// Decodes a probe written by [`Probe::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Probe, WireError> {
-        let lane = r.u32()?;
-        let enabled = r.bool()?;
-        let threshold = r.u64()?;
-        let seed = r.u64()?;
-        let cap = r.usize()?;
-        let len = r.usize()?;
-        if len > cap {
-            return Err(WireError::Corrupt("probe ring longer than its capacity"));
+        let len = c.count(self.ring.len())?;
+        if C::READS {
+            if len > cap {
+                return Err(WireError::Corrupt("probe ring longer than its capacity"));
+            }
+            self.ring = Vec::with_capacity(cap);
+            self.ring.resize(len, Event::default());
         }
-        let mut ring = Vec::with_capacity(cap);
-        for _ in 0..len {
-            ring.push(Event::decode(r)?);
-        }
-        let head = r.usize()?;
-        if head >= len.max(1) {
+        self.ring.as_mut_slice().wire(c)?;
+        c.usize(&mut self.head)?;
+        if self.head >= self.ring.len().max(1) {
             return Err(WireError::Corrupt("probe ring head out of range"));
         }
-        Ok(Probe {
-            lane,
-            enabled,
-            threshold,
-            seed,
-            ring,
-            head,
-            seq: r.u64()?,
-            sampled_out: r.u64()?,
-            overwritten: r.u64()?,
-        })
+        c.u64(&mut self.seq)?;
+        c.u64(&mut self.sampled_out)?;
+        c.u64(&mut self.overwritten)
     }
 }
 
@@ -259,6 +254,7 @@ impl Probe {
 mod tests {
     use super::*;
     use crate::event::{lane, Component};
+    use april_util::wire::{ByteReader, ByteWriter};
 
     fn cfg(capacity: usize, sample: f64) -> TraceConfig {
         TraceConfig {
@@ -317,9 +313,10 @@ mod tests {
             live.emit(c, EventKind::NackRecv, c * 8, c);
         }
         let mut w = ByteWriter::new();
-        live.encode(&mut w);
+        live.wire(&mut w).unwrap();
         let bytes = w.finish();
-        let mut restored = Probe::decode(&mut ByteReader::new(&bytes)).unwrap();
+        let mut restored = Probe::default();
+        restored.wire(&mut ByteReader::new(&bytes)).unwrap();
         for c in 37..100u64 {
             live.emit(c, EventKind::NackRecv, c * 8, c);
             restored.emit(c, EventKind::NackRecv, c * 8, c);
@@ -335,11 +332,14 @@ mod tests {
 
     #[test]
     fn corrupt_probe_bytes_are_rejected() {
-        let p = Probe::new(lane(Component::Cpu, 1), cfg(2, 1.0));
+        let mut p = Probe::new(lane(Component::Cpu, 1), cfg(2, 1.0));
         let mut w = ByteWriter::new();
-        p.encode(&mut w);
+        p.wire(&mut w).unwrap();
         let bytes = w.finish();
-        assert!(Probe::decode(&mut ByteReader::new(&bytes[..bytes.len() - 1])).is_err());
+        let mut q = Probe::default();
+        assert!(q
+            .wire(&mut ByteReader::new(&bytes[..bytes.len() - 1]))
+            .is_err());
     }
 
     #[test]

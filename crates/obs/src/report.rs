@@ -1,7 +1,7 @@
 //! The counter / gauge / histogram registry snapshot.
 
 use crate::json::JsonWriter;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
+use april_util::wire::{u32_index, Codec, Wire, WireError};
 
 /// A log2-bucketed histogram of `u64` samples.
 ///
@@ -102,42 +102,6 @@ impl Hist {
         self.max = self.max.max(other.max);
     }
 
-    /// Appends the histogram to a snapshot buffer (DESIGN.md §11).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use april_obs::Hist;
-    /// use april_util::wire::{ByteReader, ByteWriter};
-    ///
-    /// let mut h = Hist::new();
-    /// h.record(12);
-    /// let mut w = ByteWriter::new();
-    /// h.encode(&mut w);
-    /// let bytes = w.finish();
-    /// assert_eq!(Hist::decode(&mut ByteReader::new(&bytes)).unwrap(), h);
-    /// ```
-    pub fn encode(&self, w: &mut ByteWriter) {
-        for &b in &self.buckets {
-            w.u64(b);
-        }
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.max);
-    }
-
-    /// Decodes a histogram written by [`Hist::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<Hist, WireError> {
-        let mut h = Hist::new();
-        for b in h.buckets.iter_mut() {
-            *b = r.u64()?;
-        }
-        h.count = r.u64()?;
-        h.sum = r.u64()?;
-        h.max = r.u64()?;
-        Ok(h)
-    }
-
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("count");
@@ -158,6 +122,32 @@ impl Hist {
         }
         w.end_array();
         w.end_object();
+    }
+}
+
+impl Wire for Hist {
+    /// The histogram's snapshot layout (DESIGN.md §11).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use april_obs::Hist;
+    /// use april_util::wire::{ByteReader, ByteWriter, Wire};
+    ///
+    /// let mut h = Hist::new();
+    /// h.record(12);
+    /// let mut w = ByteWriter::new();
+    /// h.wire(&mut w).unwrap();
+    /// let bytes = w.finish();
+    /// let mut back = Hist::new();
+    /// back.wire(&mut ByteReader::new(&bytes)).unwrap();
+    /// assert_eq!(back, h);
+    /// ```
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        self.buckets.wire(c)?;
+        c.u64(&mut self.count)?;
+        c.u64(&mut self.sum)?;
+        c.u64(&mut self.max)
     }
 }
 
@@ -307,39 +297,6 @@ impl QHist {
         self.max = self.max.max(other.max);
     }
 
-    /// Appends the histogram to a snapshot buffer. Sparse: only
-    /// non-empty buckets are written.
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.max);
-        let nonzero = self.buckets.iter().filter(|&&c| c != 0).count();
-        w.usize(nonzero);
-        for (idx, &c) in self.buckets.iter().enumerate() {
-            if c != 0 {
-                w.u32(idx as u32);
-                w.u64(c);
-            }
-        }
-    }
-
-    /// Decodes a histogram written by [`QHist::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<QHist, WireError> {
-        let mut h = QHist::new();
-        h.count = r.u64()?;
-        h.sum = r.u64()?;
-        h.max = r.u64()?;
-        let nonzero = r.usize()?;
-        for _ in 0..nonzero {
-            let idx = r.u32()? as usize;
-            if idx >= QBUCKETS {
-                return Err(WireError::Corrupt("qhist bucket index out of range"));
-            }
-            h.buckets[idx] = r.u64()?;
-        }
-        Ok(h)
-    }
-
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("count");
@@ -370,6 +327,21 @@ impl QHist {
         }
         w.end_array();
         w.end_object();
+    }
+}
+
+impl Wire for QHist {
+    /// Sparse: only non-empty buckets are written.
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.u64(&mut self.count)?;
+        c.u64(&mut self.sum)?;
+        c.u64(&mut self.max)?;
+        c.sparse(
+            &mut self.buckets[..],
+            |&n| n != 0,
+            u32_index,
+            |c, n| c.u64(n),
+        )
     }
 }
 
@@ -521,6 +493,7 @@ impl StatsReport {
 mod tests {
     use super::*;
     use crate::json::validate_json;
+    use april_util::wire::{ByteReader, ByteWriter};
 
     #[test]
     fn hist_buckets_by_log2() {
@@ -599,10 +572,12 @@ mod tests {
 
         // Wire roundtrip.
         let mut w = ByteWriter::new();
-        ab.encode(&mut w);
+        ab.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(QHist::decode(&mut r).unwrap(), ab);
+        let mut back = QHist::new();
+        back.wire(&mut r).unwrap();
+        assert_eq!(back, ab);
         assert!(r.is_empty());
     }
 
@@ -614,9 +589,11 @@ mod tests {
         assert_eq!(h.quantile(0.1), 0);
         assert_eq!(h.quantile(1.0), u64::MAX);
         let mut w = ByteWriter::new();
-        h.encode(&mut w);
+        h.wire(&mut w).unwrap();
         let bytes = w.finish();
-        assert_eq!(QHist::decode(&mut ByteReader::new(&bytes)).unwrap(), h);
+        let mut back = QHist::new();
+        back.wire(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back, h);
     }
 
     #[test]

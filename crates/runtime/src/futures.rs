@@ -16,7 +16,7 @@ pub const FUTURE_BYTES: u32 = 8;
 
 /// A stealable lazy task descriptor: evaluate `closure`, determine the
 /// future with the result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LazyThunk {
     /// The thunk closure (an `other`-tagged pointer).
     pub closure: Word,

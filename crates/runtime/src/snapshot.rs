@@ -19,15 +19,12 @@
 use crate::futures::{FutureInfo, FutureTable, LazyThunk};
 use crate::layout::NodeLayout;
 use crate::runtime::Runtime;
-use crate::sched::{NodeQueues, Scheduler};
+use crate::sched::{NodeQueues, SchedStats, Scheduler};
 use crate::thread::{SavedFrame, Thread, ThreadId, ThreadState};
-use april_core::frame::{FREGS_PER_FRAME, REGS_PER_FRAME};
-use april_core::psr::Psr;
-use april_core::word::Word;
+use april_core::snapshot::wire_image;
 use april_machine::{Machine, Snapshot, SnapshotError};
-use april_mem::snapshot::{decode_alloc, encode_alloc};
-use april_obs::Probe;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
+use april_util::wire::{ByteReader, ByteWriter, Codec, Wire, WireError};
+use april_util::wire_fields;
 
 /// Magic prefix of a runtime snapshot (the machine format uses
 /// `APRL`).
@@ -88,246 +85,121 @@ impl RuntimeSnapshot {
     /// As [`RuntimeSnapshot::from_bytes`].
     pub fn machine_snapshot(&self) -> Result<Snapshot, SnapshotError> {
         let mut r = ByteReader::new(&self.bytes);
-        let magic = r.bytes()?;
-        if magic != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(SnapshotError::Version(version));
-        }
-        let _cfg = r.str()?;
+        header(&mut r, &mut String::new())?;
         Snapshot::from_bytes(r.bytes()?.to_vec())
     }
 }
 
-// ---------------------------------------------------------------------
-// Field encoders
-// ---------------------------------------------------------------------
-
-fn encode_saved_frame(f: &SavedFrame, w: &mut ByteWriter) {
-    for r in &f.regs {
-        w.u32(r.0);
+/// The wrapper header: magic, version, and the `Debug` rendering of
+/// the run-time configuration.
+fn header<C: Codec>(c: &mut C, cfg_debug: &mut String) -> Result<(), SnapshotError> {
+    let mut magic = MAGIC.to_vec();
+    magic.wire(c)?;
+    if magic != MAGIC {
+        return Err(SnapshotError::BadMagic);
     }
-    for r in &f.fregs {
-        w.u32(*r);
+    let mut version = VERSION;
+    c.u8(&mut version)?;
+    if version != VERSION {
+        return Err(SnapshotError::Version(version));
     }
-    w.u32(f.pc);
-    w.u32(f.npc);
-    w.u32(f.psr.to_word().0);
+    c.str(cfg_debug)?;
+    Ok(())
 }
 
-fn decode_saved_frame(r: &mut ByteReader<'_>) -> Result<SavedFrame, WireError> {
-    let mut regs = [Word::ZERO; REGS_PER_FRAME];
-    for reg in &mut regs {
-        *reg = Word(r.u32()?);
-    }
-    let mut fregs = [0u32; FREGS_PER_FRAME];
-    for reg in &mut fregs {
-        *reg = r.u32()?;
-    }
-    Ok(SavedFrame {
-        regs,
-        fregs,
-        pc: r.u32()?,
-        npc: r.u32()?,
-        psr: Psr::from_word(Word(r.u32()?)),
-    })
-}
+wire_fields!(ThreadId { 0 });
 
-fn encode_state(s: &ThreadState, w: &mut ByteWriter) {
-    match s {
-        ThreadState::Ready => w.u8(0),
-        ThreadState::Loaded { node, frame } => {
-            w.u8(1);
-            w.usize(*node);
-            w.usize(*frame);
-        }
-        ThreadState::Blocked { future } => {
-            w.u8(2);
-            w.u32(*future);
-        }
-        ThreadState::Exited => w.u8(3),
+impl Wire for SavedFrame {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        let f = self;
+        wire_image(
+            c,
+            &mut f.regs,
+            &mut f.fregs,
+            &mut f.pc,
+            &mut f.npc,
+            &mut f.psr,
+        )
     }
 }
 
-fn decode_state(r: &mut ByteReader<'_>) -> Result<ThreadState, WireError> {
-    Ok(match r.u8()? {
-        0 => ThreadState::Ready,
-        1 => ThreadState::Loaded {
-            node: r.usize()?,
-            frame: r.usize()?,
-        },
-        2 => ThreadState::Blocked { future: r.u32()? },
-        3 => ThreadState::Exited,
-        _ => return Err(WireError::Corrupt("unknown thread state tag")),
-    })
-}
-
-fn encode_thread(t: &Thread, w: &mut ByteWriter) {
-    w.u32(t.id.0);
-    for r in &t.regs {
-        w.u32(r.0);
-    }
-    for r in &t.fregs {
-        w.u32(*r);
-    }
-    w.u32(t.pc);
-    w.u32(t.npc);
-    w.u32(t.psr.to_word().0);
-    encode_state(&t.state, w);
-    w.usize(t.home);
-    w.u32(t.stack_base);
-    w.usize(t.shadow.len());
-    for f in &t.shadow {
-        encode_saved_frame(f, w);
-    }
-    w.bool(t.started);
-}
-
-fn decode_thread(r: &mut ByteReader<'_>) -> Result<Thread, WireError> {
-    let id = ThreadId(r.u32()?);
-    let mut t = Thread::fresh(id, 0, 0);
-    for reg in &mut t.regs {
-        *reg = Word(r.u32()?);
-    }
-    for reg in &mut t.fregs {
-        *reg = r.u32()?;
-    }
-    t.pc = r.u32()?;
-    t.npc = r.u32()?;
-    t.psr = Psr::from_word(Word(r.u32()?));
-    t.state = decode_state(r)?;
-    t.home = r.usize()?;
-    t.stack_base = r.u32()?;
-    let shadows = r.usize()?;
-    t.shadow = (0..shadows)
-        .map(|_| decode_saved_frame(r))
-        .collect::<Result<_, _>>()?;
-    t.started = r.bool()?;
-    Ok(t)
-}
-
-fn encode_sched(s: &Scheduler, w: &mut ByteWriter) {
-    w.usize(s.nodes.len());
-    for q in &s.nodes {
-        w.usize(q.ready.len());
-        for t in &q.ready {
-            w.u32(t.0);
-        }
-        w.usize(q.lazy.len());
-        for f in &q.lazy {
-            w.u32(*f);
-        }
-    }
-    w.usize(s.spawn_rr);
-    let st = s.stats;
-    for c in [
-        st.threads_created,
-        st.lazy_created,
-        st.inline_evals,
-        st.lazy_steals,
-        st.ready_steals,
-        st.blocks,
-        st.wakes,
-        st.loads,
-        st.unloads,
-    ] {
-        w.u64(c);
-    }
-}
-
-fn decode_sched(r: &mut ByteReader<'_>) -> Result<Scheduler, WireError> {
-    let n = r.usize()?;
-    let mut s = Scheduler::new(n.max(1));
-    s.nodes.clear();
-    for _ in 0..n {
-        let mut q = NodeQueues::default();
-        for _ in 0..r.usize()? {
-            q.ready.push_back(ThreadId(r.u32()?));
-        }
-        for _ in 0..r.usize()? {
-            q.lazy.push_back(r.u32()?);
-        }
-        s.nodes.push(q);
-    }
-    s.spawn_rr = r.usize()?;
-    s.stats.threads_created = r.u64()?;
-    s.stats.lazy_created = r.u64()?;
-    s.stats.inline_evals = r.u64()?;
-    s.stats.lazy_steals = r.u64()?;
-    s.stats.ready_steals = r.u64()?;
-    s.stats.blocks = r.u64()?;
-    s.stats.wakes = r.u64()?;
-    s.stats.loads = r.u64()?;
-    s.stats.unloads = r.u64()?;
-    Ok(s)
-}
-
-fn encode_futures(f: &FutureTable, w: &mut ByteWriter) {
-    let mut entries: Vec<_> = f.map.iter().collect();
-    entries.sort_by_key(|(addr, _)| **addr);
-    w.usize(entries.len());
-    for (addr, info) in entries {
-        w.u32(*addr);
-        w.usize(info.waiters.len());
-        for t in &info.waiters {
-            w.u32(t.0);
-        }
-        match &info.lazy {
-            Some(LazyThunk { closure, owner }) => {
-                w.bool(true);
-                w.u32(closure.0);
-                w.usize(*owner);
+impl Wire for ThreadState {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        use ThreadState::*;
+        c.variant(
+            self,
+            &[
+                Ready,
+                Loaded { node: 0, frame: 0 },
+                Blocked { future: 0 },
+                Exited,
+            ],
+        )?;
+        match self {
+            Loaded { node, frame } => {
+                c.usize(node)?;
+                c.usize(frame)
             }
-            None => w.bool(false),
+            Blocked { future } => c.u32(future),
+            Ready | Exited => Ok(()),
         }
     }
 }
 
-fn decode_futures(r: &mut ByteReader<'_>) -> Result<FutureTable, WireError> {
-    let mut f = FutureTable::new();
-    for _ in 0..r.usize()? {
-        let addr = r.u32()?;
-        let waiters = (0..r.usize()?)
-            .map(|_| r.u32().map(ThreadId))
-            .collect::<Result<_, _>>()?;
-        let lazy = if r.bool()? {
-            Some(LazyThunk {
-                closure: Word(r.u32()?),
-                owner: r.usize()?,
-            })
-        } else {
-            None
-        };
-        if f.map.insert(addr, FutureInfo { waiters, lazy }).is_some() {
-            return Err(WireError::Corrupt("duplicate future address"));
-        }
+/// A virtual thread: its id, its unloaded register image, then its
+/// scheduling state.
+impl Wire for Thread {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        let t = self;
+        t.id.wire(c)?;
+        wire_image(
+            c,
+            &mut t.regs,
+            &mut t.fregs,
+            &mut t.pc,
+            &mut t.npc,
+            &mut t.psr,
+        )?;
+        t.state.wire(c)?;
+        c.usize(&mut t.home)?;
+        c.u32(&mut t.stack_base)?;
+        t.shadow.wire(c)?;
+        c.bool(&mut t.started)
     }
-    Ok(f)
 }
 
-fn encode_layout(l: &NodeLayout, w: &mut ByteWriter) {
-    encode_alloc(&l.heap, w);
-    encode_alloc(&l.stacks, w);
-    w.usize(l.free_stacks.len());
-    for s in &l.free_stacks {
-        w.u32(*s);
+wire_fields!(NodeQueues { ready, lazy });
+wire_fields!(SchedStats {
+    threads_created,
+    lazy_created,
+    inline_evals,
+    lazy_steals,
+    ready_steals,
+    blocks,
+    wakes,
+    loads,
+    unloads,
+});
+
+/// The scheduler's queues, one per node of the receiving machine.
+impl Wire for Scheduler {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.same(self.nodes.len(), "scheduler node count mismatch")?;
+        self.nodes.as_mut_slice().wire(c)?;
+        c.usize(&mut self.spawn_rr)?;
+        self.stats.wire(c)
     }
-    w.u32(l.stack_bytes);
 }
 
-fn decode_layout(r: &mut ByteReader<'_>) -> Result<NodeLayout, WireError> {
-    let heap = decode_alloc(r)?;
-    let stacks = decode_alloc(r)?;
-    let free_stacks = (0..r.usize()?).map(|_| r.u32()).collect::<Result<_, _>>()?;
-    Ok(NodeLayout {
-        heap,
-        stacks,
-        free_stacks,
-        stack_bytes: r.u32()?,
-    })
-}
+wire_fields!(LazyThunk { closure, owner });
+wire_fields!(FutureInfo { waiters, lazy });
+wire_fields!(FutureTable { map });
+wire_fields!(NodeLayout {
+    heap,
+    stacks,
+    free_stacks,
+    stack_bytes,
+});
 
 // ---------------------------------------------------------------------
 // Checkpoint / restore
@@ -345,71 +217,8 @@ impl<M: Machine> Runtime<M> {
     /// the wrapped machine type cannot checkpoint, `Faulted` when it
     /// is stopped on a machine fault.
     pub fn checkpoint(&mut self) -> Result<RuntimeSnapshot, SnapshotError> {
-        let msnap = self.machine.checkpoint()?;
         let mut w = ByteWriter::new();
-        w.bytes(MAGIC);
-        w.u8(VERSION);
-        w.str(&format!("{:?}", self.cfg));
-        w.bytes(msnap.as_bytes());
-        w.usize(self.threads.len());
-        for t in &self.threads {
-            encode_thread(t, &mut w);
-        }
-        encode_sched(&self.sched, &mut w);
-        encode_futures(&self.futures, &mut w);
-        w.usize(self.layouts.len());
-        for l in &self.layouts {
-            encode_layout(l, &mut w);
-        }
-        w.usize(self.loaded.len());
-        for frames in &self.loaded {
-            w.usize(frames.len());
-            for slot in frames {
-                match slot {
-                    Some(t) => {
-                        w.bool(true);
-                        w.u32(t.0);
-                    }
-                    None => w.bool(false),
-                }
-            }
-        }
-        match self.result {
-            Some(v) => {
-                w.bool(true);
-                w.u32(v.0);
-            }
-            None => w.bool(false),
-        }
-        w.usize(self.prints.len());
-        for p in &self.prints {
-            w.u32(p.0);
-        }
-        w.u32(self.task_entry);
-        match self.inline_entry {
-            Some(e) => {
-                w.bool(true);
-                w.u32(e);
-            }
-            None => w.bool(false),
-        }
-        w.bool(self.booted);
-        let mut spins: Vec<_> = self.fe_spins.iter().collect();
-        spins.sort_by_key(|(k, _)| **k);
-        w.usize(spins.len());
-        for (&(node, frame), &(addr, count)) in spins {
-            w.usize(node);
-            w.usize(frame);
-            w.u32(addr);
-            w.u32(count);
-        }
-        w.usize(self.fe_waiters.len());
-        for &(t, addr, wants_empty) in &self.fe_waiters {
-            w.u32(t.0);
-            w.u32(addr);
-            w.bool(wants_empty);
-        }
-        self.probe.encode(&mut w);
+        self.wire_snapshot(&mut w)?;
         Ok(RuntimeSnapshot { bytes: w.finish() })
     }
 
@@ -427,87 +236,51 @@ impl<M: Machine> Runtime<M> {
     /// reports. After an error the run-time's state is unspecified —
     /// rebuild it rather than continuing.
     pub fn restore(&mut self, snap: &RuntimeSnapshot) -> Result<(), SnapshotError> {
-        let mut r = ByteReader::new(&snap.bytes);
-        if r.bytes()? != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(SnapshotError::Version(version));
-        }
-        if r.str()? != format!("{:?}", self.cfg) {
+        self.wire_snapshot(&mut ByteReader::new(&snap.bytes))
+    }
+
+    /// The run-time snapshot's one field list: the header, the embedded
+    /// machine snapshot, then the run-time state. Per-node tables must
+    /// match the receiving machine's node count.
+    fn wire_snapshot<C: Codec>(&mut self, c: &mut C) -> Result<(), SnapshotError> {
+        let cfg_debug = format!("{:?}", self.cfg);
+        let mut got = cfg_debug.clone();
+        header(c, &mut got)?;
+        if got != cfg_debug {
             return Err(SnapshotError::ConfigMismatch);
         }
-        let msnap = Snapshot::from_bytes(r.bytes()?.to_vec())?;
-        self.machine.restore(&msnap)?;
-        let n = self.machine.num_procs();
-        let threads = r.usize()?;
-        self.threads = (0..threads)
-            .map(|_| decode_thread(&mut r))
-            .collect::<Result<_, _>>()?;
-        for (i, t) in self.threads.iter().enumerate() {
-            if t.id.0 as usize != i {
-                return Err(WireError::Corrupt("thread id out of sequence").into());
-            }
-        }
-        self.sched = decode_sched(&mut r)?;
-        if self.sched.num_nodes() != n {
-            return Err(WireError::Corrupt("scheduler node count mismatch").into());
-        }
-        self.futures = decode_futures(&mut r)?;
-        let layouts = r.usize()?;
-        if layouts != n {
-            return Err(WireError::Corrupt("layout count mismatch").into());
-        }
-        self.layouts = (0..layouts)
-            .map(|_| decode_layout(&mut r))
-            .collect::<Result<_, _>>()?;
-        let nodes = r.usize()?;
-        if nodes != n {
-            return Err(WireError::Corrupt("loaded-map node count mismatch").into());
-        }
-        let mut loaded = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            let frames = r.usize()?;
-            let mut row = Vec::with_capacity(frames);
-            for _ in 0..frames {
-                row.push(if r.bool()? {
-                    let t = ThreadId(r.u32()?);
-                    if t.0 as usize >= self.threads.len() {
-                        return Err(WireError::Corrupt("loaded thread out of range").into());
-                    }
-                    Some(t)
-                } else {
-                    None
-                });
-            }
-            loaded.push(row);
-        }
-        self.loaded = loaded;
-        self.result = if r.bool()? {
-            Some(Word(r.u32()?))
+        if C::READS {
+            let mut bytes = Vec::new();
+            bytes.wire(c)?;
+            self.machine.restore(&Snapshot::from_bytes(bytes)?)?;
         } else {
-            None
-        };
-        self.prints = (0..r.usize()?)
-            .map(|_| r.u32().map(Word))
-            .collect::<Result<_, _>>()?;
-        self.task_entry = r.u32()?;
-        self.inline_entry = if r.bool()? { Some(r.u32()?) } else { None };
-        self.booted = r.bool()?;
-        self.fe_spins.clear();
-        for _ in 0..r.usize()? {
-            let key = (r.usize()?, r.usize()?);
-            let val = (r.u32()?, r.u32()?);
-            if self.fe_spins.insert(key, val).is_some() {
-                return Err(WireError::Corrupt("duplicate fe-spin key").into());
-            }
+            self.machine.checkpoint()?.into_bytes().wire(c)?;
         }
-        self.fe_waiters = (0..r.usize()?)
-            .map(|_| Ok::<_, WireError>((ThreadId(r.u32()?), r.u32()?, r.bool()?)))
-            .collect::<Result<_, _>>()?;
-        self.probe = Probe::decode(&mut r)?;
-        if !r.is_empty() {
+        self.threads.wire(c)?;
+        let out_of_sequence = |(i, t): (usize, &Thread)| t.id.0 as usize != i;
+        if C::READS && self.threads.iter().enumerate().any(out_of_sequence) {
+            return Err(WireError::Corrupt("thread id out of sequence").into());
+        }
+        self.sched.wire(c)?;
+        self.futures.wire(c)?;
+        c.same(self.layouts.len(), "layout count mismatch")?;
+        self.layouts.as_mut_slice().wire(c)?;
+        c.same(self.loaded.len(), "loaded-map node count mismatch")?;
+        self.loaded.as_mut_slice().wire(c)?;
+        let threads = self.threads.len();
+        let loaded = self.loaded.iter().flatten().flatten();
+        if C::READS && loaded.copied().any(|t| t.0 as usize >= threads) {
+            return Err(WireError::Corrupt("loaded thread out of range").into());
+        }
+        self.result.wire(c)?;
+        self.prints.wire(c)?;
+        c.u32(&mut self.task_entry)?;
+        self.inline_entry.wire(c)?;
+        c.bool(&mut self.booted)?;
+        self.fe_spins.wire(c)?;
+        self.fe_waiters.wire(c)?;
+        self.probe.wire(c)?;
+        if C::READS && c.remaining() != 0 {
             return Err(WireError::Corrupt("trailing bytes after runtime snapshot").into());
         }
         Ok(())

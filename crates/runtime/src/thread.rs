@@ -11,7 +11,7 @@ use april_core::psr::Psr;
 use april_core::word::Word;
 
 /// Identifies a virtual thread for the lifetime of a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ThreadId(pub u32);
 
 impl std::fmt::Display for ThreadId {
@@ -21,9 +21,10 @@ impl std::fmt::Display for ThreadId {
 }
 
 /// Where a thread currently lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ThreadState {
     /// On some node's ready queue, waiting to be loaded.
+    #[default]
     Ready,
     /// Resident in a hardware task frame.
     Loaded {
@@ -44,7 +45,7 @@ pub enum ThreadState {
 /// A saved register image for nested inline (lazy) thunk evaluation:
 /// the touch handler pushes the interrupted frame here and redirects
 /// the thread into the thunk; `RT_RESUME` pops it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SavedFrame {
     /// General registers.
     pub regs: [Word; REGS_PER_FRAME],
@@ -59,7 +60,7 @@ pub struct SavedFrame {
 }
 
 /// A virtual thread: saved processor state plus scheduling metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Thread {
     /// Identity.
     pub id: ThreadId,

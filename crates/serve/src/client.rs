@@ -95,7 +95,7 @@ impl Client {
             assembling: HashMap::new(),
             finished: VecDeque::new(),
         };
-        client.send(&Frame::Hello {
+        client.send(Frame::Hello {
             version: PROTO_VERSION,
             client: name.to_string(),
         })?;
@@ -138,7 +138,7 @@ impl Client {
         sim: &SimSpec,
         warm_cycles: u64,
     ) -> Result<WarmInfo, ServeError> {
-        self.send(&Frame::RegisterWarm {
+        self.send(Frame::RegisterWarm {
             warm_id,
             sim: *sim,
             warm_cycles,
@@ -166,7 +166,7 @@ impl Client {
     /// Submits one job and waits for its [`Frame::Accepted`] ack.
     /// Returns the daemon's queue depth at acceptance.
     pub fn submit(&mut self, job_id: u32, spec: &JobSpec) -> Result<u32, ServeError> {
-        self.send(&Frame::Submit {
+        self.send(Frame::Submit {
             job_id,
             spec: *spec,
         })?;
@@ -200,7 +200,7 @@ impl Client {
 
     /// Round-trips a liveness probe.
     pub fn ping(&mut self, nonce: u64) -> Result<(), ServeError> {
-        self.send(&Frame::Ping { nonce })?;
+        self.send(Frame::Ping { nonce })?;
         loop {
             match self.read()? {
                 Frame::Pong { nonce: n } if n == nonce => return Ok(()),
@@ -215,7 +215,7 @@ impl Client {
     /// [`Frame::Bye`], absorbing any job results that complete in
     /// between.
     pub fn shutdown(&mut self, cancel: bool) -> Result<ShutdownReport, ServeError> {
-        self.send(&Frame::Shutdown { cancel })?;
+        self.send(Frame::Shutdown { cancel })?;
         loop {
             match self.read()? {
                 Frame::Bye {
@@ -236,7 +236,7 @@ impl Client {
         }
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), ServeError> {
+    fn send(&mut self, mut frame: Frame) -> Result<(), ServeError> {
         self.stream.write_all(&frame.encode())?;
         Ok(())
     }

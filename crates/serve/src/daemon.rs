@@ -75,7 +75,7 @@ impl Conn {
         }
     }
 
-    fn send(&self, frame: &Frame) -> Result<(), ServeError> {
+    fn send(&self, mut frame: Frame) -> Result<(), ServeError> {
         let _guard = self.wlock.lock().unwrap();
         let mut w = &self.stream;
         w.write_all(&frame.encode())?;
@@ -173,7 +173,7 @@ pub fn serve(cfg: &DaemonConfig) -> Result<DaemonReport, ServeError> {
     // Bye goes out after every worker has exited, so its counters are
     // final and the requester can treat it as "all quiet".
     if let Some(req) = shared.requester.lock().unwrap().as_ref() {
-        let _ = req.send(&Frame::Bye {
+        let _ = req.send(Frame::Bye {
             completed: report.completed,
             canceled: report.canceled,
         });
@@ -218,7 +218,7 @@ fn run_one(shared: &Shared, job: &QueuedJob) {
         Some(id) => match shared.warm.lock().unwrap().get(&id) {
             Some(img) => Some(img.clone()),
             None => {
-                let _ = job.conn.send(&Frame::JobError {
+                let _ = job.conn.send(Frame::JobError {
                     job_id: job.job_id,
                     message: ServeError::UnknownWarm(id).to_string(),
                 });
@@ -233,13 +233,13 @@ fn run_one(shared: &Shared, job: &QueuedJob) {
             if let Some(trace) = &out.trace_jsonl {
                 stream_text(&job.conn, job.job_id, trace.as_bytes(), true);
             }
-            let _ = job.conn.send(&Frame::Done {
+            let _ = job.conn.send(Frame::Done {
                 job_id: job.job_id,
                 summary: summarize(&out),
             });
         }
         Err(e) => {
-            let _ = job.conn.send(&Frame::JobError {
+            let _ = job.conn.send(Frame::JobError {
                 job_id: job.job_id,
                 message: e.to_string(),
             });
@@ -288,7 +288,7 @@ fn stream_text(conn: &Conn, job_id: u32, data: &[u8], trace: bool) {
                 data: chunk,
             }
         };
-        if conn.send(&frame).is_err() {
+        if conn.send(frame).is_err() {
             return;
         }
     }
@@ -301,14 +301,14 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
     // Handshake: the first frame must be a version-matched Hello.
     match Frame::read_from(&mut r) {
         Ok(Frame::Hello { version, .. }) if version == PROTO_VERSION => {
-            let _ = conn.send(&Frame::HelloAck {
+            let _ = conn.send(Frame::HelloAck {
                 version: PROTO_VERSION,
                 server: "april-serve".into(),
                 pool_threads: shared.pool_threads,
             });
         }
         Ok(Frame::Hello { version, .. }) => {
-            let _ = conn.send(&Frame::Error {
+            let _ = conn.send(Frame::Error {
                 message: format!(
                     "protocol version mismatch: client {version}, daemon {PROTO_VERSION}"
                 ),
@@ -317,7 +317,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
             return;
         }
         Ok(other) => {
-            let _ = conn.send(&Frame::Error {
+            let _ = conn.send(Frame::Error {
                 message: format!("first frame must be hello, got kind {:#x}", other.kind()),
             });
             conn.close();
@@ -335,7 +335,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
             Err(ServeError::Closed) => return,
             Err(ServeError::Io(_)) => return,
             Err(e) => {
-                let _ = conn.send(&Frame::Error {
+                let _ = conn.send(Frame::Error {
                     message: e.to_string(),
                 });
                 conn.close();
@@ -349,7 +349,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
                 warm_cycles,
             } => {
                 if shared.warm.lock().unwrap().contains_key(&warm_id) {
-                    let _ = conn.send(&Frame::Error {
+                    let _ = conn.send(Frame::Error {
                         message: format!("warm id {warm_id} already registered"),
                     });
                     conn.close();
@@ -363,7 +363,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
                         let (cycle, snap_bytes, build_ns) =
                             (img.cycle, img.snap.as_bytes().len() as u64, img.build_ns);
                         shared.warm.lock().unwrap().insert(warm_id, Arc::new(img));
-                        let _ = conn.send(&Frame::WarmReady {
+                        let _ = conn.send(Frame::WarmReady {
                             warm_id,
                             cycle,
                             snap_bytes,
@@ -371,7 +371,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
                         });
                     }
                     Err(e) => {
-                        let _ = conn.send(&Frame::Error {
+                        let _ = conn.send(Frame::Error {
                             message: format!("warm image {warm_id} failed to build: {e}"),
                         });
                         conn.close();
@@ -393,13 +393,13 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
                 };
                 match queued {
                     None => {
-                        let _ = conn.send(&Frame::JobError {
+                        let _ = conn.send(Frame::JobError {
                             job_id,
                             message: "daemon is shutting down".into(),
                         });
                     }
                     Some(depth) => {
-                        let _ = conn.send(&Frame::Accepted {
+                        let _ = conn.send(Frame::Accepted {
                             job_id,
                             queued: depth,
                         });
@@ -415,7 +415,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
                 }
             }
             Frame::Ping { nonce } => {
-                let _ = conn.send(&Frame::Pong { nonce });
+                let _ = conn.send(Frame::Pong { nonce });
             }
             Frame::Shutdown { cancel } => {
                 let drained: Vec<QueuedJob> = {
@@ -432,7 +432,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
                 // drain preserved the queue's FIFO order.
                 for j in &drained {
                     shared.canceled.fetch_add(1, Ordering::SeqCst);
-                    let _ = j.conn.send(&Frame::Canceled { job_id: j.job_id });
+                    let _ = j.conn.send(Frame::Canceled { job_id: j.job_id });
                 }
                 let mut req = shared.requester.lock().unwrap();
                 if req.is_none() {
@@ -447,7 +447,7 @@ fn reader_loop(conn: &Arc<Conn>, shared: &Shared) {
                 // stream shutdown that follows ends this loop.
             }
             other => {
-                let _ = conn.send(&Frame::Error {
+                let _ = conn.send(Frame::Error {
                     message: format!("unexpected client frame kind {:#x}", other.kind()),
                 });
                 conn.close();

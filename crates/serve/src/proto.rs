@@ -17,8 +17,9 @@
 
 use crate::spec::{JobSpec, SimSpec};
 use crate::ServeError;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
-use std::io::{Read, Write};
+use april_util::wire::{ByteReader, ByteWriter, Codec, Wire, WireError};
+use april_util::wire_fields;
+use std::io::Read;
 
 /// The protocol version this build speaks (and the only one it
 /// accepts).
@@ -37,7 +38,7 @@ pub const CHUNK_BYTES: usize = 32 * 1024;
 /// pure function of the job spec (and warm image); the timings exist
 /// for capacity planning and are excluded from the determinism
 /// contract.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobSummary {
     /// Whether the job forked a warm image instead of re-executing the
     /// warmup.
@@ -67,35 +68,18 @@ pub struct JobSummary {
     pub fault: String,
 }
 
-impl JobSummary {
-    fn encode(&self, w: &mut ByteWriter) {
-        w.bool(self.warm_used);
-        w.u64(self.cycles);
-        w.u64(self.instrs);
-        w.f64(self.utilization);
-        w.u64(self.drops);
-        w.u64(self.dups);
-        w.u64(self.delays);
-        w.u64(self.setup_ns);
-        w.u64(self.run_ns);
-        w.str(&self.fault);
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<JobSummary, WireError> {
-        Ok(JobSummary {
-            warm_used: r.bool()?,
-            cycles: r.u64()?,
-            instrs: r.u64()?,
-            utilization: r.f64()?,
-            drops: r.u64()?,
-            dups: r.u64()?,
-            delays: r.u64()?,
-            setup_ns: r.u64()?,
-            run_ns: r.u64()?,
-            fault: r.str()?.to_string(),
-        })
-    }
-}
+wire_fields!(JobSummary {
+    warm_used,
+    cycles,
+    instrs,
+    utilization,
+    drops,
+    dups,
+    delays,
+    setup_ns,
+    run_ns,
+    fault,
+});
 
 /// One protocol frame. Kinds `0x01`–`0x0f` originate at the client,
 /// `0x81`–`0x8f` at the daemon (see PROTOCOL.md for the tables).
@@ -236,134 +220,74 @@ pub enum Frame {
     },
 }
 
-const K_HELLO: u8 = 0x01;
-const K_REGISTER_WARM: u8 = 0x02;
-const K_SUBMIT: u8 = 0x03;
-const K_SHUTDOWN: u8 = 0x04;
-const K_PING: u8 = 0x05;
-const K_HELLO_ACK: u8 = 0x81;
-const K_WARM_READY: u8 = 0x82;
-const K_ACCEPTED: u8 = 0x83;
-const K_STATS_CHUNK: u8 = 0x84;
-const K_TRACE_CHUNK: u8 = 0x85;
-const K_DONE: u8 = 0x86;
-const K_JOB_ERROR: u8 = 0x87;
-const K_CANCELED: u8 = 0x88;
-const K_BYE: u8 = 0x89;
-const K_PONG: u8 = 0x8a;
-const K_ERROR: u8 = 0x8b;
+/// The frame layouts (PROTOCOL.md), stated once: each kind's byte,
+/// then its fields in wire order. [`Frame::kind`], decoding (which
+/// starts from the blank frame of the kind read) and the [`Wire`]
+/// layout are all generated from this table.
+macro_rules! kinds {
+    ($($kind:literal => $v:ident { $($f:ident),* },)*) => {
+        impl Frame {
+            /// The frame's kind byte (PROTOCOL.md tables).
+            pub fn kind(&self) -> u8 {
+                match self {
+                    $(Frame::$v { .. } => $kind,)*
+                }
+            }
+
+            /// The frame of kind `kind`, its fields still to be decoded.
+            fn blank(kind: u8) -> Option<Frame> {
+                Some(match kind {
+                    $($kind => Frame::$v { $($f: Default::default()),* },)*
+                    _ => return None,
+                })
+            }
+        }
+
+        /// The kind byte, then the kind's fields.
+        impl Wire for Frame {
+            fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+                c.tag(self, Frame::kind, Frame::blank)?;
+                match self {
+                    $(Frame::$v { $($f),* } => {
+                        $($f.wire(c)?;)*
+                    })*
+                }
+                Ok(())
+            }
+        }
+    };
+}
+
+kinds! {
+    0x01 => Hello { version, client },
+    0x02 => RegisterWarm { warm_id, sim, warm_cycles },
+    0x03 => Submit { job_id, spec },
+    0x04 => Shutdown { cancel },
+    0x05 => Ping { nonce },
+    0x81 => HelloAck { version, server, pool_threads },
+    0x82 => WarmReady { warm_id, cycle, snap_bytes, build_ns },
+    0x83 => Accepted { job_id, queued },
+    0x84 => StatsChunk { job_id, seq, last, data },
+    0x85 => TraceChunk { job_id, seq, last, data },
+    0x86 => Done { job_id, summary },
+    0x87 => JobError { job_id, message },
+    0x88 => Canceled { job_id },
+    0x89 => Bye { completed, canceled },
+    0x8a => Pong { nonce },
+    0x8b => Error { message },
+}
 
 impl Frame {
-    /// The frame's kind byte (PROTOCOL.md tables).
-    pub fn kind(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => K_HELLO,
-            Frame::RegisterWarm { .. } => K_REGISTER_WARM,
-            Frame::Submit { .. } => K_SUBMIT,
-            Frame::Shutdown { .. } => K_SHUTDOWN,
-            Frame::Ping { .. } => K_PING,
-            Frame::HelloAck { .. } => K_HELLO_ACK,
-            Frame::WarmReady { .. } => K_WARM_READY,
-            Frame::Accepted { .. } => K_ACCEPTED,
-            Frame::StatsChunk { .. } => K_STATS_CHUNK,
-            Frame::TraceChunk { .. } => K_TRACE_CHUNK,
-            Frame::Done { .. } => K_DONE,
-            Frame::JobError { .. } => K_JOB_ERROR,
-            Frame::Canceled { .. } => K_CANCELED,
-            Frame::Bye { .. } => K_BYE,
-            Frame::Pong { .. } => K_PONG,
-            Frame::Error { .. } => K_ERROR,
-        }
-    }
-
     /// Encodes the frame, including the leading length prefix.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut body = ByteWriter::new();
-        body.u8(self.kind());
-        match self {
-            Frame::Hello { version, client } => {
-                body.u8(*version);
-                body.str(client);
-            }
-            Frame::RegisterWarm {
-                warm_id,
-                sim,
-                warm_cycles,
-            } => {
-                body.u32(*warm_id);
-                sim.encode(&mut body);
-                body.u64(*warm_cycles);
-            }
-            Frame::Submit { job_id, spec } => {
-                body.u32(*job_id);
-                spec.encode(&mut body);
-            }
-            Frame::Shutdown { cancel } => body.bool(*cancel),
-            Frame::Ping { nonce } => body.u64(*nonce),
-            Frame::HelloAck {
-                version,
-                server,
-                pool_threads,
-            } => {
-                body.u8(*version);
-                body.str(server);
-                body.u32(*pool_threads);
-            }
-            Frame::WarmReady {
-                warm_id,
-                cycle,
-                snap_bytes,
-                build_ns,
-            } => {
-                body.u32(*warm_id);
-                body.u64(*cycle);
-                body.u64(*snap_bytes);
-                body.u64(*build_ns);
-            }
-            Frame::Accepted { job_id, queued } => {
-                body.u32(*job_id);
-                body.u32(*queued);
-            }
-            Frame::StatsChunk {
-                job_id,
-                seq,
-                last,
-                data,
-            }
-            | Frame::TraceChunk {
-                job_id,
-                seq,
-                last,
-                data,
-            } => {
-                body.u32(*job_id);
-                body.u32(*seq);
-                body.bool(*last);
-                body.bytes(data);
-            }
-            Frame::Done { job_id, summary } => {
-                body.u32(*job_id);
-                summary.encode(&mut body);
-            }
-            Frame::JobError { job_id, message } => {
-                body.u32(*job_id);
-                body.str(message);
-            }
-            Frame::Canceled { job_id } => body.u32(*job_id),
-            Frame::Bye {
-                completed,
-                canceled,
-            } => {
-                body.u64(*completed);
-                body.u64(*canceled);
-            }
-            Frame::Pong { nonce } => body.u64(*nonce),
-            Frame::Error { message } => body.str(message),
-        }
-        let body = body.finish();
-        let mut out = Vec::with_capacity(4 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
+    pub fn encode(&mut self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        // The length prefix is patched once the frame is written.
+        w.u32(&mut 0)
+            .and_then(|()| self.wire(&mut w))
+            .expect("writing to memory cannot fail");
+        let mut out = w.finish();
+        let len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&len.to_le_bytes());
         out
     }
 
@@ -371,82 +295,16 @@ impl Frame {
     /// length prefix).
     pub fn decode(bytes: &[u8]) -> Result<Frame, ServeError> {
         let mut r = ByteReader::new(bytes);
-        let kind = r.u8()?;
-        let frame = match kind {
-            K_HELLO => Frame::Hello {
-                version: r.u8()?,
-                client: r.str()?.to_string(),
-            },
-            K_REGISTER_WARM => Frame::RegisterWarm {
-                warm_id: r.u32()?,
-                sim: SimSpec::decode(&mut r)?,
-                warm_cycles: r.u64()?,
-            },
-            K_SUBMIT => Frame::Submit {
-                job_id: r.u32()?,
-                spec: JobSpec::decode(&mut r)?,
-            },
-            K_SHUTDOWN => Frame::Shutdown { cancel: r.bool()? },
-            K_PING => Frame::Ping { nonce: r.u64()? },
-            K_HELLO_ACK => Frame::HelloAck {
-                version: r.u8()?,
-                server: r.str()?.to_string(),
-                pool_threads: r.u32()?,
-            },
-            K_WARM_READY => Frame::WarmReady {
-                warm_id: r.u32()?,
-                cycle: r.u64()?,
-                snap_bytes: r.u64()?,
-                build_ns: r.u64()?,
-            },
-            K_ACCEPTED => Frame::Accepted {
-                job_id: r.u32()?,
-                queued: r.u32()?,
-            },
-            K_STATS_CHUNK => Frame::StatsChunk {
-                job_id: r.u32()?,
-                seq: r.u32()?,
-                last: r.bool()?,
-                data: r.bytes()?.to_vec(),
-            },
-            K_TRACE_CHUNK => Frame::TraceChunk {
-                job_id: r.u32()?,
-                seq: r.u32()?,
-                last: r.bool()?,
-                data: r.bytes()?.to_vec(),
-            },
-            K_DONE => Frame::Done {
-                job_id: r.u32()?,
-                summary: JobSummary::decode(&mut r)?,
-            },
-            K_JOB_ERROR => Frame::JobError {
-                job_id: r.u32()?,
-                message: r.str()?.to_string(),
-            },
-            K_CANCELED => Frame::Canceled { job_id: r.u32()? },
-            K_BYE => Frame::Bye {
-                completed: r.u64()?,
-                canceled: r.u64()?,
-            },
-            K_PONG => Frame::Pong { nonce: r.u64()? },
-            K_ERROR => Frame::Error {
-                message: r.str()?.to_string(),
-            },
-            tag => return Err(ServeError::Wire(WireError::BadTag { at: 0, tag })),
-        };
+        let mut frame = Frame::Canceled { job_id: 0 };
+        frame.wire(&mut r)?;
         if !r.is_empty() {
             return Err(ServeError::Protocol(format!(
-                "frame kind {kind:#x} has {} trailing bytes",
-                bytes.len() - r.pos()
+                "frame kind {:#x} has {} trailing bytes",
+                frame.kind(),
+                r.remaining()
             )));
         }
         Ok(frame)
-    }
-
-    /// Writes the frame to `w` (one atomic `write_all`).
-    pub fn write_to(&self, w: &mut impl Write) -> Result<(), ServeError> {
-        w.write_all(&self.encode())?;
-        Ok(())
     }
 
     /// Reads one frame from `r`, blocking. A clean EOF at a frame
@@ -486,7 +344,7 @@ impl Frame {
 mod tests {
     use super::*;
 
-    fn roundtrip(f: Frame) {
+    fn roundtrip(mut f: Frame) {
         let bytes = f.encode();
         let mut cursor = std::io::Cursor::new(bytes);
         let back = Frame::read_from(&mut cursor).unwrap();

@@ -2,10 +2,11 @@
 //!
 //! A [`SimSpec`] fully determines a machine and a workload; a
 //! [`JobSpec`] wraps one with the per-job knobs a parameter sweep
-//! varies — fault plan, warm image, cycle budget. Both encode to the
-//! wire through the `april-util` codec (PROTOCOL.md gives the byte
-//! layout), and both are plain data: equality of specs is equality of
-//! runs, which is what the daemon's determinism contract rests on.
+//! varies — fault plan, warm image, cycle budget. Both travel on the
+//! wire through their `april-util` [`Wire`] layouts (PROTOCOL.md gives
+//! the byte layout), and both are plain data: equality of specs is
+//! equality of runs, which is what the daemon's determinism contract
+//! rests on.
 
 use crate::ServeError;
 use april_core::isa::asm::assemble;
@@ -13,7 +14,8 @@ use april_core::program::Program;
 use april_machine::{service_program, MachineConfig, TrafficConfig};
 use april_net::fault::{FaultPlan, FaultRule};
 use april_net::topology::Topology;
-use april_util::wire::{ByteReader, ByteWriter, WireError};
+use april_util::wire::{Codec, Wire, WireError};
+use april_util::wire_fields;
 
 /// The workload a job runs. The daemon regenerates the program from
 /// this description, so warm images and jobs agree on the program
@@ -36,50 +38,35 @@ pub enum Workload {
     OpenLoop(TrafficConfig),
 }
 
-impl Workload {
-    fn encode(&self, w: &mut ByteWriter) {
+/// PROTOCOL.md "Workload": a tag, then the variant's fields.
+impl Wire for Workload {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        let blank = [
+            Workload::Contended { outer: 0, inner: 0 },
+            Workload::OpenLoop(TrafficConfig::default()),
+        ];
+        c.variant(self, &blank)?;
         match self {
             Workload::Contended { outer, inner } => {
-                w.u8(0);
-                w.u32(*outer);
-                w.u32(*inner);
+                c.u32(outer)?;
+                c.u32(inner)
             }
             Workload::OpenLoop(t) => {
-                w.u8(1);
-                w.u64(t.seed);
-                w.u32(t.edge_every);
-                w.u32(t.requests_per_edge);
-                w.u32(t.mean_gap);
-                w.u32(t.phase_len);
-                w.u32(t.off_mul);
-                w.u32(t.ring_offset);
-                w.u32(t.ring_slots);
-                w.u32(t.work_remote);
-                w.u32(t.work_local);
+                c.u64(&mut t.seed)?;
+                [
+                    &mut t.edge_every,
+                    &mut t.requests_per_edge,
+                    &mut t.mean_gap,
+                    &mut t.phase_len,
+                    &mut t.off_mul,
+                    &mut t.ring_offset,
+                    &mut t.ring_slots,
+                    &mut t.work_remote,
+                    &mut t.work_local,
+                ]
+                .into_iter()
+                .try_for_each(|v| c.u32(v))
             }
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Workload, WireError> {
-        let at = r.pos();
-        match r.u8()? {
-            0 => Ok(Workload::Contended {
-                outer: r.u32()?,
-                inner: r.u32()?,
-            }),
-            1 => Ok(Workload::OpenLoop(TrafficConfig {
-                seed: r.u64()?,
-                edge_every: r.u32()?,
-                requests_per_edge: r.u32()?,
-                mean_gap: r.u32()?,
-                phase_len: r.u32()?,
-                off_mul: r.u32()?,
-                ring_offset: r.u32()?,
-                ring_slots: r.u32()?,
-                work_remote: r.u32()?,
-                work_local: r.u32()?,
-            })),
-            tag => Err(WireError::BadTag { at, tag }),
         }
     }
 }
@@ -183,37 +170,21 @@ impl SimSpec {
         };
         norm(self) == norm(base)
     }
-
-    /// Encodes the spec (PROTOCOL.md "SimSpec").
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.u32(self.radix);
-        w.u32(self.dim);
-        w.u32(self.region_bytes);
-        w.u64(self.mem_latency);
-        w.bool(self.lockstep);
-        w.u32(self.workers);
-        w.u64(self.window_override);
-        w.bool(self.decode);
-        w.u64(self.watchdog_horizon);
-        self.workload.encode(w);
-    }
-
-    /// Decodes a spec encoded by [`SimSpec::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<SimSpec, WireError> {
-        Ok(SimSpec {
-            radix: r.u32()?,
-            dim: r.u32()?,
-            region_bytes: r.u32()?,
-            mem_latency: r.u64()?,
-            lockstep: r.bool()?,
-            workers: r.u32()?,
-            window_override: r.u64()?,
-            decode: r.bool()?,
-            watchdog_horizon: r.u64()?,
-            workload: Workload::decode(r)?,
-        })
-    }
 }
+
+// PROTOCOL.md "SimSpec".
+wire_fields!(SimSpec {
+    radix,
+    dim,
+    region_bytes,
+    mem_latency,
+    lockstep,
+    workers,
+    window_override,
+    decode,
+    watchdog_horizon,
+    workload,
+});
 
 /// The contended-sharing workload source (shared with the sweep
 /// harness, which predates the daemon).
@@ -257,7 +228,7 @@ fn contended_source(outer: u32, inner: u32) -> String {
 /// warm point; the cold twin of such a job installs it at the same
 /// cycle after re-executing the warmup, so the two runs see identical
 /// fault schedules.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultSpec {
     /// Injection-PRNG seed.
     pub seed: u64,
@@ -281,27 +252,16 @@ impl FaultSpec {
             max_delay: self.max_delay,
         })
     }
-
-    /// Encodes the spec (PROTOCOL.md "FaultSpec").
-    pub fn encode(&self, w: &mut ByteWriter) {
-        w.u64(self.seed);
-        w.f64(self.drop);
-        w.f64(self.dup);
-        w.f64(self.delay);
-        w.u64(self.max_delay);
-    }
-
-    /// Decodes a spec encoded by [`FaultSpec::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<FaultSpec, WireError> {
-        Ok(FaultSpec {
-            seed: r.u64()?,
-            drop: r.f64()?,
-            dup: r.f64()?,
-            delay: r.f64()?,
-            max_delay: r.u64()?,
-        })
-    }
 }
+
+// PROTOCOL.md "FaultSpec".
+wire_fields!(FaultSpec {
+    seed,
+    drop,
+    dup,
+    delay,
+    max_delay,
+});
 
 /// One simulation job: a machine + workload, the sweep-varied knobs,
 /// and a cycle budget.
@@ -340,49 +300,28 @@ impl Default for JobSpec {
     }
 }
 
-impl JobSpec {
-    /// Encodes the spec (PROTOCOL.md "JobSpec").
-    pub fn encode(&self, w: &mut ByteWriter) {
-        self.sim.encode(w);
-        w.bool(self.fault.is_some());
-        if let Some(f) = &self.fault {
-            f.encode(w);
-        }
-        w.bool(self.warm.is_some());
-        w.u32(self.warm.unwrap_or(0));
-        w.u64(self.warm_cycles);
-        w.u64(self.max_cycles);
-        w.bool(self.want_trace);
-    }
-
-    /// Decodes a spec encoded by [`JobSpec::encode`].
-    pub fn decode(r: &mut ByteReader<'_>) -> Result<JobSpec, WireError> {
-        let sim = SimSpec::decode(r)?;
-        let fault = if r.bool()? {
-            Some(FaultSpec::decode(r)?)
-        } else {
-            None
-        };
-        let has_warm = r.bool()?;
-        let warm_id = r.u32()?;
-        Ok(JobSpec {
-            sim,
-            fault,
-            warm: has_warm.then_some(warm_id),
-            warm_cycles: r.u64()?,
-            max_cycles: r.u64()?,
-            want_trace: r.bool()?,
-        })
+/// PROTOCOL.md "JobSpec". The warm id is written even when absent
+/// (as 0), after its presence flag.
+impl Wire for JobSpec {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        self.sim.wire(c)?;
+        self.fault.wire(c)?;
+        let flagged = |w: &Option<u32>| (w.is_some(), w.unwrap_or(0));
+        c.via(&mut self.warm, flagged, |(some, id)| Ok(some.then_some(id)))?;
+        c.u64(&mut self.warm_cycles)?;
+        c.u64(&mut self.max_cycles)?;
+        c.bool(&mut self.want_trace)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use april_util::wire::{ByteReader, ByteWriter};
 
     #[test]
     fn spec_roundtrips_exactly() {
-        let spec = JobSpec {
+        let mut spec = JobSpec {
             sim: SimSpec {
                 radix: 3,
                 dim: 2,
@@ -408,23 +347,27 @@ mod tests {
             want_trace: true,
         };
         let mut w = ByteWriter::new();
-        spec.encode(&mut w);
+        spec.wire(&mut w).unwrap();
         let bytes = w.finish();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(JobSpec::decode(&mut r).unwrap(), spec);
+        let mut back = JobSpec::default();
+        back.wire(&mut r).unwrap();
+        assert_eq!(back, spec);
         assert!(r.is_empty());
     }
 
     #[test]
     fn openloop_workload_roundtrips() {
-        let spec = SimSpec {
+        let mut spec = SimSpec {
             workload: Workload::OpenLoop(TrafficConfig::default()),
             ..SimSpec::default()
         };
         let mut w = ByteWriter::new();
-        spec.encode(&mut w);
+        spec.wire(&mut w).unwrap();
         let bytes = w.finish();
-        assert_eq!(SimSpec::decode(&mut ByteReader::new(&bytes)).unwrap(), spec);
+        let mut back = SimSpec::default();
+        back.wire(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(back, spec);
     }
 
     #[test]

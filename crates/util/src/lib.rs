@@ -8,8 +8,9 @@
 //!   randomized test suites, so the workspace builds and tests with no
 //!   network access and every "random" run is exactly reproducible
 //!   from a seed.
-//! * [`wire`]: the hand-rolled little-endian binary encoder/decoder
-//!   behind the machine snapshot format (DESIGN.md §11).
+//! * [`wire`]: the hand-rolled little-endian binary codec behind the
+//!   snapshot formats (DESIGN.md §11) and the april-serve protocol,
+//!   where each layout is one field list read and written alike.
 //! * [`hash`]: a deterministic multiply–xor hasher for hot-path hash
 //!   maps keyed by simulator-generated integers, where SipHash's
 //!   collision hardening is pure overhead.

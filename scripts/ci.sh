@@ -116,6 +116,16 @@ stage "warm-start equivalence suite (release)"
 cargo test -q --release -p april-machine --test warm_start
 cargo test -q --release -p april-serve --test serve
 
+stage "snapshot + protocol codec (release)"
+# The golden APRL, APRT and frame encodings are pinned by the tier-1
+# runs of these suites; release adds their deep hostile-input cases:
+# every prefix of each frame and of the run-time payload, and
+# truncations and flips at every section boundary of the machine
+# snapshot, each of which must end in a typed error.
+cargo test -q --release -p april-machine --test snapshot_roundtrip
+cargo test -q --release -p april-runtime --test snapshot_codec
+cargo test -q --release -p april-serve --test proto_codec
+
 stage "docs (markdown links + rustdoc, warnings are errors)"
 sh scripts/check_docs.sh
 
