@@ -14,7 +14,7 @@
 //! write-backs, contention — is simulated faithfully.
 
 use crate::config::MachineConfig;
-use crate::kernel::{cpu_word, proto_words, Cells, Outbox, Schedule, Scratch, BLOCK};
+use crate::kernel::{cpu_word, proto_words, Schedule, Scratch, BLOCK};
 use crate::traffic::{ArrivalPlan, NodeTraffic, IO_RETIRE};
 use crate::watchdog::{
     BusyEntry, FrameStall, InFlightMsg, MachineFault, OutstandingTxn, PostMortem, UndeliverableMsg,
@@ -36,7 +36,7 @@ use april_mem::msg::CohMsg;
 use april_net::fault::{FaultPlan, FaultStats};
 use april_net::network::Network;
 use april_net::topology::Channel;
-use april_obs::{lane, Component, Probe, StatsReport, Trace, TraceConfig};
+use april_obs::{lane, Component, EventKind, Probe, StatsReport, Trace, TraceConfig};
 
 /// I/O register: reading returns this node's id (fixnum).
 pub const IO_NODE_ID: u16 = 1;
@@ -74,8 +74,7 @@ pub struct Node {
     pub(crate) resv: Option<Resv>,
     /// Open-loop traffic state (DESIGN.md §15): `Some` on edge
     /// I/O-handler nodes of a machine with [`MachineConfig::traffic`]
-    /// set, `None` everywhere else. Lives inside the node so the
-    /// parallel machine's shards carry it with their nodes.
+    /// set, `None` everywhere else.
     pub(crate) traffic: Option<Box<NodeTraffic>>,
 }
 
@@ -108,12 +107,6 @@ pub(crate) fn msg_touches_cpu(msg: &CohMsg) -> bool {
             | CohMsg::FlushData { .. }
     )
 }
-
-// The window scheduler lends node slices to worker threads; any future
-// non-`Send` field must be caught at compile time, not at the first
-// 4-worker run (DESIGN.md §9).
-const _: () = april_util::assert_send::<Node>();
-const _: () = april_util::assert_send::<Env>();
 
 /// A protocol message in flight.
 #[derive(Debug, Clone, Copy, Default)]
@@ -164,7 +157,7 @@ pub struct Alewife {
     /// Scratch buffers reused across cycles so the hot loop allocates
     /// nothing: network deliveries, and the kernel's send buffers.
     scratch_deliveries: Vec<(usize, Env)>,
-    scratch: Scratch,
+    pub(crate) scratch: Scratch,
     /// The open-loop arrival plan derived from `cfg.traffic` (`None`
     /// without traffic). Derived state, never snapshotted.
     pub(crate) plan: Option<Box<ArrivalPlan>>,
@@ -177,31 +170,6 @@ pub struct Alewife {
     /// by looking, not in `sched.halted`, until the next advance takes
     /// it back.
     pub(crate) lent: Option<usize>,
-}
-
-/// The sequential machine's [`Outbox`]: every send is injected into the
-/// network the moment the kernel produces it, and the first fault is
-/// recorded on the machine (later ones are dropped — the run-time
-/// aborts on the first anyway).
-struct Direct<'a> {
-    net: &'a mut Network<Env>,
-    fault: &'a mut Option<MachineFault>,
-}
-
-impl Outbox for Direct<'_> {
-    #[inline]
-    fn unit(&mut self, _cycle: u64, _phase: u8, _unit: u64) {}
-
-    #[inline]
-    fn send(&mut self, at: u64, src: usize, dst: usize, size: u64, env: Env) {
-        self.net.send(at, src, dst, size, env);
-    }
-
-    fn fault(&mut self, fault: MachineFault) {
-        if self.fault.is_none() {
-            *self.fault = Some(fault);
-        }
-    }
 }
 
 impl Alewife {
@@ -331,7 +299,7 @@ impl Alewife {
     }
 
     /// Rebuilds the schedule from the nodes (construction, boot,
-    /// restore, a windowed run).
+    /// restore).
     pub(crate) fn rebuild_schedule(&mut self) {
         self.sched = Schedule::new(&self.nodes, &self.parked, &self.ready_at);
         self.lent = None;
@@ -378,7 +346,7 @@ impl Alewife {
     }
 
     /// Unparks every CPU, opening only the parked nodes.
-    pub(crate) fn unpark_all(&mut self) {
+    fn unpark_all(&mut self) {
         if self.parked.iter().fold(false, |any, &p| any | p) {
             for i in 0..self.parked.len() {
                 self.unpark(i);
@@ -417,7 +385,14 @@ impl Alewife {
     /// fences, waiting frames. With no pending work a stable progress
     /// signature means quiescence, not deadlock.
     pub fn pending_work(&self) -> bool {
-        self.net.in_flight_count() > 0 || nodes_pending_work(&self.nodes)
+        self.net.in_flight_count() > 0
+            || self.nodes.iter().any(|n| {
+                n.ctl.outstanding() > 0
+                    || n.ctl.fence_count() > 0
+                    || n.dir.busy_count() > 0
+                    || (0..n.cpu.nframes())
+                        .any(|f| n.cpu.frame(f).state == FrameState::WaitingRemote)
+            })
     }
 
     /// Whether every processor has executed `halt`.
@@ -587,51 +562,40 @@ impl Alewife {
         self.reclaim_lent();
         self.now = target;
         let faulted = self.fault.is_some();
-        let mut cells = Cells {
-            base: 0,
-            nodes: &mut self.nodes,
-            ready_at: &mut self.ready_at,
-            halted_at: &mut self.halted_at,
-            parked: &mut self.parked,
-            sched: &mut self.sched,
-            mem: &mut self.mem,
-            write_log: None,
-            prog: &self.prog,
-            dec: self.dec.as_ref(),
-            cfg: &self.cfg,
-            plan: self.plan.as_deref(),
-            scratch: &mut self.scratch,
-        };
-        let mut ob = Direct {
-            net: &mut self.net,
-            fault: &mut self.fault,
-        };
-        cells.ingress(target);
-        let deliveries = &mut self.scratch_deliveries;
+        self.ingress(target);
+        let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         deliveries.clear();
-        ob.net.poll_into(target, deliveries);
-        for (unit, &(dst, env)) in deliveries.iter().enumerate() {
-            cells.deliver(target, unit as u64, dst, env, &mut ob);
+        self.net.poll_into(target, &mut deliveries);
+        for &(dst, env) in &deliveries {
+            self.deliver(target, dst, env);
         }
-        cells.step(target, &mut ob, evs);
-        cells.tick(target, &mut ob);
+        self.scratch_deliveries = deliveries;
+        self.step(target, evs);
+        self.tick(target);
         // Forward-progress watchdog: fire only when work is pending —
-        // a stable signature on an idle machine is quiescence.
+        // a stable signature on an idle machine is quiescence. Both
+        // moves of its firing deadline are narrated on the meta lane.
         if self.cfg.watchdog.enabled && self.fault.is_none() {
             let (instrs, dir_events, ctl_events) = self.sched.settle(&self.nodes);
             let sig = (instrs, self.net.stats.delivered, dir_events, ctl_events);
             let horizon = self.cfg.watchdog.horizon;
-            let fired = self
-                .watchdog
-                .observe_traced(target, sig, horizon, &mut self.meta_probe);
+            let before = self.watchdog.deadline(horizon);
+            let fired = self.watchdog.observe(target, sig, horizon);
+            let deadline = self.watchdog.deadline(horizon);
+            if deadline != before {
+                self.meta_probe
+                    .emit(target, EventKind::WatchdogArmed, deadline, 0);
+            }
             if fired && self.pending_work() {
-                let pm = self.post_mortem();
-                self.fault = Some(self.watchdog.declare_dead(pm, &mut self.meta_probe));
+                self.meta_probe
+                    .emit(target, EventKind::WatchdogFired, deadline, 0);
+                let pm = Box::new(self.post_mortem());
+                self.fault = Some(MachineFault::NoForwardProgress(pm));
             }
         }
         if !faulted && self.fault.is_some() {
             // The run ends here: settle every parked ledger, so the
-            // faulted machine reads like the schedulers that never park.
+            // faulted machine reads like lockstep, which never parks.
             for i in 0..self.nodes.len() {
                 self.settle_idle(i);
             }
@@ -680,49 +644,80 @@ impl Alewife {
         })
     }
 
-    /// Captures the machine's stuck state for a watchdog report.
+    /// Captures the machine's stuck state for a watchdog report:
+    /// in-flight and dead-lettered messages, the injected-fault
+    /// counters, busy directory blocks, outstanding controller
+    /// transactions, remotely stalled frames, and pending fences.
     pub fn post_mortem(&self) -> PostMortem {
-        let mut pm = net_post_mortem(&self.net, self.now, self.cfg.watchdog.horizon);
-        node_post_mortem_fragments(0, &self.nodes, &mut pm);
+        let net = &self.net;
+        // The network hands packets over unsorted (keeping its hot-path
+        // accessor cheap); order the owned snapshot here, where a
+        // post-mortem is actually being built.
+        let mut in_flight: Vec<InFlightMsg> = net
+            .in_flight_packets()
+            .map(|(id, dst, sent_at, _, env)| InFlightMsg {
+                id,
+                src: env.src,
+                dst,
+                sent_at,
+                msg: env.msg,
+            })
+            .collect();
+        in_flight.sort_by_key(|m| m.id);
+        let undeliverable = net
+            .dead_letters()
+            .iter()
+            .map(|dl| UndeliverableMsg {
+                id: dl.id,
+                dst: dl.dst,
+                at: dl.at,
+                msg: dl.payload.msg,
+            })
+            .collect();
+        let mut pm = PostMortem {
+            cycle: self.now,
+            horizon: self.cfg.watchdog.horizon,
+            in_flight,
+            undeliverable,
+            fault_stats: net.fault_stats,
+            ..PostMortem::default()
+        };
+        for (i, n) in self.nodes.iter().enumerate() {
+            for (block, requester, write, epoch, awaiting) in n.dir.busy_entries() {
+                pm.busy_blocks.push(BusyEntry {
+                    home: i,
+                    block,
+                    requester,
+                    write,
+                    epoch,
+                    awaiting: awaiting.to_vec(),
+                });
+            }
+            for (block, xid, write_issued, frames) in n.ctl.outstanding_txns() {
+                pm.outstanding.push(OutstandingTxn {
+                    node: i,
+                    block,
+                    xid,
+                    write_issued,
+                    frames,
+                });
+            }
+            for f in 0..n.cpu.nframes() {
+                let frame = n.cpu.frame(f);
+                if frame.state == FrameState::WaitingRemote {
+                    pm.stalled_frames.push(FrameStall {
+                        node: i,
+                        frame: f,
+                        state: frame.state,
+                        pc: frame.pc,
+                    });
+                }
+            }
+            if n.ctl.fence_count() > 0 {
+                pm.fences.push((i, n.ctl.fence_count()));
+            }
+        }
         pm
-    }
-}
-
-/// The network half of a [`PostMortem`] declared at `cycle`: in-flight
-/// and dead-lettered messages plus the injected-fault counters. The
-/// node half comes from [`node_post_mortem_fragments`].
-pub(crate) fn net_post_mortem(net: &Network<Env>, cycle: u64, horizon: u64) -> PostMortem {
-    // The network hands packets over unsorted (keeping its hot-path
-    // accessor cheap); order the owned snapshot here, where a
-    // post-mortem is actually being built.
-    let mut in_flight: Vec<InFlightMsg> = net
-        .in_flight_packets()
-        .map(|(id, dst, sent_at, _, env)| InFlightMsg {
-            id,
-            src: env.src,
-            dst,
-            sent_at,
-            msg: env.msg,
-        })
-        .collect();
-    in_flight.sort_by_key(|m| m.id);
-    let undeliverable = net
-        .dead_letters()
-        .iter()
-        .map(|dl| UndeliverableMsg {
-            id: dl.id,
-            dst: dl.dst,
-            at: dl.at,
-            msg: dl.payload.msg,
-        })
-        .collect();
-    PostMortem {
-        cycle,
-        horizon,
-        in_flight,
-        undeliverable,
-        fault_stats: net.fault_stats,
-        ..PostMortem::default()
     }
 }
 
@@ -795,61 +790,6 @@ pub(crate) fn dispatch_to_node(
     Ok(())
 }
 
-/// Whether any node in the slice still owes anyone an answer (the
-/// node-local half of the machine-wide pending-work predicate; the
-/// network's in-flight count is the other half).
-pub(crate) fn nodes_pending_work(nodes: &[Node]) -> bool {
-    nodes.iter().any(|n| {
-        n.ctl.outstanding() > 0
-            || n.ctl.fence_count() > 0
-            || n.dir.busy_count() > 0
-            || (0..n.cpu.nframes()).any(|f| n.cpu.frame(f).state == FrameState::WaitingRemote)
-    })
-}
-
-/// Appends one node slice's contribution to a [`PostMortem`]: busy
-/// directory blocks, outstanding controller transactions, remotely
-/// stalled frames, and pending fences. `base` is the global id of
-/// `nodes[0]`, so parallel shards report correct node numbers.
-pub(crate) fn node_post_mortem_fragments(base: usize, nodes: &[Node], pm: &mut PostMortem) {
-    for (k, n) in nodes.iter().enumerate() {
-        let i = base + k;
-        for (block, requester, write, epoch, awaiting) in n.dir.busy_entries() {
-            pm.busy_blocks.push(BusyEntry {
-                home: i,
-                block,
-                requester,
-                write,
-                epoch,
-                awaiting: awaiting.to_vec(),
-            });
-        }
-        for (block, xid, write_issued, frames) in n.ctl.outstanding_txns() {
-            pm.outstanding.push(OutstandingTxn {
-                node: i,
-                block,
-                xid,
-                write_issued,
-                frames,
-            });
-        }
-        for f in 0..n.cpu.nframes() {
-            let frame = n.cpu.frame(f);
-            if frame.state == FrameState::WaitingRemote {
-                pm.stalled_frames.push(FrameStall {
-                    node: i,
-                    frame: f,
-                    state: frame.state,
-                    pc: frame.pc,
-                });
-            }
-        }
-        if n.ctl.fence_count() > 0 {
-            pm.fences.push((i, n.ctl.fence_count()));
-        }
-    }
-}
-
 /// The per-node memory port: routes processor accesses through the
 /// cache controller and, for home-local blocks, the local directory.
 pub(crate) struct NodePort<'a> {
@@ -863,14 +803,6 @@ pub(crate) struct NodePort<'a> {
     pub(crate) out: &'a mut Vec<(usize, CohMsg)>,
     /// IPIs and block transfers triggered by STIO.
     pub(crate) io_sends: &'a mut Vec<(usize, CohMsg)>,
-    /// When present, every address this port's accesses mutate in
-    /// memory (data word or full/empty bit) is appended here. The
-    /// parallel shards run against memory replicas and replay these
-    /// logs into the canonical image at window barriers; the coherence
-    /// protocol guarantees one writer per word per window, so replay
-    /// order across shards does not matter. The sequential machine
-    /// passes `None`.
-    pub(crate) write_log: Option<&'a mut Vec<u32>>,
     /// Request words stored to [`IO_RETIRE`]; the machine drains this
     /// after the step and timestamps each retirement against its
     /// arrival plan (a no-op on machines without traffic).
@@ -908,14 +840,7 @@ impl MemoryPort for NodePort<'_> {
         let write_grade = flavor.reset_fe;
         match self.access(addr, write_grade, ctx) {
             Outcome::Hit => match self.mem.apply_load(addr, flavor) {
-                Some((word, fe)) => {
-                    if flavor.reset_fe {
-                        if let Some(log) = self.write_log.as_deref_mut() {
-                            log.push(addr);
-                        }
-                    }
-                    LoadReply::Data { word, fe }
-                }
+                Some((word, fe)) => LoadReply::Data { word, fe },
                 None => LoadReply::FeViolation,
             },
             Outcome::LocalFill { stall } => LoadReply::Stall { cycles: stall },
@@ -933,12 +858,7 @@ impl MemoryPort for NodePort<'_> {
     fn store(&mut self, addr: u32, value: Word, flavor: StoreFlavor, ctx: AccessCtx) -> StoreReply {
         match self.access(addr, true, ctx) {
             Outcome::Hit => match self.mem.apply_store(addr, value, flavor) {
-                Some(fe) => {
-                    if let Some(log) = self.write_log.as_deref_mut() {
-                        log.push(addr);
-                    }
-                    StoreReply::Done { fe }
-                }
+                Some(fe) => StoreReply::Done { fe },
                 None => StoreReply::FeViolation,
             },
             Outcome::LocalFill { stall } => StoreReply::Stall { cycles: stall },
@@ -1091,8 +1011,10 @@ impl Machine for Alewife {
         // `NoReadyFrame` — the signal that node `i` will stay idle
         // until some machine-visible event, which lets the event-driven
         // advance skip its dead cycles. Any other amount is a custom
-        // charge that carries no such promise.
-        self.parked[i] = cycles == 1;
+        // charge that carries no such promise. Lockstep never parks: it
+        // steps every CPU every cycle and charges each idle cycle as it
+        // happens, the reference the skip's lazy charges are held to.
+        self.parked[i] = cycles == 1 && !self.cfg.lockstep;
         self.set_cpu_wake(i);
     }
 

@@ -34,20 +34,11 @@ pub struct MachineConfig {
     /// data-bearing protocol reply is injected (Table 4: 10 cycles).
     pub mem_latency: u64,
     /// Force the strict cycle-by-cycle advance loop instead of the
-    /// event-driven skip. The two are cycle-exact equivalents (see
-    /// DESIGN.md §8); this flag exists so the equivalence is testable
-    /// and so anomalies can be bisected against the reference path.
+    /// event-driven skip: every cycle is visited and no CPU ever parks.
+    /// The two are cycle-exact equivalents (see DESIGN.md §8); this
+    /// flag exists so the equivalence is testable and so anomalies can
+    /// be bisected against the reference path.
     pub lockstep: bool,
-    /// Worker threads for the parallel machine
-    /// ([`crate::parallel::ParallelAlewife`]); clamped to the node
-    /// count, and ignored by the sequential [`crate::Alewife`]. All
-    /// worker counts produce bit-identical runs (DESIGN.md §9).
-    pub workers: usize,
-    /// Conservative-window width override for the parallel machine:
-    /// 0 picks the network's lookahead bound automatically; a nonzero
-    /// value may only *narrow* the window (it is clamped to the
-    /// lookahead, never widened past it — wider would be unsound).
-    pub window_override: u64,
     /// Use the pre-decoded bytecode fast path (DESIGN.md §13): the
     /// loaded program is lowered once into flat [`april_core::DecodedProgram`]
     /// ops and straight-line safe runs are executed in batches without
@@ -76,8 +67,6 @@ impl Default for MachineConfig {
             region_bytes: 1 << 20,
             mem_latency: 10,
             lockstep: false,
-            workers: 1,
-            window_override: 0,
             decode: decode_default(),
             traffic: None,
         }

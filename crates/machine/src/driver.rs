@@ -1,16 +1,12 @@
 //! Embeddable run-time drivers.
 //!
-//! The sequential [`crate::Machine`] loop surfaces step events
-//! to its caller, who answers them through `cpu_mut`/`charge_handler`/
-//! `charge_idle`. The parallel machine cannot do that — events arise on
-//! worker threads mid-window, and shipping them to the coordinator and
-//! back would serialize every cycle. Instead the run-time policy is
-//! expressed as a [`NodeDriver`]: a `Sync` value the scheduler invokes
-//! *in place*, on whichever thread owns the node, against an
-//! [`EventCtx`] that scopes mutation to that node. One driver value
-//! then drives the lockstep, event-skipping, and parallel schedulers
-//! identically, which is what makes the three-way equivalence suite
-//! (and DESIGN.md §9's determinism argument) meaningful.
+//! The [`crate::Machine`] loop surfaces step events to its caller, who
+//! answers them through `cpu_mut`/`charge_handler`/`charge_idle`. A
+//! [`NodeDriver`] packages such a run-time policy as a value the loop
+//! invokes against an [`EventCtx`] that scopes mutation to the event's
+//! node. One driver value then drives the lockstep and event-skipping
+//! schedulers identically, which is what makes the equivalence suites
+//! (and DESIGN.md §8's determinism argument) meaningful.
 
 use crate::alewife::Alewife;
 use crate::watchdog::MachineFault;
@@ -33,23 +29,11 @@ pub trait EventCtx {
 }
 
 /// A run-time policy invoked for every step event a node reports.
-///
-/// `Sync` because the parallel scheduler calls it concurrently from all
-/// worker threads; drivers therefore hold only shared immutable policy
-/// (per-run mutable state would also break bit-exactness across worker
-/// counts).
-pub trait NodeDriver: Sync {
+/// Drivers hold only immutable policy: the machine state they answer
+/// from is the event's node, reached through the [`EventCtx`].
+pub trait NodeDriver {
     /// Answers one step event on node `node`.
     fn on_event(&self, node: usize, ev: StepEvent, ctx: &mut dyn EventCtx);
-}
-
-/// References forward, so generic `run` surfaces (which take `&D` with
-/// `D: NodeDriver`) also accept `&dyn NodeDriver` — the recovery layer
-/// drives machines through trait objects.
-impl<T: NodeDriver + ?Sized> NodeDriver for &T {
-    fn on_event(&self, node: usize, ev: StepEvent, ctx: &mut dyn EventCtx) {
-        (**self).on_event(node, ev, ctx);
-    }
 }
 
 /// The switch-spin run-time used throughout the equivalence and bench

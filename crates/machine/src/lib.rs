@@ -25,7 +25,6 @@ pub mod driver;
 pub mod ideal;
 pub(crate) mod kernel;
 pub(crate) mod obs;
-pub mod parallel;
 pub mod recovery;
 pub mod replay;
 pub mod snapshot;
@@ -42,10 +41,9 @@ pub use alewife::Alewife;
 pub use config::MachineConfig;
 pub use driver::{drive_sequential, drive_sequential_until, EventCtx, NodeDriver, SwitchSpin};
 pub use ideal::IdealMachine;
-pub use parallel::ParallelAlewife;
 pub use recovery::{
-    derive_quarantine, Quarantine, QuarantineAction, RecoverableMachine, RecoveryConfig,
-    RecoveryFailure, RecoveryManager, RecoveryReport,
+    derive_quarantine, Quarantine, QuarantineAction, RecoveryConfig, RecoveryFailure,
+    RecoveryManager, RecoveryReport,
 };
 pub use replay::{Divergence, Replayer};
 pub use snapshot::{diff_snapshots, Snapshot, SnapshotError};

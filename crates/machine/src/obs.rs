@@ -1,14 +1,12 @@
-//! Machine-level observability plumbing shared by the sequential and
-//! parallel ALEWIFE machines: probe attachment, trace assembly, and
-//! the [`StatsReport`] builder.
+//! Machine-level observability plumbing of the ALEWIFE machine: probe
+//! attachment, trace assembly, and the [`StatsReport`] builder.
 //!
 //! Reports are derived exclusively from deterministic component state
 //! (cycle ledgers, protocol counters, network statistics) — never from
 //! the scheduler's final clock — so the same workload yields a
-//! byte-equal report under the lockstep, event-driven, and parallel
-//! schedulers at any worker count. Traces likewise merge per-component
-//! probe rings whose contents are bit-identical across schedulers (see
-//! DESIGN.md §10).
+//! byte-equal report under the lockstep and event-driven schedulers.
+//! Traces likewise merge per-component probe rings whose contents are
+//! bit-identical across schedulers (see DESIGN.md §10).
 
 use crate::alewife::{Alewife, Node};
 use crate::Machine;

@@ -18,8 +18,8 @@
 //! *pure function* of the fault-plan seed, the attempt number, and the
 //! post-mortem ([`derive_quarantine`]) — no wall clock, no ambient
 //! randomness — so the same seeded run recovers identically on the
-//! lockstep, event-driven, and parallel schedulers at any worker
-//! count. And because quarantines live in the network's fault plan
+//! lockstep and event-driven schedulers. And because quarantines live
+//! in the network's fault plan
 //! (checkpointed state) while the watchdog horizon is normalized out
 //! of snapshot validation (supervision policy, not machine state), a
 //! recovered run is bit-identical — trace, stats, memory — to a fresh
@@ -34,7 +34,6 @@
 
 use crate::alewife::Alewife;
 use crate::driver::{drive_sequential_until, NodeDriver};
-use crate::parallel::ParallelAlewife;
 use crate::snapshot::{Snapshot, SnapshotError};
 use crate::watchdog::{MachineFault, PostMortem};
 use crate::Machine;
@@ -94,7 +93,7 @@ impl Quarantine {
     /// after each rollback (restore brings back the pre-quarantine
     /// plan) and to configure a fresh machine for the recovered-vs-
     /// fresh equivalence check.
-    pub fn apply<M: RecoverableMachine>(&self, m: &mut M) {
+    pub fn apply(&self, m: &mut Alewife) {
         for &ch in &self.channels {
             m.quarantine_channel(ch);
         }
@@ -168,103 +167,6 @@ pub struct RecoveryReport {
     pub last_restored: Option<(u64, Snapshot)>,
     /// Why the manager gave up, if it did.
     pub failure: Option<RecoveryFailure>,
-}
-
-/// What the manager needs from a machine: the [`Alewife`] underneath —
-/// clocked, checkpointable, with quarantine and watchdog-horizon
-/// control — plus a scheduler to run it with. Implemented by the
-/// sequential [`Alewife`] (covering both the lockstep and event-driven
-/// schedulers) and by [`ParallelAlewife`]; everything but the scheduler
-/// is provided from the machine itself.
-pub trait RecoverableMachine {
-    /// The machine being supervised.
-    fn machine(&self) -> &Alewife;
-    /// The machine being supervised, mutably.
-    fn machine_mut(&mut self) -> &mut Alewife;
-    /// Runs under `driver` until the clock reaches `stop_at`, the run
-    /// finishes, or a fault surfaces (returned).
-    fn run_to(&mut self, driver: &dyn NodeDriver, stop_at: u64) -> Option<MachineFault>;
-
-    /// Current simulated time.
-    fn now(&self) -> u64 {
-        Machine::now(self.machine())
-    }
-    /// The fatal fault that ended the run, if any.
-    fn fault(&self) -> Option<&MachineFault> {
-        Machine::fault(self.machine())
-    }
-    /// True when the run is complete ([`Alewife::finished`]).
-    fn finished(&self) -> bool {
-        self.machine().finished()
-    }
-    /// Captures the machine's complete state (`&mut self`: decode-
-    /// engine booked runs materialize before encoding).
-    fn checkpoint(&mut self) -> Result<Snapshot, SnapshotError> {
-        self.machine_mut().checkpoint()
-    }
-    /// Restores a checkpoint (clearing any recorded fault).
-    fn restore(&mut self, snap: &Snapshot) -> Result<(), SnapshotError> {
-        self.machine_mut().restore(snap)
-    }
-    /// Quarantines a directed channel in the network's fault plan.
-    fn quarantine_channel(&mut self, ch: Channel) {
-        self.machine_mut().quarantine_channel(ch);
-    }
-    /// Quarantines a node in the network's fault plan.
-    fn quarantine_node(&mut self, node: usize) {
-        self.machine_mut().quarantine_node(node);
-    }
-    /// Replaces the watchdog's no-progress horizon.
-    fn set_watchdog_horizon(&mut self, horizon: u64) {
-        self.machine_mut().set_watchdog_horizon(horizon);
-    }
-    /// The watchdog's current no-progress horizon.
-    fn watchdog_horizon(&self) -> u64 {
-        self.machine().watchdog_horizon()
-    }
-    /// The home node of byte address `addr`.
-    fn home_of(&self, addr: u32) -> usize {
-        self.machine().config().home_of(addr)
-    }
-    /// The network topology.
-    fn topology(&self) -> Topology {
-        self.machine().config().topology
-    }
-    /// The fault plan's seed (0 if no plan is installed); one input of
-    /// the deterministic quarantine decision.
-    fn fault_seed(&self) -> u64 {
-        self.machine().fault_plan().map_or(0, |p| p.seed())
-    }
-}
-
-impl RecoverableMachine for Alewife {
-    fn machine(&self) -> &Alewife {
-        self
-    }
-
-    fn machine_mut(&mut self) -> &mut Alewife {
-        self
-    }
-
-    fn run_to(&mut self, driver: &dyn NodeDriver, stop_at: u64) -> Option<MachineFault> {
-        // `stop_at + 1` keeps the timeout assertion clear of the stop
-        // cycle itself; the budget proper is the manager's.
-        drive_sequential_until(self, driver, stop_at, stop_at + 1)
-    }
-}
-
-impl RecoverableMachine for ParallelAlewife {
-    fn machine(&self) -> &Alewife {
-        self
-    }
-
-    fn machine_mut(&mut self) -> &mut Alewife {
-        self
-    }
-
-    fn run_to(&mut self, driver: &dyn NodeDriver, stop_at: u64) -> Option<MachineFault> {
-        self.run_until(&driver, stop_at, stop_at + 1)
-    }
 }
 
 /// The `(suspect, peer)` node pairs a fault implicates, most specific
@@ -494,9 +396,9 @@ impl RecoveryManager {
             .emit(cycle, EventKind::CheckpointTaken, self.ring.len() as u64, 0);
     }
 
-    fn report<M: RecoverableMachine>(
+    fn report(
         &self,
-        m: &M,
+        m: &Alewife,
         recovered: bool,
         failure: Option<RecoveryFailure>,
     ) -> RecoveryReport {
@@ -516,11 +418,7 @@ impl RecoveryManager {
     /// Supervises `m` under `driver` to completion or structured
     /// failure. The machine should be booted and un-faulted; its
     /// current watchdog horizon is the base the backoff doubles from.
-    pub fn run<M: RecoverableMachine>(
-        &mut self,
-        m: &mut M,
-        driver: &dyn NodeDriver,
-    ) -> RecoveryReport {
+    pub fn run(&mut self, m: &mut Alewife, driver: &dyn NodeDriver) -> RecoveryReport {
         let base_horizon = m.watchdog_horizon();
         self.final_horizon = base_horizon;
         match m.checkpoint() {
@@ -538,8 +436,9 @@ impl RecoveryManager {
             let stop = ((m.now() / interval) + 1)
                 .saturating_mul(interval)
                 .min(self.cfg.max_cycles);
-            let fault = m.run_to(driver, stop);
-            let Some(fault) = fault else {
+            // `stop + 1` keeps the timeout assertion clear of the stop
+            // cycle itself; the budget proper is the manager's.
+            let Some(fault) = drive_sequential_until(m, driver, stop, stop + 1) else {
                 if m.finished() {
                     return self.report(m, true, None);
                 }
@@ -554,19 +453,15 @@ impl RecoveryManager {
                 return self.report(m, false, Some(RecoveryFailure::AttemptsExhausted(fault)));
             }
             self.attempts += 1;
-            let topo = m.topology();
-            let seed = m.fault_seed();
-            let action = {
-                let home_of = |a: u32| m.home_of(a);
-                derive_quarantine(
-                    &topo,
-                    &home_of,
-                    &fault,
-                    &self.quarantine,
-                    seed,
-                    self.attempts - 1,
-                )
-            };
+            let cfg = *m.config();
+            let action = derive_quarantine(
+                &cfg.topology,
+                &|a| cfg.home_of(a),
+                &fault,
+                &self.quarantine,
+                m.fault_plan().map_or(0, |p| p.seed()),
+                self.attempts - 1,
+            );
             let Some(action) = action else {
                 return self.report(m, false, Some(RecoveryFailure::Unquarantinable(fault)));
             };

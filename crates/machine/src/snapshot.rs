@@ -5,11 +5,10 @@
 //! in-flight busy episodes, controller transactions, full/empty memory,
 //! the network's event heap and fault-plan state, scheduler
 //! bookkeeping, and every probe's ring — as one self-describing byte
-//! string. Every scheduler runs over that one machine, so a snapshot
-//! taken under any of them restores under any other: checkpoint a
-//! sequential run, resume under [`crate::ParallelAlewife`]'s windows
-//! (or vice versa), and the continuation is bit-exact for any worker
-//! count.
+//! string. Both schedulers run over that one machine, so a snapshot
+//! taken under either restores under the other: checkpoint an
+//! event-driven run, resume it in lockstep (or vice versa), and the
+//! continuation is bit-exact.
 //!
 //! The format (DESIGN.md §11) is a fixed header — magic `"APRL"`,
 //! version byte, checkpoint cycle, the `Debug` rendering of the
@@ -309,19 +308,16 @@ fn prog_digest(prog: &Program) -> u64 {
 }
 
 /// The configuration rendering snapshots embed and validate against.
-/// The scheduler-selection knobs (`lockstep`, `workers`,
-/// `window_override`) are normalized away: they do not affect machine
-/// semantics — the bit-exact equivalence contract is precisely that —
-/// so a checkpoint taken under one scheduler restores under any other
-/// scheduler or worker count. The watchdog horizon is normalized for
-/// the same reason: it is supervision policy, not machine state, and
-/// the recovery layer backs it off between attempts while restoring
-/// checkpoints taken under the original horizon.
+/// The scheduler-selection knob (`lockstep`) is normalized away: it
+/// does not affect machine semantics — the bit-exact equivalence
+/// contract is precisely that — so a checkpoint taken under one
+/// scheduler restores under the other. The watchdog horizon is
+/// normalized for the same reason: it is supervision policy, not
+/// machine state, and the recovery layer backs it off between attempts
+/// while restoring checkpoints taken under the original horizon.
 fn semantic_config_debug(cfg: &MachineConfig) -> String {
     let mut c = *cfg;
     c.lockstep = false;
-    c.workers = 1;
-    c.window_override = 0;
     c.watchdog.horizon = 0;
     // The decode engine is cycle-exact with the interpreter and its
     // image is derived state: a checkpoint taken with it on restores
@@ -493,7 +489,6 @@ impl Alewife {
 mod tests {
     use super::*;
     use crate::driver::{drive_sequential, drive_sequential_until, SwitchSpin};
-    use crate::parallel::ParallelAlewife;
     use crate::Machine;
     use april_core::isa::asm::assemble;
     use april_net::topology::Topology;
@@ -639,48 +634,46 @@ mod tests {
     }
 
     #[test]
-    fn sequential_snapshot_restores_into_parallel_machine() {
+    fn event_snapshot_restores_into_lockstep_machine() {
         let driver = SwitchSpin::default();
-        let pcfg = MachineConfig {
-            workers: 2,
+        let lcfg = MachineConfig {
+            lockstep: true,
             ..cfg()
         };
 
-        // Reference: unbroken parallel run.
-        let mut reference = ParallelAlewife::new(pcfg, prog());
+        // Reference: unbroken lockstep run.
+        let mut reference = Alewife::new(lcfg, prog());
         reference.attach_tracer(TraceConfig::default());
-        for i in 0..reference.num_procs() {
-            reference.cpu_mut(i).boot(0);
-        }
-        assert_eq!(reference.run(&driver, 100_000), None);
+        boot_all(&mut reference);
+        assert_eq!(drive_sequential(&mut reference, &driver, 100_000), None);
 
-        // Checkpoint a sequential run at cycle 30, restore into a
-        // parallel machine, finish there.
-        let mut m = Alewife::new(pcfg, prog());
+        // Checkpoint an event-driven run at cycle 30, restore into a
+        // lockstep machine, finish there.
+        let mut m = Alewife::new(cfg(), prog());
         m.attach_tracer(TraceConfig::default());
         boot_all(&mut m);
         drive_sequential_until(&mut m, &driver, 30, 100_000);
         let snap = m.checkpoint().unwrap();
 
-        let mut p = ParallelAlewife::new(pcfg, prog());
-        p.attach_tracer(TraceConfig::default());
-        p.restore(&snap).unwrap();
-        assert_eq!(p.now(), 30);
-        assert_eq!(p.run(&driver, 100_000), None);
+        let mut l = Alewife::new(lcfg, prog());
+        l.attach_tracer(TraceConfig::default());
+        l.restore(&snap).unwrap();
+        assert_eq!(l.now(), 30);
+        assert_eq!(drive_sequential(&mut l, &driver, 100_000), None);
 
-        assert_eq!(p.halted_cycles(), reference.halted_cycles());
+        assert_eq!(l.halted_cycles(), reference.halted_cycles());
         let mut t_ref = reference.collect_trace();
-        let mut t_p = p.collect_trace();
+        let mut t_l = l.collect_trace();
         t_ref.retain_semantic();
-        t_p.retain_semantic();
-        assert_eq!(t_ref.events(), t_p.events());
+        t_l.retain_semantic();
+        assert_eq!(t_ref.events(), t_l.events());
         assert_eq!(
             reference.stats_report().to_json(),
-            p.stats_report().to_json()
+            l.stats_report().to_json()
         );
         // The semantic state is byte-identical; only the meta lane
-        // (scheduler-internal window barriers) may differ.
-        let d = diff_snapshots(&reference.checkpoint().unwrap(), &p.checkpoint().unwrap());
+        // (scheduler-internal watchdog narration) may differ.
+        let d = diff_snapshots(&reference.checkpoint().unwrap(), &l.checkpoint().unwrap());
         assert!(
             d.is_none() || d.as_deref() == Some("section meta@0"),
             "only the meta lane may differ across schedulers, got {d:?}"

@@ -17,11 +17,11 @@
 //!
 //! Determinism contract: the plan is a pure function of
 //! [`TrafficConfig`] plus machine geometry, injections happen at
-//! plan-exact cycles under the lockstep, event-driven, and parallel
-//! schedulers alike, and every per-request observation (arrival,
-//! drop, retire latency) is recorded into per-node state that merges
+//! plan-exact cycles under the lockstep and event-driven schedulers
+//! alike, and every per-request observation (arrival, drop, retire
+//! latency) is recorded into per-node state that merges
 //! order-independently — so arrival traces and latency reports are
-//! byte-identical across schedulers and worker counts (DESIGN.md §15).
+//! byte-identical across schedulers (DESIGN.md §15).
 
 use crate::config::MachineConfig;
 use april_core::word::Word;
@@ -210,9 +210,8 @@ impl ArrivalPlan {
     }
 }
 
-/// Per-edge-node traffic state, carried inside the node itself so the
-/// parallel machine's shards move it with their nodes. Counters,
-/// histogram, and the poison flag are machine state (snapshotted in
+/// Per-edge-node traffic state, carried inside the node itself.
+/// Counters, histogram, and the poison flag are machine state (snapshotted in
 /// the per-node `SEC_TRAFFIC` section); the injection cursor is
 /// derived from the plan and the restored clock, so restores recompute
 /// it instead of trusting the snapshot.
@@ -251,19 +250,15 @@ impl NodeTraffic {
 
 /// Injects every arrival due at `now` into `node`'s ring, plus the
 /// poison word once all arrivals are in and the head slot is free.
-/// Writes go straight to `mem` (the caller passes its canonical image
-/// or its shard replica) and are appended to `write_log` when the
-/// caller reconciles replicas at window barriers. Pure per-node
-/// state-machine: given the same plan and visit cycles, every
-/// scheduler performs the identical writes and emits the identical
-/// probe events.
+/// Writes go straight to `mem`. Pure per-node state-machine: given the
+/// same plan and visit cycles, every scheduler performs the identical
+/// writes and emits the identical probe events.
 pub(crate) fn inject_due(
     plan: &ArrivalPlan,
     node: usize,
     tr: &mut NodeTraffic,
     now: u64,
     mem: &mut FeMemory,
-    mut write_log: Option<&mut Vec<u32>>,
 ) {
     let Some(arrivals) = plan.arrivals(node) else {
         return;
@@ -278,9 +273,6 @@ pub(crate) fn inject_due(
             tr.probe.emit(now, EventKind::RequestDrop, id, addr as u64);
         } else {
             mem.set_word_state(addr, request_word(id), true);
-            if let Some(log) = write_log.as_mut() {
-                log.push(addr);
-            }
             tr.injected += 1;
             tr.probe
                 .emit(now, EventKind::RequestArrive, id, addr as u64);
@@ -291,9 +283,6 @@ pub(crate) fn inject_due(
         let addr = plan.slot_addr(node, tr.injected);
         if mem.read(addr) == Word::ZERO {
             mem.set_word_state(addr, Word(POISON_WORD), true);
-            if let Some(log) = write_log {
-                log.push(addr);
-            }
             tr.poison_sent = true;
         }
     }
@@ -336,7 +325,7 @@ pub(crate) fn record_retire(
 /// clear the slot, retire via `stio rS, 7`, advance — until it
 /// consumes the poison word. The program is pure APRIL assembly with
 /// no run-time calls, so the plain trap-handling drivers
-/// ([`crate::SwitchSpin`]) can run it on all three schedulers.
+/// ([`crate::SwitchSpin`]) can run it on both schedulers.
 ///
 /// # Panics
 ///

@@ -22,7 +22,6 @@ use april_core::frame::FrameState;
 use april_mem::msg::CohMsg;
 use april_mem::ProtocolError;
 use april_net::fault::FaultStats;
-use april_obs::{EventKind, Probe};
 use std::fmt;
 
 /// Watchdog policy.
@@ -276,38 +275,6 @@ impl Watchdog {
             return false;
         }
         now.saturating_sub(self.last_change) >= horizon
-    }
-
-    /// [`Watchdog::observe`], narrated on the scheduler's meta lane: a
-    /// [`EventKind::WatchdogArmed`] event whenever the firing deadline
-    /// moves. The one observe path of every scheduler.
-    pub(crate) fn observe_traced(
-        &mut self,
-        now: u64,
-        sig: (u64, u64, u64, u64),
-        horizon: u64,
-        meta: &mut Probe,
-    ) -> bool {
-        let before = self.deadline(horizon);
-        let fired = self.observe(now, sig, horizon);
-        let after = self.deadline(horizon);
-        if after != before {
-            meta.emit(now, EventKind::WatchdogArmed, after, 0);
-        }
-        fired
-    }
-
-    /// Declares the run dead: emits [`EventKind::WatchdogFired`] on the
-    /// meta lane and wraps the post-mortem into the fault. Called once
-    /// `observe` fired *and* the scheduler found work still pending.
-    pub(crate) fn declare_dead(&self, pm: PostMortem, meta: &mut Probe) -> MachineFault {
-        meta.emit(
-            pm.cycle,
-            EventKind::WatchdogFired,
-            self.deadline(pm.horizon),
-            0,
-        );
-        MachineFault::NoForwardProgress(Box::new(pm))
     }
 
     /// The cycle at which [`Watchdog::observe`] would first fire if the

@@ -20,8 +20,8 @@
 //! 3. The cross-kind acceptance gate: with caps no overflow can reach
 //!    (≤ 8 sharers on a 4-node machine), the sparse kinds must be
 //!    **bit-identical** to full-map — semantic trace, statistics
-//!    report, and final memory — across lockstep, event-skipping, and
-//!    parallel schedulers, under two fault-injection seeds.
+//!    report, and final memory — across the lockstep and
+//!    event-skipping schedulers, under two fault-injection seeds.
 //! 4. The size the sparse kinds exist for (release builds only): a
 //!    1089-node read fan-in halts at the same final cycle under all
 //!    three kinds, the sparse ones in less directory storage.
@@ -30,7 +30,6 @@ use april_core::program::Program;
 use april_machine::alewife::Alewife;
 use april_machine::config::MachineConfig;
 use april_machine::driver::{drive_sequential, drive_sequential_until, SwitchSpin};
-use april_machine::parallel::ParallelAlewife;
 use april_machine::Machine;
 use april_mem::DirectoryKind;
 use april_net::fault::{FaultPlan, FaultRule};
@@ -119,7 +118,7 @@ fn random_program(rng: &mut Rng) -> Program {
 }
 
 /// Boots and runs a program to quiescence on the event-skipping
-/// sequential scheduler.
+/// scheduler.
 fn run_cfg(cfg: MachineConfig, prog: &Program) -> Alewife {
     let kind = cfg.dir.kind;
     let mut m = Alewife::new(cfg, prog.clone());
@@ -312,30 +311,11 @@ fn run_seq(kind: DirectoryKind, seed: u64, lockstep: bool) -> Alewife {
     m
 }
 
-fn run_par(kind: DirectoryKind, seed: u64, workers: usize) -> ParallelAlewife {
-    let mut m = ParallelAlewife::new(
-        MachineConfig {
-            workers,
-            ..cfg4(kind)
-        },
-        stress(),
-    );
-    m.attach_tracer(TraceConfig::default());
-    m.set_fault_plan(plan(seed));
-    for i in 0..m.num_procs() {
-        m.cpu_mut(i).boot(0);
-    }
-    m.run(&SwitchSpin::default(), MAX);
-    assert!(m.fault().is_none());
-    m
-}
-
 /// With sharer counts that fit the inline pointer array (a 4-node
 /// machine can have at most 4 sharers), the sparse kinds must send the
 /// exact same protocol messages as full-map — so the entire observable
 /// machine is bit-identical: semantic trace, stats report, memory.
-/// Verified across both sequential schedulers and the parallel one,
-/// under two fault seeds.
+/// Verified across both schedulers, under two fault seeds.
 #[test]
 fn sparse_kinds_are_bit_identical_below_their_caps() {
     let kinds = [
@@ -378,23 +358,10 @@ fn sparse_kinds_are_bit_identical_below_their_caps() {
                 ref_report,
                 "seed {seed:#x}, {kind:?} lockstep: stats diverged from full-map"
             );
-
-            // Parallel, two workers.
-            let par = run_par(kind, seed, 2);
-            assert_eq!(
-                semantic(par.collect_trace()),
-                ref_trace,
-                "seed {seed:#x}, {kind:?} parallel: trace diverged from full-map"
-            );
-            assert_eq!(
-                par.stats_report().to_json(),
-                ref_report,
-                "seed {seed:#x}, {kind:?} parallel: stats diverged from full-map"
-            );
             assert_same_memory(
                 reference.mem(),
-                par.mem(),
-                &format!("seed {seed:#x}, {kind:?} parallel"),
+                lock.mem(),
+                &format!("seed {seed:#x}, {kind:?} lockstep"),
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Open-loop traffic determinism (DESIGN.md §15): the same seed must
 //! yield a byte-identical arrival trace and latency report across the
-//! lockstep, event-driven, and parallel schedulers at 1/2/4 workers —
-//! fault-free, under a seeded drop/dup/delay fault plan with protocol
+//! lockstep and event-driven schedulers — fault-free, under a seeded
+//! drop/dup/delay fault plan with protocol
 //! retry recovery enabled, and across a mid-run checkpoint/restore cut
 //! (which exercises the per-edge-node `SEC_TRAFFIC` snapshot section
 //! and the derived injection-cursor recompute).
@@ -11,7 +11,6 @@ use april_core::program::Program;
 use april_machine::alewife::Alewife;
 use april_machine::config::MachineConfig;
 use april_machine::driver::{drive_sequential, drive_sequential_until, SwitchSpin};
-use april_machine::parallel::ParallelAlewife;
 use april_machine::{service_program, Machine, TrafficConfig};
 use april_net::fault::{FaultPlan, FaultRule};
 use april_net::topology::Topology;
@@ -80,19 +79,6 @@ fn run_seq(plan: Option<FaultPlan>, lockstep: bool) -> Alewife {
     m
 }
 
-fn run_par(plan: Option<FaultPlan>, workers: usize) -> ParallelAlewife {
-    let mut m = ParallelAlewife::new(MachineConfig { workers, ..cfg() }, prog());
-    m.attach_tracer(TraceConfig::default());
-    if let Some(plan) = plan {
-        m.set_fault_plan(plan);
-    }
-    for i in 0..m.num_procs() {
-        m.cpu_mut(i).boot(0);
-    }
-    m.run(&SwitchSpin::default(), MAX);
-    m
-}
-
 /// Sanity-checks the merged traffic section of a quiesced run: every
 /// offered request was injected or dropped, every injected request was
 /// retired before the poison word, and the latency histogram holds one
@@ -123,9 +109,8 @@ fn assert_traffic_sane(report: &StatsReport, who: &str) {
 }
 
 /// The core contract: lockstep is the reference; the event-driven skip
-/// and the parallel machine at 1/2/4 workers must reproduce its
-/// semantic trace (arrivals, drops, retires included) and its stats
-/// report byte for byte.
+/// must reproduce its semantic trace (arrivals, drops, retires
+/// included) and its stats report byte for byte.
 fn assert_open_loop_equivalent(plan: Option<FaultPlan>) {
     let reference = run_seq(plan.clone(), true);
     assert_eq!(reference.fault(), None, "lockstep: fatal fault");
@@ -135,7 +120,7 @@ fn assert_open_loop_equivalent(plan: Option<FaultPlan>) {
     let ref_json = ref_report.to_json();
     assert_traffic_sane(&ref_report, "lockstep");
 
-    let skipping = run_seq(plan.clone(), false);
+    let skipping = run_seq(plan, false);
     assert_eq!(skipping.fault(), None, "event-driven: fatal fault");
     assert_eq!(
         ref_trace,
@@ -147,21 +132,6 @@ fn assert_open_loop_equivalent(plan: Option<FaultPlan>) {
         skipping.stats_report().to_json(),
         "event-driven: latency report diverged"
     );
-
-    for workers in [1, 2, 4] {
-        let par = run_par(plan.clone(), workers);
-        assert_eq!(par.fault(), None, "parallel x{workers}: fatal fault");
-        assert_eq!(
-            ref_trace,
-            semantic(par.collect_trace()),
-            "parallel x{workers}: arrival/latency trace diverged"
-        );
-        assert_eq!(
-            ref_json,
-            par.stats_report().to_json(),
-            "parallel x{workers}: latency report diverged"
-        );
-    }
 }
 
 #[test]
@@ -223,7 +193,7 @@ fn checkpoint_restore_resumes_open_loop_run_bit_exact() {
     );
     let snap = cut.checkpoint().unwrap();
 
-    // Resume on the lockstep scheduler and on the parallel machine.
+    // Resume on the lockstep scheduler.
     let mut lockstep = Alewife::new(
         MachineConfig {
             lockstep: true,
@@ -244,21 +214,4 @@ fn checkpoint_restore_resumes_open_loop_run_bit_exact() {
         lockstep.stats_report().to_json(),
         "lockstep resume: report diverged"
     );
-
-    for workers in [2, 4] {
-        let mut par = ParallelAlewife::new(MachineConfig { workers, ..cfg() }, prog());
-        par.attach_tracer(TraceConfig::default());
-        par.restore(&snap).unwrap();
-        par.run(&SwitchSpin::default(), MAX);
-        assert_eq!(
-            ref_trace,
-            semantic(par.collect_trace()),
-            "parallel x{workers} resume: trace diverged"
-        );
-        assert_eq!(
-            ref_json,
-            par.stats_report().to_json(),
-            "parallel x{workers} resume: report diverged"
-        );
-    }
 }

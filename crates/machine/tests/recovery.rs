@@ -3,7 +3,7 @@
 //! [`RecoveryManager`] via quarantine + rollback — and the recovered
 //! run must be bit-identical (semantic trace, stats report, memory) to
 //! a fresh run launched from the same checkpoint with the quarantined
-//! config, on the lockstep, event-driven, and parallel schedulers.
+//! config, on the lockstep and event-driven schedulers.
 //! Alongside the acceptance path: the watchdog false-positive guard, a
 //! deeper-rollback scenario with retries disabled, a structured
 //! failure for an unrecoverable node kill, and a bounded recovery
@@ -14,10 +14,7 @@ use april_core::program::Program;
 use april_machine::alewife::Alewife;
 use april_machine::config::MachineConfig;
 use april_machine::driver::{drive_sequential, drive_sequential_until, SwitchSpin};
-use april_machine::parallel::ParallelAlewife;
-use april_machine::recovery::{
-    RecoverableMachine, RecoveryConfig, RecoveryFailure, RecoveryManager, RecoveryReport,
-};
+use april_machine::recovery::{RecoveryConfig, RecoveryFailure, RecoveryManager, RecoveryReport};
 use april_machine::snapshot::diff_snapshots;
 use april_machine::watchdog::{MachineFault, WatchdogConfig};
 use april_machine::Machine;
@@ -176,34 +173,6 @@ fn recover_seq(lockstep: bool) -> Recovered {
     }
 }
 
-/// Supervises one parallel machine to a recovered completion.
-fn recover_par(workers: usize) -> Recovered {
-    let mut cfg = mesh_cfg(fast_retry(), 20_000);
-    cfg.workers = workers;
-    let mut m = ParallelAlewife::new(cfg, stress_program());
-    m.set_fault_plan(kill_plan(0x5eed, 200));
-    m.attach_tracer(TraceConfig::default());
-    for i in 0..m.num_procs() {
-        m.cpu_mut(i).boot(0);
-    }
-    let mut mgr = RecoveryManager::new(recovery_cfg());
-    mgr.attach_tracer(TraceConfig::default());
-    let report = mgr.run(&mut m, &SwitchSpin::default());
-    assert!(
-        report.recovered,
-        "workers={workers}: recovery failed: {:?}",
-        report.failure
-    );
-    Recovered {
-        report,
-        trace: semantic(m.collect_trace()),
-        stats_json: m.stats_report().to_json(),
-        mem: mem_image(m.mem()),
-        snapshot: m.checkpoint().unwrap(),
-        recovery_trace: mgr.collect_trace(),
-    }
-}
-
 #[test]
 fn link_kill_without_recovery_is_fatal() {
     let mut m = Alewife::new(mesh_cfg(fast_retry(), 20_000), stress_program());
@@ -247,7 +216,7 @@ fn recovered_run_completes_and_matches_fresh_run_from_checkpoint() {
     fresh.set_fault_plan(kill_plan(0x5eed, 200));
     fresh.attach_tracer(TraceConfig::default());
     fresh.restore(&snap).unwrap();
-    assert_eq!(RecoverableMachine::now(&fresh), ckpt_cycle);
+    assert_eq!(Machine::now(&fresh), ckpt_cycle);
     rec.report.quarantine.apply(&mut fresh);
     fresh.set_watchdog_horizon(rec.report.final_horizon);
     assert_eq!(
@@ -282,39 +251,35 @@ fn recovered_run_completes_and_matches_fresh_run_from_checkpoint() {
 fn recovery_is_scheduler_invariant() {
     let lockstep = recover_seq(true);
     let event = recover_seq(false);
-    let par2 = recover_par(2);
-    let par4 = recover_par(4);
 
-    for (who, other) in [("event", &event), ("par x2", &par2), ("par x4", &par4)] {
-        assert_eq!(
-            lockstep.report.attempts, other.report.attempts,
-            "{who}: attempt count diverged"
-        );
-        assert_eq!(
-            lockstep.report.quarantine, other.report.quarantine,
-            "{who}: quarantine decision diverged"
-        );
-        assert_eq!(
-            lockstep.trace.events(),
-            other.trace.events(),
-            "{who}: semantic trace diverged"
-        );
-        assert_eq!(
-            lockstep.stats_json, other.stats_json,
-            "{who}: stats report diverged"
-        );
-        assert_eq!(lockstep.mem, other.mem, "{who}: final memory diverged");
-        assert_eq!(
-            lockstep.recovery_trace.events(),
-            other.recovery_trace.events(),
-            "{who}: recovery saga diverged"
-        );
-        let d = diff_snapshots(&lockstep.snapshot, &other.snapshot);
-        assert!(
-            d.is_none() || d.as_deref() == Some("section meta@0"),
-            "{who}: final machine state diverged: {d:?}"
-        );
-    }
+    assert_eq!(
+        lockstep.report.attempts, event.report.attempts,
+        "event: attempt count diverged"
+    );
+    assert_eq!(
+        lockstep.report.quarantine, event.report.quarantine,
+        "event: quarantine decision diverged"
+    );
+    assert_eq!(
+        lockstep.trace.events(),
+        event.trace.events(),
+        "event: semantic trace diverged"
+    );
+    assert_eq!(
+        lockstep.stats_json, event.stats_json,
+        "event: stats report diverged"
+    );
+    assert_eq!(lockstep.mem, event.mem, "event: final memory diverged");
+    assert_eq!(
+        lockstep.recovery_trace.events(),
+        event.recovery_trace.events(),
+        "event: recovery saga diverged"
+    );
+    let d = diff_snapshots(&lockstep.snapshot, &event.snapshot);
+    assert!(
+        d.is_none() || d.as_deref() == Some("section meta@0"),
+        "event: final machine state diverged: {d:?}"
+    );
 
     // The saga rode the recovery lane: checkpoints, a quarantine, a
     // rollback, a re-execution.
@@ -405,7 +370,7 @@ fn quiescent_machine_never_trips_watchdog_on_any_scheduler() {
     // No node is ever booted: an unbooted CPU is not halted, so the
     // machine sits forever at "no ready frame" — quiescence, not
     // deadlock. Held 10x the horizon, the watchdog must stay silent on
-    // all three schedulers.
+    // both schedulers.
     let horizon = 500;
     let cfg = mesh_cfg(RetryConfig::default(), horizon);
     let hold = 10 * horizon;
@@ -425,25 +390,13 @@ fn quiescent_machine_never_trips_watchdog_on_any_scheduler() {
             Machine::fault(&m)
         );
     }
-    for workers in [1, 2, 4] {
-        let mut c = cfg;
-        c.workers = workers;
-        let mut m = ParallelAlewife::new(c, stress_program());
-        m.run_until(&SwitchSpin::default(), hold, hold + 1);
-        assert!(m.now() >= hold, "workers={workers}: machine stopped early");
-        assert!(
-            m.fault().is_none(),
-            "workers={workers}: watchdog fired on a quiescent machine: {:?}",
-            m.fault()
-        );
-    }
 }
 
 #[test]
 fn fail_stop_schedules_are_scheduler_invariant() {
     // A fail-stop plan (link kill + node kill with deterministic
     // onsets) must produce byte-identical semantic traces and the same
-    // fault on lockstep, event-driven, and parallel at 1/2/4 workers.
+    // fault on lockstep and event-driven.
     let plan = || {
         FaultPlan::new(0xfa11)
             .with_link_kill(killed_channel(), 300)
@@ -475,29 +428,6 @@ fn fail_stop_schedules_are_scheduler_invariant() {
         "event-driven trace diverged"
     );
     assert_eq!(ref_stats, s);
-
-    for workers in [1, 2, 4] {
-        let mut c = cfg;
-        c.workers = workers;
-        let mut m = ParallelAlewife::new(c, stress_program());
-        m.set_fault_plan(plan());
-        m.attach_tracer(TraceConfig::default());
-        for i in 0..m.num_procs() {
-            m.cpu_mut(i).boot(0);
-        }
-        let fault = m.run(&SwitchSpin::default(), 2_000_000);
-        assert_eq!(ref_fault, fault, "x{workers}: fault diverged");
-        assert_eq!(
-            ref_trace.events(),
-            semantic(m.collect_trace()).events(),
-            "x{workers}: trace diverged"
-        );
-        assert_eq!(
-            ref_stats,
-            m.fault_stats(),
-            "x{workers}: fault stats diverged"
-        );
-    }
 }
 
 #[test]

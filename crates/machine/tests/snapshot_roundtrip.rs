@@ -1,13 +1,13 @@
 //! Checkpoint/restore round-trips across schedulers under fault
 //! injection.
 //!
-//! The determinism contract (DESIGN.md §9) says the three schedulers
-//! are bit-exact over the semantic event stream; the snapshot contract
+//! The determinism contract (DESIGN.md §8) says the two schedulers are
+//! bit-exact over the semantic event stream; the snapshot contract
 //! (§11) extends it: a run may be cut at *any* cycle, checkpointed,
-//! and resumed on a *different* scheduler — lockstep to parallel, any
-//! worker count, and back — and the stitched-together run's semantic
-//! trace, statistics report, and final memory image must be
-//! byte-identical to an unbroken run's. These soaks exercise exactly
+//! and resumed on the *other* scheduler — event-driven to lockstep and
+//! back — and the stitched-together run's semantic trace, statistics
+//! report, and final memory image must be byte-identical to an
+//! unbroken run's. These soaks exercise exactly
 //! that, under a seeded fault plan (drops, duplicates, delay-reorders)
 //! so the checkpoint lands mid-protocol with the injector's PRNG
 //! cursors in flight.
@@ -16,7 +16,6 @@ use april_core::program::Program;
 use april_machine::alewife::Alewife;
 use april_machine::config::MachineConfig;
 use april_machine::driver::{drive_sequential, drive_sequential_until, SwitchSpin};
-use april_machine::parallel::ParallelAlewife;
 use april_machine::{Machine, Snapshot, SnapshotError, TrafficConfig};
 use april_net::fault::{FaultPlan, FaultRule};
 use april_net::topology::{Channel, Topology};
@@ -86,14 +85,6 @@ fn fresh_seq(lockstep: bool) -> Alewife {
     m
 }
 
-/// A traced parallel machine ready to be restored into (the snapshot
-/// carries the fault plan and the booted CPU state).
-fn fresh_par(workers: usize) -> ParallelAlewife {
-    let mut m = ParallelAlewife::new(MachineConfig { workers, ..cfg() }, prog());
-    m.attach_tracer(TraceConfig::default());
-    m
-}
-
 fn assert_same_memory(a: &april_mem::femem::FeMemory, b: &april_mem::femem::FeMemory, who: &str) {
     assert_eq!(a.len_bytes(), b.len_bytes());
     for addr in (0..a.len_bytes() as u32).step_by(4) {
@@ -140,82 +131,54 @@ fn fault_seeded_checkpoint_resumes_on_any_scheduler() {
         "lockstep resume: stats diverged"
     );
     assert_same_memory(reference.mem(), lockstep.mem(), "lockstep resume");
-
-    // Resume on the parallel scheduler, at several worker counts.
-    for workers in [1, 2, 3] {
-        let mut par = fresh_par(workers);
-        par.restore(&snap).unwrap();
-        par.run(&SwitchSpin::default(), MAX);
-        assert!(par.fault().is_none());
-        assert_eq!(
-            semantic(par.collect_trace()),
-            ref_trace,
-            "parallel x{workers} resume: semantic trace diverged"
-        );
-        assert_eq!(
-            par.stats_report().to_json(),
-            ref_report,
-            "parallel x{workers} resume: stats diverged"
-        );
-        assert_same_memory(
-            reference.mem(),
-            par.mem(),
-            &format!("parallel x{workers} resume"),
-        );
-    }
 }
 
 #[test]
-fn parallel_checkpoint_resumes_sequentially() {
-    // Reference: unbroken sequential run.
+fn lockstep_checkpoint_resumes_event_driven() {
+    // Reference: unbroken event-driven run.
     let mut reference = fresh_seq(false);
     drive_sequential(&mut reference, &SwitchSpin::default(), MAX);
     let ref_trace = semantic(reference.collect_trace());
     let ref_report = reference.stats_report().to_json();
 
-    // Cut a *parallel* run (2 workers) at the same point and
-    // checkpoint there.
-    let mut cut = fresh_par(2);
-    cut.set_fault_plan(plan());
-    for i in 0..cut.num_procs() {
-        cut.cpu_mut(i).boot(0);
-    }
-    cut.run_until(&SwitchSpin::default(), 400, MAX);
+    // Cut a *lockstep* run at the same point and checkpoint there.
+    let mut cut = fresh_seq(true);
+    drive_sequential_until(&mut cut, &SwitchSpin::default(), 400, MAX);
     let snap = cut.checkpoint().unwrap();
 
-    // A sequential checkpoint at the same cycle must be identical in
-    // every semantic section (the meta lane legitimately differs: the
-    // parallel scheduler's window barriers are scheduler artifacts).
-    let mut seq_cut = fresh_seq(false);
-    drive_sequential_until(&mut seq_cut, &SwitchSpin::default(), snap.cycle(), MAX);
-    let seq_snap = seq_cut.checkpoint().unwrap();
-    let d = april_machine::diff_snapshots(&seq_snap, &snap);
+    // An event-driven checkpoint at the same cycle must be identical
+    // in every semantic section (the meta lane legitimately differs:
+    // the watchdog narration is a scheduler artifact).
+    let mut skip_cut = fresh_seq(false);
+    drive_sequential_until(&mut skip_cut, &SwitchSpin::default(), snap.cycle(), MAX);
+    let skip_snap = skip_cut.checkpoint().unwrap();
+    let d = april_machine::diff_snapshots(&skip_snap, &snap);
     assert!(
         d.is_none() || d.as_deref() == Some("section meta@0"),
-        "parallel and sequential checkpoints differ beyond the meta lane: {d:?}"
+        "lockstep and event-driven checkpoints differ beyond the meta lane: {d:?}"
     );
 
-    // Resume the parallel checkpoint sequentially and finish.
-    let mut seq = fresh_seq(false);
-    seq.restore(&snap).unwrap();
-    drive_sequential(&mut seq, &SwitchSpin::default(), MAX);
+    // Resume the lockstep checkpoint event-driven and finish.
+    let mut skip = fresh_seq(false);
+    skip.restore(&snap).unwrap();
+    drive_sequential(&mut skip, &SwitchSpin::default(), MAX);
     assert_eq!(
-        semantic(seq.collect_trace()),
+        semantic(skip.collect_trace()),
         ref_trace,
-        "sequential resume of parallel checkpoint: semantic trace diverged"
+        "event-driven resume of lockstep checkpoint: semantic trace diverged"
     );
     assert_eq!(
-        seq.stats_report().to_json(),
+        skip.stats_report().to_json(),
         ref_report,
-        "sequential resume of parallel checkpoint: stats diverged"
+        "event-driven resume of lockstep checkpoint: stats diverged"
     );
-    assert_same_memory(reference.mem(), seq.mem(), "sequential resume");
+    assert_same_memory(reference.mem(), skip.mem(), "event-driven resume");
 }
 
 #[test]
 fn chained_checkpoints_compose() {
-    // Checkpoint at 300 on the skip scheduler, resume on parallel,
-    // checkpoint *that* at a later cycle, resume sequentially — two
+    // Checkpoint at 300 on the skip scheduler, resume in lockstep,
+    // checkpoint *that* at a later cycle, resume on the skip — two
     // scheduler crossings in one run, still bit-exact.
     let mut reference = fresh_seq(false);
     drive_sequential(&mut reference, &SwitchSpin::default(), MAX);
@@ -225,11 +188,11 @@ fn chained_checkpoints_compose() {
     drive_sequential_until(&mut first, &SwitchSpin::default(), 300, MAX);
     let snap1 = first.checkpoint().unwrap();
 
-    let mut par = fresh_par(2);
-    par.restore(&snap1).unwrap();
-    par.run_until(&SwitchSpin::default(), 700, MAX);
-    let snap2 = par.checkpoint().unwrap();
-    assert!(snap2.cycle() >= 700);
+    let mut lockstep = fresh_seq(true);
+    lockstep.restore(&snap1).unwrap();
+    drive_sequential_until(&mut lockstep, &SwitchSpin::default(), 700, MAX);
+    let snap2 = lockstep.checkpoint().unwrap();
+    assert_eq!(snap2.cycle(), 700);
 
     let mut last = fresh_seq(false);
     last.restore(&snap2).unwrap();
@@ -322,7 +285,7 @@ fn golden_checkpoint_bytes_are_pinned() {
     let bytes = m.checkpoint().unwrap().as_bytes().to_vec();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (69_749, 0xec44_6434_abb9_aeb6)
+        (69_717, 0x132d_e2c5_60af_a232)
     );
 }
 

@@ -6,16 +6,14 @@
 //! (`from_snapshot`) and installing the sweep-varied fault plan at the
 //! warm point must behave exactly like booting cold, re-executing the
 //! warmup to the same cycle, and installing the same plan there. These
-//! tests pin that contract across all three schedulers (lockstep,
-//! event-driven sequential, parallel at several worker counts),
-//! comparing the full stats report JSON and the semantic trace JSONL
-//! byte-for-byte.
+//! tests pin that contract on both schedulers (lockstep and
+//! event-driven), comparing the full stats report JSON and the semantic
+//! trace JSONL byte-for-byte.
 
 use april_core::program::Program;
 use april_machine::alewife::Alewife;
 use april_machine::config::MachineConfig;
 use april_machine::driver::{drive_sequential, drive_sequential_until, SwitchSpin};
-use april_machine::parallel::ParallelAlewife;
 use april_machine::{Machine, Snapshot};
 use april_net::fault::{FaultPlan, FaultRule};
 use april_net::topology::Topology;
@@ -73,7 +71,7 @@ fn trace_jsonl(m_trace: april_obs::Trace) -> String {
 }
 
 /// Builds the warm image the way the daemon does: cold boot, no fault
-/// plan, run to the warm point on the sequential scheduler, cut.
+/// plan, run to the warm point on the event-driven scheduler, cut.
 fn warm_image() -> Snapshot {
     let mut m = Alewife::new(cfg(), prog());
     m.attach_tracer(TraceConfig::default());
@@ -102,7 +100,7 @@ fn warm_fork_matches_cold_boot_on_every_scheduler() {
     let seed = 0x1990;
     let (ref_stats, ref_trace) = cold_reference(false, seed);
 
-    // Sequential event-driven fork.
+    // Event-driven fork.
     let mut seq =
         Alewife::from_snapshot(cfg(), prog(), Some(TraceConfig::default()), &snap).unwrap();
     seq.set_fault_plan(plan(seed));
@@ -140,30 +138,6 @@ fn warm_fork_matches_cold_boot_on_every_scheduler() {
     let (lock_cold_stats, lock_cold_trace) = cold_reference(true, seed);
     assert_eq!(lock_cold_stats, ref_stats, "lockstep cold twin: stats");
     assert_eq!(lock_cold_trace, ref_trace, "lockstep cold twin: trace");
-
-    // Parallel forks at several worker counts.
-    for workers in [1usize, 2, 4] {
-        let mut par = ParallelAlewife::from_snapshot(
-            MachineConfig { workers, ..cfg() },
-            prog(),
-            Some(TraceConfig::default()),
-            &snap,
-        )
-        .unwrap();
-        par.set_fault_plan(plan(seed));
-        par.run(&SwitchSpin::default(), MAX);
-        assert!(par.fault().is_none());
-        assert_eq!(
-            par.stats_report().to_json(),
-            ref_stats,
-            "parallel x{workers} fork: stats"
-        );
-        assert_eq!(
-            trace_jsonl(par.collect_trace()),
-            ref_trace,
-            "parallel x{workers} fork: trace"
-        );
-    }
 }
 
 #[test]

@@ -167,8 +167,7 @@ impl FeMemory {
         c.set_fe_bit(k, full);
     }
 
-    /// The word and full/empty bit at `addr` as one snapshot; the unit
-    /// of the write logs that keep parallel shard replicas coherent.
+    /// The word and full/empty bit at `addr` as one snapshot.
     pub fn word_state(&self, addr: u32) -> (Word, bool) {
         let i = self.index(addr);
         match &self.chunks[i / CHUNK_WORDS] {
@@ -177,11 +176,8 @@ impl FeMemory {
         }
     }
 
-    /// Overwrites both the word and the full/empty bit at `addr`.
-    /// Replay primitive for cross-shard write logs: the coherence
-    /// protocol guarantees one writer per word per window, so applying
-    /// logged `(addr, word, fe)` snapshots in any order between windows
-    /// reproduces the sequential memory image.
+    /// Overwrites both the word and the full/empty bit at `addr` (the
+    /// open-loop ingress write).
     pub fn set_word_state(&mut self, addr: u32, w: Word, full: bool) {
         let i = self.index(addr);
         let (c, k) = self.chunk_mut(i);

@@ -27,9 +27,6 @@
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
-// Protocol payloads cross worker-thread boundaries in the parallel
-// machine; keep the bound pinned where the type lives.
-const _: () = april_util::assert_send::<CohMsg>();
 
 /// One protocol (or out-of-band) message between cache controllers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

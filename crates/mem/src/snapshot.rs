@@ -107,7 +107,7 @@ impl Wire for BumpAllocator {
 /// serialize as holes. The encoding is a pure function of memory
 /// *content* — which chunks a scheduler happened to materialize never
 /// shows in the bytes — so snapshots stay byte-identical across
-/// lockstep/event/parallel runs, and a restored image has the
+/// lockstep and event-driven runs, and a restored image has the
 /// footprint of its content, not of the donor machine's address space.
 /// Restores require a memory of the same size.
 impl Wire for FeMemory {

@@ -159,10 +159,6 @@ pub struct FaultPlan {
     pub(crate) quarantined_nodes: HashSet<usize>,
 }
 
-// The parallel machine's coordinator owns the network (and thus the
-// plan) while worker threads run; the plan must stay `Send`.
-const _: () = april_util::assert_send::<FaultPlan>();
-
 impl FaultPlan {
     /// A plan with the given seed and no faults configured.
     pub fn new(seed: u64) -> FaultPlan {

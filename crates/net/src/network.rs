@@ -395,80 +395,6 @@ impl<P> Network<P> {
         self.hops_hist.record(flight.hops);
     }
 
-    /// Pops every delivery due in the half-open window `[start, end)`,
-    /// appending `(deliver_cycle, dst, payload)` in hand-over order.
-    ///
-    /// Routing events are processed only up to `start` — the
-    /// conservative-window scheduler calls this at a window barrier,
-    /// when traffic staged inside the window has not been injected yet,
-    /// and an event at `start` or later could be ordered against those
-    /// pending sends. Provided `end - start` does not exceed the
-    /// [`Network::lookahead`] bound, every delivery inside the window
-    /// has already completed its routing by `start`, so nothing due is
-    /// missed. With `end == start + 1` this is exactly
-    /// [`Network::poll_into`] (plus the delivery cycle).
-    pub fn window_deliveries(&mut self, start: u64, end: u64, out: &mut Vec<(u64, usize, P)>)
-    where
-        P: Clone,
-    {
-        self.route_until(start);
-        while let Some(&(t, _, _)) = self.ready.front() {
-            if t >= end {
-                break;
-            }
-            let (t, dst, id) = self.ready.pop_front().expect("checked nonempty");
-            let flight = self.flights.remove(&id).expect("flight exists");
-            self.count_delivery(t, &flight);
-            out.push((t, dst, flight.payload));
-        }
-    }
-
-    /// Processes queued routing events up to and including `bound`
-    /// without handing anything over: drops and outage stalls due by
-    /// `bound` are resolved, exactly as a per-cycle `poll` loop would
-    /// have resolved them. The conservative-window scheduler calls this
-    /// at a barrier *after* injecting the window's staged sends, so the
-    /// machine's pending-work view (and a post-mortem's in-flight list)
-    /// at the window's last cycle matches the sequential machine's.
-    /// The same logical-ordering contract as
-    /// [`Network::earliest_delivery`] applies: no later `send` may
-    /// carry a time earlier than an event processed here.
-    pub fn route_to(&mut self, bound: u64)
-    where
-        P: Clone,
-    {
-        self.route_until(bound);
-    }
-
-    /// The conservative-PDES lookahead: the widest time window `W` such
-    /// that (a) a packet sent at cycle `t` can never be handed over
-    /// before `t + W`, and (b) every hand-over inside a window of `W`
-    /// cycles has finished routing by the window's start.
-    ///
-    /// Three terms bound it, given the smallest packet is `min_flits`
-    /// flits (protocol messages are never smaller than 2: header +
-    /// address):
-    ///
-    /// * loopback: a self-send is handed over `loopback_latency` cycles
-    ///   after injection;
-    /// * the topology: the closest distinct pair of nodes is
-    ///   [`Topology::min_hop_distance`] channels apart, and a crossing
-    ///   costs `hop_latency` per channel plus `min_flits - 1` tail
-    ///   cycles;
-    /// * routing completion: a cross-node hand-over at cycle `d` has
-    ///   its last routing event at `d - (min_flits - 1)`, which must
-    ///   not be later than the window start, so `W <= min_flits`.
-    ///
-    /// Returns 0 when the configuration admits no safe window (e.g. a
-    /// zero loopback latency, under which a self-send is handed over in
-    /// the cycle it was injected); callers requiring parallelism must
-    /// reject such configurations.
-    pub fn lookahead(&self, min_flits: u64) -> u64 {
-        let tail = min_flits.saturating_sub(1);
-        let cross = self.topo.min_hop_distance() * self.cfg.hop_latency + tail;
-        self.cfg.loopback_latency.min(cross).min(min_flits)
-    }
-
     /// Removes a packet that has no alive route and records it as a
     /// typed dead letter.
     fn dead_letter(&mut self, id: u64, dst: usize, at: u64) {
@@ -1038,71 +964,6 @@ mod tests {
         assert_eq!(net.stats.delivered, 1);
         assert_eq!(net.stats.total_latency, 10);
         assert_eq!(net.stats.total_hops, 7);
-    }
-
-    #[test]
-    fn lookahead_bounds() {
-        let net = |hop, loopback| -> Network<u32> {
-            Network::new(
-                Topology::new(2, 4),
-                NetConfig {
-                    hop_latency: hop,
-                    loopback_latency: loopback,
-                },
-            )
-        };
-        // Default timing: the 1-cycle loopback is the binding term.
-        assert_eq!(net(1, 1).lookahead(2), 1);
-        // Loopback 2: every term allows a 2-cycle window.
-        assert_eq!(net(1, 2).lookahead(2), 2);
-        // Routing completion caps the window at min_flits even when
-        // hops and loopback are slow.
-        assert_eq!(net(3, 5).lookahead(2), 2);
-        // A zero loopback admits no safe window at all.
-        assert_eq!(net(1, 0).lookahead(2), 0);
-    }
-
-    #[test]
-    fn window_deliveries_matches_per_cycle_poll() {
-        let spray_into = |net: &mut Network<usize>| {
-            let n = net.topology().num_nodes();
-            for i in 0..60 {
-                net.send(
-                    (i % 5) as u64,
-                    i % n,
-                    (i * 7 + 3) % n,
-                    2 + (i % 3) as u64,
-                    i,
-                );
-            }
-        };
-        let cfg = NetConfig {
-            hop_latency: 1,
-            loopback_latency: 2,
-        };
-        let mut a: Network<usize> = Network::new(Topology::new(2, 4), cfg);
-        let mut b: Network<usize> = Network::new(Topology::new(2, 4), cfg);
-        spray_into(&mut a);
-        spray_into(&mut b);
-        let w = a.lookahead(2);
-        assert_eq!(w, 2);
-        let mut per_cycle = Vec::new();
-        let mut scratch = Vec::new();
-        for t in 0..200 {
-            a.poll_into(t, &mut scratch);
-            for (dst, p) in scratch.drain(..) {
-                per_cycle.push((t, dst, p));
-            }
-        }
-        let mut windowed = Vec::new();
-        let mut t = 0;
-        while t < 200 {
-            b.window_deliveries(t, t + w, &mut windowed);
-            t += w;
-        }
-        assert_eq!(per_cycle, windowed);
-        assert_eq!(a.stats, b.stats);
-        assert!(a.is_idle() && b.is_idle());
     }
 
     #[test]

@@ -269,14 +269,6 @@ impl Topology {
     pub fn avg_distance_estimate(&self) -> f64 {
         self.dim as f64 * self.radix as f64 / 3.0
     }
-
-    /// Minimum hop count between two *distinct* nodes: the closest pair
-    /// of nodes in a mesh is always adjacent. This is the topology term
-    /// of the conservative-window lookahead — no cross-node packet can
-    /// arrive in fewer channel crossings.
-    pub fn min_hop_distance(&self) -> u64 {
-        1
-    }
 }
 
 impl fmt::Display for Topology {

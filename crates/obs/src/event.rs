@@ -23,8 +23,8 @@ pub enum Component {
     /// The interconnection network (hops, drops, duplicates, delays,
     /// outage stalls). A single lane; the node field is 0.
     Net = 4,
-    /// Scheduler-internal events (window barriers, watchdog arming and
-    /// firing). Excluded from the cross-scheduler determinism contract
+    /// Scheduler-internal events (watchdog arming and firing).
+    /// Excluded from the cross-scheduler determinism contract
     /// — they describe the scheduler, not the simulated machine.
     Meta = 5,
     /// The recovery manager (checkpoints taken, rollbacks, quarantines,
@@ -129,10 +129,8 @@ pub enum EventKind {
     /// A packet crossing stalled on a link outage. `a` = packet id,
     /// `b` = cycle the outage ends.
     NetOutage = 13,
-    /// A conservative-window barrier completed (parallel scheduler
-    /// only; [`Component::Meta`]). `a` = window start, `b` = window
-    /// end (exclusive).
-    WindowBarrier = 14,
+    // Tag 14 is retired (it named a scheduler that no longer exists)
+    // and is never reused: tags are recorded in probe rings and JSONL.
     /// The forward-progress watchdog re-armed after observing
     /// progress ([`Component::Meta`]). `a` = new deadline.
     WatchdogArmed = 15,
@@ -207,7 +205,6 @@ impl EventKind {
             11 => EventKind::NetDup,
             12 => EventKind::NetDelay,
             13 => EventKind::NetOutage,
-            14 => EventKind::WindowBarrier,
             15 => EventKind::WatchdogArmed,
             16 => EventKind::WatchdogFired,
             17 => EventKind::ThreadSpawn,
@@ -244,7 +241,6 @@ impl EventKind {
             EventKind::NetDup => "net_dup",
             EventKind::NetDelay => "net_delay",
             EventKind::NetOutage => "net_outage",
-            EventKind::WindowBarrier => "window_barrier",
             EventKind::WatchdogArmed => "watchdog_armed",
             EventKind::WatchdogFired => "watchdog_fired",
             EventKind::ThreadSpawn => "thread_spawn",
@@ -362,7 +358,7 @@ mod tests {
 
     #[test]
     fn every_kind_roundtrips_on_the_wire() {
-        for tag in 0u8..=29 {
+        for tag in (0u8..=29).filter(|&t| t != 14) {
             let kind = EventKind::from_u8(tag, 0).unwrap();
             assert_eq!(kind as u8, tag);
             let e = Event {
@@ -384,5 +380,6 @@ mod tests {
             assert!(r.is_empty());
         }
         assert!(EventKind::from_u8(30, 0).is_err());
+        assert!(EventKind::from_u8(14, 0).is_err(), "retired tag");
     }
 }

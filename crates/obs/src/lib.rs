@@ -20,15 +20,14 @@
 //! # Determinism contract
 //!
 //! Events carry a `(cycle, lane, seq)` key. Within one lane the
-//! simulators emit a deterministic stream (the lockstep, event-driven,
-//! and conservative-window parallel schedulers are bit-exact per
-//! component), sampling decisions are pure hashes of the event content
-//! (never of a stateful generator), and each lane's ring evicts
-//! oldest-first within that lane alone. Sorting the merged stream by
-//! the key therefore yields the *identical* trace — and identical
-//! [`StatsReport`] snapshots — for lockstep, event-driven, and
-//! parallel runs at any worker count. Scheduler-internal events
-//! ([`Component::Meta`]: window barriers, watchdog arming) are the one
+//! simulators emit a deterministic stream (the lockstep and
+//! event-driven schedulers are bit-exact per component), sampling
+//! decisions are pure hashes of the event content (never of a stateful
+//! generator), and each lane's ring evicts oldest-first within that
+//! lane alone. Sorting the merged stream by the key therefore yields
+//! the *identical* trace — and identical [`StatsReport`] snapshots —
+//! for lockstep and event-driven runs. Scheduler-internal events
+//! ([`Component::Meta`]: watchdog arming and firing) are the one
 //! exception; they describe the scheduler rather than the simulated
 //! machine and are excluded by [`Trace::retain_semantic`].
 

@@ -168,7 +168,7 @@ const QBUCKETS: usize = QSUB + 60 * QSUB;
 /// buckets, so [`QHist::quantile`] answers with at most ~6% error.
 /// Recording is allocation-free; merging is element-wise and therefore
 /// independent of recording order, which is what makes reports built
-/// from merged shard snapshots deterministic.
+/// from merged per-node histograms deterministic.
 ///
 /// # Examples
 ///
@@ -448,7 +448,7 @@ impl Section {
 /// (per-node ledgers, protocol counters, fault statistics) — never
 /// from wall clocks or from quiescence-dependent values such as the
 /// final scheduler cycle — so the same workload produces a byte-equal
-/// report under every scheduler at any worker count.
+/// report under every scheduler.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsReport {
     sections: Vec<Section>,

@@ -9,8 +9,8 @@ use crate::probe::Probe;
 /// Events are held in canonical `(cycle, lane, seq)` order after
 /// [`Trace::sort`]. Because each lane's stream, sampling decisions,
 /// and ring eviction are deterministic (see the crate docs), the
-/// sorted trace is identical across the lockstep, event-driven, and
-/// parallel schedulers once [`Trace::retain_semantic`] has dropped the
+/// sorted trace is identical across the lockstep and event-driven
+/// schedulers once [`Trace::retain_semantic`] has dropped the
 /// scheduler-internal meta lane.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -42,7 +42,7 @@ impl Trace {
     }
 
     /// Drops scheduler-internal events ([`Component::Meta`] lanes:
-    /// window barriers, watchdog arming/firing), leaving only events
+    /// watchdog arming/firing), leaving only events
     /// that describe the simulated machine. The result is what the
     /// cross-scheduler determinism contract covers.
     pub fn retain_semantic(&mut self) {

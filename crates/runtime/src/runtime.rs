@@ -283,9 +283,21 @@ impl<M: Machine> Runtime<M> {
                 return Err(RunError::CycleLimit(self.cfg.max_cycles));
             }
             self.machine.advance_into(&mut evs);
+            // Idle processors look for work before any handler of this
+            // cycle runs: work published in a cycle is picked up from
+            // the next one, whatever the node numbering, as concurrent
+            // processors would. It is also what lets a machine park an
+            // idle processor until the next publication without
+            // changing the run (DESIGN.md §8).
+            for &(node, ev) in &evs {
+                if matches!(ev, StepEvent::NoReadyFrame) {
+                    self.schedule(node);
+                }
+            }
             for (node, ev) in evs.drain(..) {
                 self.handle(node, ev)?;
             }
+            self.poll_fe_waiters();
             if let Some(fault) = self.machine.fault() {
                 return Err(RunError::MachineFault(Box::new(fault.clone())));
             }
@@ -337,11 +349,10 @@ impl<M: Machine> Runtime<M> {
 
     fn handle(&mut self, node: usize, ev: StepEvent) -> Result<(), RunError> {
         match ev {
-            StepEvent::Executed | StepEvent::Stalled { .. } | StepEvent::Halted => Ok(()),
-            StepEvent::NoReadyFrame => {
-                self.schedule(node);
-                Ok(())
-            }
+            StepEvent::Executed
+            | StepEvent::Stalled { .. }
+            | StepEvent::Halted
+            | StepEvent::NoReadyFrame => Ok(()),
             StepEvent::RtCall { n } => self.service(node, n),
             StepEvent::Trapped(t) => self.trap(node, t),
         }
@@ -375,7 +386,7 @@ impl<M: Machine> Runtime<M> {
                             self.switch_spin(node);
                         } else {
                             // Unload until the word changes state; the
-                            // scheduler polls fe_waiters when idle.
+                            // run loop polls fe_waiters every cycle.
                             self.fe_spins.remove(&(node, fp));
                             let tid = self.loaded[node][fp].expect("trap from loaded frame");
                             self.unload_thread(node, fp, ThreadState::Ready);
@@ -685,7 +696,8 @@ impl<M: Machine> Runtime<M> {
     }
 
     /// Re-queues threads whose awaited full/empty state has arrived
-    /// (the polling half of `FePolicy::BlockAfterSpins`).
+    /// (the polling half of `FePolicy::BlockAfterSpins`), once per
+    /// cycle after its handlers.
     fn poll_fe_waiters(&mut self) {
         if self.fe_waiters.is_empty() {
             return;
@@ -702,6 +714,11 @@ impl<M: Machine> Runtime<M> {
                 true
             }
         });
+        if !woken.is_empty() {
+            // The ready queues live in shared memory: publishing to them
+            // goes through `mem_mut`, which wakes parked processors.
+            self.machine.mem_mut();
+        }
         let now = self.machine.now();
         for tid in woken {
             let t = &mut self.threads[tid.0 as usize];
@@ -717,7 +734,6 @@ impl<M: Machine> Runtime<M> {
     /// The idle-processor scheduler: called when the active frame is
     /// not runnable.
     fn schedule(&mut self, node: usize) {
-        self.poll_fe_waiters();
         let cpu = self.machine.cpu(node);
         // A frame woken by the controller? Resume it (the switch cost
         // was charged when we switched away).

@@ -110,7 +110,7 @@ fn golden_runtime_snapshot_bytes_are_pinned() {
     let bytes = golden_bytes();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (31_534, 0x78fe_6072_bf04_7f04)
+        (31_502, 0x0fdc_1bc5_345e_2d26)
     );
 }
 

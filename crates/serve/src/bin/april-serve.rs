@@ -51,8 +51,8 @@ fn usage() -> ExitCode {
   daemon    --socket PATH [--threads N]
   sweep     --socket PATH [--points N] [--warm-cycles C] [--cold] [--trace]
             [--radix R] [--dim D] [--outer O] [--inner I] [--mem-latency L]
-            [--workers W] [--seed S] [--drop P] [--dup P] [--delay P]
-            [--max-delay D] [--max-cycles M]
+            [--seed S] [--drop P] [--dup P] [--delay P] [--max-delay D]
+            [--max-cycles M]
   ping      --socket PATH
   shutdown  --socket PATH [--cancel]"
     );
@@ -134,7 +134,6 @@ fn cmd_sweep(args: &Args, socket: &Path) -> Result<(), String> {
         radix: args.num("--radix", 4)?,
         dim: args.num("--dim", 2)?,
         mem_latency: args.num("--mem-latency", 10)?,
-        workers: args.num("--workers", 1)?,
         workload: Workload::Contended {
             outer: args.num("--outer", 300)?,
             inner: args.num("--inner", 0)?,

@@ -26,7 +26,7 @@
 use crate::spec::{JobSpec, SimSpec};
 use crate::ServeError;
 use april_machine::driver::{drive_sequential_until, SwitchSpin};
-use april_machine::{Machine, ParallelAlewife, Snapshot};
+use april_machine::{Alewife, Machine, Snapshot};
 use april_obs::TraceConfig;
 use std::time::Instant;
 
@@ -80,42 +80,33 @@ pub struct JobOutcome {
 
 /// Builds the machine a spec describes: cold (`snap` absent, ready to
 /// boot) or directly from a checkpoint (`snap` present — the warm-start
-/// fork). One machine type serves every job; which scheduler drives it
-/// is [`run_until`]'s business, and all choices are bit-exact.
-fn build(spec: &SimSpec, snap: Option<&Snapshot>) -> Result<ParallelAlewife, ServeError> {
+/// fork). Which scheduler drives it is the spec's `lockstep` knob, and
+/// both are bit-exact.
+fn build(spec: &SimSpec, snap: Option<&Snapshot>) -> Result<Alewife, ServeError> {
     let cfg = spec.machine_config();
     let prog = spec.program()?;
     let tracer = TraceConfig::default();
     Ok(match snap {
-        Some(s) => ParallelAlewife::from_snapshot(cfg, prog, Some(tracer), s)?,
+        Some(s) => Alewife::from_snapshot(cfg, prog, Some(tracer), s)?,
         None => {
-            let mut m = ParallelAlewife::new(cfg, prog);
+            let mut m = Alewife::new(cfg, prog);
             m.attach_tracer(tracer);
             m
         }
     })
 }
 
-/// Runs to quiescence or `stop_at`, whichever comes first, under the
-/// scheduler the spec's knobs select: the window scheduler from two
-/// workers up, the machine's own sequential one otherwise.
-fn run_until(m: &mut ParallelAlewife, stop_at: u64) {
-    let driver = SwitchSpin::default();
-    let max = stop_at.saturating_add(2);
-    if m.config().workers >= 2 {
-        m.run_until(&driver, stop_at, max);
-    } else {
-        drive_sequential_until(m, &driver, stop_at, max);
-    }
+/// Runs to quiescence or `stop_at`, whichever comes first.
+fn run_until(m: &mut Alewife, stop_at: u64) {
+    drive_sequential_until(
+        m,
+        &SwitchSpin::default(),
+        stop_at,
+        stop_at.saturating_add(2),
+    );
 }
 
-fn outcome(
-    m: &ParallelAlewife,
-    spec: &JobSpec,
-    warm_used: bool,
-    setup_ns: u64,
-    run_ns: u64,
-) -> JobOutcome {
+fn outcome(m: &Alewife, spec: &JobSpec, warm_used: bool, setup_ns: u64, run_ns: u64) -> JobOutcome {
     let stats = m.total_stats();
     let fstats = m.fault_stats();
     let fault = m
@@ -144,23 +135,22 @@ fn outcome(
 }
 
 /// Boots the machine described by `sim`, executes `warm_cycles` cycles
-/// under the event-driven sequential scheduler, and checkpoints. The
-/// resulting image forks into any scheduler (the snapshot layer
-/// normalizes scheduler knobs away). Refuses a warm point the workload
-/// never reaches — a checkpoint of a quiesced machine would make every
-/// fork a no-op and the "warm equals cold" contract vacuous.
+/// under the event-driven scheduler, and checkpoints. The resulting
+/// image forks into either scheduler (the snapshot layer normalizes
+/// scheduler knobs away). Refuses a warm point the workload never
+/// reaches — a checkpoint of a quiesced machine would make every fork
+/// a no-op and the "warm equals cold" contract vacuous.
 pub fn build_warm_image(sim: &SimSpec, warm_cycles: u64) -> Result<WarmImage, ServeError> {
     if warm_cycles == 0 {
         return Err(ServeError::BadSpec(
             "warm image needs warm_cycles > 0".into(),
         ));
     }
-    // Warm images are always cut on the sequential event-driven
-    // scheduler; restores are scheduler-agnostic so this is purely an
+    // Warm images are always cut on the event-driven scheduler;
+    // restores are scheduler-agnostic so this is purely an
     // implementation choice.
     let base = SimSpec {
         lockstep: false,
-        workers: 1,
         ..*sim
     };
     let t0 = Instant::now();

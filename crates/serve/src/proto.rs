@@ -22,8 +22,9 @@ use april_util::wire_fields;
 use std::io::Read;
 
 /// The protocol version this build speaks (and the only one it
-/// accepts).
-pub const PROTO_VERSION: u8 = 1;
+/// accepts). Version 2 dropped the two parallel-scheduler fields from
+/// `SimSpec`, changing the `RegisterWarm` and `Submit` bodies.
+pub const PROTO_VERSION: u8 = 2;
 
 /// Upper bound on one frame's `kind + body` length; a peer announcing
 /// more is treated as corrupt and the connection is dropped.

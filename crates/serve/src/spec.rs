@@ -73,11 +73,10 @@ impl Wire for Workload {
 
 /// A complete machine + workload description: everything needed to
 /// build a [`MachineConfig`] and assemble the program. Scheduler knobs
-/// (`lockstep`, `workers`, `window_override`, `decode`,
-/// `watchdog_horizon`) select *how* the job is executed, not *what* it
-/// computes — they are free to differ between a warm image and the
-/// jobs forked from it, exactly as the snapshot layer's semantic
-/// config normalization allows (DESIGN.md §11).
+/// (`lockstep`, `decode`, `watchdog_horizon`) select *how* the job is
+/// executed, not *what* it computes — they are free to differ between
+/// a warm image and the jobs forked from it, exactly as the snapshot
+/// layer's semantic config normalization allows (DESIGN.md §11).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimSpec {
     /// Mesh radix (nodes per dimension).
@@ -90,12 +89,6 @@ pub struct SimSpec {
     pub mem_latency: u64,
     /// Force the strict cycle-by-cycle reference scheduler.
     pub lockstep: bool,
-    /// Worker threads: 0 or 1 runs the sequential machine; ≥ 2 runs
-    /// the deterministic parallel machine with that many workers.
-    pub workers: u32,
-    /// Conservative-window override for the parallel machine (0 =
-    /// automatic).
-    pub window_override: u64,
     /// Use the pre-decoded bytecode engine (DESIGN.md §13).
     pub decode: bool,
     /// Forward-progress watchdog horizon in cycles (0 = the machine
@@ -113,8 +106,6 @@ impl Default for SimSpec {
             region_bytes: 1 << 20,
             mem_latency: 10,
             lockstep: false,
-            workers: 1,
-            window_override: 0,
             decode: true,
             watchdog_horizon: 0,
             workload: Workload::Contended {
@@ -133,8 +124,6 @@ impl SimSpec {
             region_bytes: self.region_bytes,
             mem_latency: self.mem_latency,
             lockstep: self.lockstep,
-            workers: self.workers.max(1) as usize,
-            window_override: self.window_override,
             decode: self.decode,
             ..MachineConfig::default()
         };
@@ -162,8 +151,6 @@ impl SimSpec {
     pub fn warm_compatible(&self, base: &SimSpec) -> bool {
         let norm = |s: &SimSpec| SimSpec {
             lockstep: false,
-            workers: 1,
-            window_override: 0,
             decode: true,
             watchdog_horizon: 0,
             ..*s
@@ -179,8 +166,6 @@ wire_fields!(SimSpec {
     region_bytes,
     mem_latency,
     lockstep,
-    workers,
-    window_override,
     decode,
     watchdog_horizon,
     workload,
@@ -325,7 +310,6 @@ mod tests {
             sim: SimSpec {
                 radix: 3,
                 dim: 2,
-                workers: 4,
                 lockstep: true,
                 watchdog_horizon: 9999,
                 workload: Workload::Contended {
@@ -373,14 +357,13 @@ mod tests {
     #[test]
     fn warm_compatibility_ignores_scheduler_knobs() {
         let base = SimSpec::default();
-        let par = SimSpec {
-            workers: 4,
-            lockstep: false,
+        let knobs = SimSpec {
+            lockstep: true,
             decode: false,
             watchdog_horizon: 1 << 20,
             ..base
         };
-        assert!(par.warm_compatible(&base));
+        assert!(knobs.warm_compatible(&base));
         let other = SimSpec {
             mem_latency: 11,
             ..base

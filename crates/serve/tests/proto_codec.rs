@@ -14,9 +14,7 @@ use april_util::wire::digest64;
 fn frames() -> Vec<Frame> {
     let sim = SimSpec {
         radix: 3,
-        workers: 2,
         lockstep: true,
-        window_override: 7,
         watchdog_horizon: 9_999,
         workload: Workload::OpenLoop(TrafficConfig {
             seed: 0xfeed,
@@ -133,7 +131,7 @@ fn golden_frame_bytes_are_pinned() {
     let bytes = encoded().concat();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (597, 0x21ad_f2e2_7c6c_2f12)
+        (573, 0x84ea_3e9e_288c_97e2)
     );
 }
 

@@ -317,24 +317,22 @@ fn budget_cut_between_last_halt_and_drain_reports_the_same_on_every_scheduler() 
     // A budget inside the gap: every CPU has halted, the machine has
     // not quiesced. One `finished()` predicate decides, so the verdict
     // cannot depend on which scheduler ran the job.
-    let outcome = |workers: u32| {
+    let outcome = |lockstep: bool| {
         let spec = JobSpec {
-            sim: SimSpec { workers, ..sim() },
+            sim: SimSpec { lockstep, ..sim() },
             max_cycles: last_halt + 1,
             ..JobSpec::default()
         };
         run_job(&spec, None).unwrap()
     };
-    let reference = outcome(1);
+    let reference = outcome(true);
     assert_eq!(reference.fault.as_deref(), Some("budget exhausted"));
     assert_eq!(reference.cycles, last_halt + 1);
-    for workers in [2, 4] {
-        let out = outcome(workers);
-        assert_eq!(out.fault, reference.fault, "x{workers}: fault diverged");
-        assert_eq!(out.cycles, reference.cycles, "x{workers}");
-        assert_eq!(
-            out.stats_json, reference.stats_json,
-            "x{workers}: stats diverged"
-        );
-    }
+    let event = outcome(false);
+    assert_eq!(event.fault, reference.fault, "event: fault diverged");
+    assert_eq!(event.cycles, reference.cycles, "event");
+    assert_eq!(
+        event.stats_json, reference.stats_json,
+        "event: stats diverged"
+    );
 }

@@ -23,22 +23,3 @@ pub mod wire;
 
 pub use hash::DetState;
 pub use rng::{splitmix64, Rng};
-
-/// Compile-time assertion that `T` is [`Send`].
-///
-/// The parallel machine moves node state, protocol payloads, and fault
-/// plans across worker threads; a future field of a non-`Send` type
-/// (an `Rc`, a raw pointer) would silently push the failure to the one
-/// crate that spawns threads. Instead, each crate pins the contract
-/// down where the type is defined:
-///
-/// ```
-/// struct Payload {
-///     words: Vec<u32>,
-/// }
-/// const _: () = april_util::assert_send::<Payload>();
-/// ```
-///
-/// Breaking the bound becomes a compile error in the owning crate, with
-/// the offending type named in the diagnostic.
-pub const fn assert_send<T: Send>() {}

@@ -8,8 +8,7 @@
 //!    the result, cycle count, and statistics identical to an
 //!    unbroken run.
 //! 2. **Cross-scheduler resume.** A machine-level checkpoint taken on
-//!    the sequential event-driven scheduler is resumed on the
-//!    parallel conservative-window scheduler (2 workers), and the
+//!    the event-driven scheduler is resumed under lockstep, and the
 //!    final memory images match.
 //! 3. **Replay bisection.** Given a reference trace and a snapshot, a
 //!    deliberately perturbed run-time policy is bisected to the first
@@ -24,7 +23,6 @@ use april::core::trap::Trap;
 use april::machine::alewife::Alewife;
 use april::machine::config::MachineConfig;
 use april::machine::driver::{drive_sequential, drive_sequential_until, EventCtx, NodeDriver};
-use april::machine::parallel::ParallelAlewife;
 use april::machine::{Machine, Replayer, SwitchSpin};
 use april::mult::{compile, programs, CompileOptions};
 use april::net::topology::Topology;
@@ -121,36 +119,40 @@ fn stress_prog() -> april::core::program::Program {
     .unwrap()
 }
 
-/// Part 2: checkpoint sequentially, resume on the parallel scheduler.
+/// Part 2: checkpoint event-driven, resume under lockstep.
 fn cross_scheduler() {
     let scfg = MachineConfig {
         topology: Topology::new(2, 2),
         region_bytes: 1 << 20,
         ..MachineConfig::default()
     };
-    let mut seq = Alewife::new(scfg, stress_prog());
-    seq.attach_tracer(TraceConfig::default());
-    for i in 0..seq.num_procs() {
-        seq.cpu_mut(i).boot(0);
+    let mut event = Alewife::new(scfg, stress_prog());
+    event.attach_tracer(TraceConfig::default());
+    for i in 0..event.num_procs() {
+        event.cpu_mut(i).boot(0);
     }
-    drive_sequential_until(&mut seq, &SwitchSpin::default(), 500, 1_000_000);
-    let snap = seq.checkpoint().expect("checkpoint");
+    drive_sequential_until(&mut event, &SwitchSpin::default(), 500, 1_000_000);
+    let snap = event.checkpoint().expect("checkpoint");
     println!(
-        "sequential checkpoint at cycle {}; resuming on 2 parallel workers",
+        "event-driven checkpoint at cycle {}; resuming under lockstep",
         snap.cycle()
     );
 
-    let mut par = ParallelAlewife::new(MachineConfig { workers: 2, ..scfg }, stress_prog());
-    par.attach_tracer(TraceConfig::default());
-    par.restore(&snap).expect("cross-scheduler restore");
-    par.run(&SwitchSpin::default(), 1_000_000);
+    let lcfg = MachineConfig {
+        lockstep: true,
+        ..scfg
+    };
+    let mut lockstep = Alewife::new(lcfg, stress_prog());
+    lockstep.attach_tracer(TraceConfig::default());
+    lockstep.restore(&snap).expect("cross-scheduler restore");
+    drive_sequential(&mut lockstep, &SwitchSpin::default(), 1_000_000);
 
-    // Finish the sequential run too; final memories must agree.
-    drive_sequential(&mut seq, &SwitchSpin::default(), 1_000_000);
+    // Finish the event-driven run too; final memories must agree.
+    drive_sequential(&mut event, &SwitchSpin::default(), 1_000_000);
     for addr in (0..0x1000u32).step_by(4) {
-        assert_eq!(seq.mem().read(addr), par.mem().read(addr));
+        assert_eq!(event.mem().read(addr), lockstep.mem().read(addr));
     }
-    println!("parallel resume reached the same final memory image\n");
+    println!("lockstep resume reached the same final memory image\n");
 }
 
 /// A deliberately wasteful run-time: never parks a missing frame, so

@@ -63,10 +63,10 @@ stage "benchmark smoke (counts gated, times printed)"
 # speed is never gated (scripts/bench_compare.sh, run by hand).
 sh benchmark/agree.sh --smoke
 
-stage "three-way scheduler equivalence (3 fault seeds)"
-# The lockstep/event/parallel bit-exactness suite is part of the
-# workspace tests above; run it again in release so the fault-soak
-# seeds and multi-worker runs execute at full depth quickly.
+stage "lockstep/event scheduler equivalence (3 fault seeds)"
+# The lockstep/event bit-exactness suite is part of the workspace tests
+# above; run it again in release so the fault-soak seeds and the
+# 1089-node fan-in execute at full depth quickly.
 cargo test -q --release -p april-machine --test lockstep_vs_skip
 
 stage "1089-node directory-kind agreement (release)"
@@ -76,8 +76,8 @@ cargo test -q --release -p april-machine --test dir_kinds
 
 stage "open-loop determinism suite (release)"
 # Same seed => byte-identical arrival trace and latency report across
-# lockstep/event/parallel at 1/2/4 workers, under a fault seed, and
-# across a mid-run checkpoint/restore cut.
+# lockstep and event-driven, under a fault seed, and across a mid-run
+# checkpoint/restore cut.
 cargo test -q --release -p april-machine --test openloop
 
 stage "recovery soak (bounded)"
@@ -111,7 +111,7 @@ wait "$serve_pid"
 
 stage "warm-start equivalence suite (release)"
 # Warm fork == cold boot, byte-identical in stats and semantic trace,
-# across lockstep/event/parallel — the contract the daemon's snapshot
+# on lockstep and event-driven — the contract the daemon's snapshot
 # warm starts rest on.
 cargo test -q --release -p april-machine --test warm_start
 cargo test -q --release -p april-serve --test serve

@@ -21,7 +21,7 @@
 //!   model.
 //! * [`obs`] — the observability layer: structured event
 //!   tracing (JSONL / Chrome `trace_event` exports) and the metrics
-//!   registry snapshot, deterministic across all three schedulers.
+//!   registry snapshot, deterministic across both schedulers.
 //! * [`serve`] — simulation as a service: the april-serve daemon,
 //!   its Unix-socket wire protocol (PROTOCOL.md), and snapshot warm
 //!   starts that fork one registered checkpoint per sweep job.
