@@ -15,6 +15,7 @@
 //! charged here; handler bodies charge their own cycles through
 //! [`Cpu::charge_handler`].
 
+use crate::decoded::{eval_alu, exec, lower_instr, SafeAlu};
 use crate::frame::{FrameState, TaskFrame};
 use crate::isa::{AluOp, Cond, FpOp, Instr, Operand, Reg};
 use crate::memport::{AccessCtx, LoadReply, MemoryPort, StoreReply};
@@ -397,7 +398,6 @@ impl Cpu {
         let mut rtcall: Option<u16> = None;
 
         match instr {
-            Instr::Nop => {}
             Instr::Falu { op, fs1, fs2, fd } => {
                 let a = f32::from_bits(self.get_freg(fs1));
                 let b = f32::from_bits(self.get_freg(fs2));
@@ -420,9 +420,6 @@ impl Cpu {
                     Some(std::cmp::Ordering::Greater) => FpCond::Gt,
                     None => FpCond::Unordered,
                 };
-            }
-            Instr::FMovI { bits, fd } => {
-                self.set_freg(fd, bits);
             }
             Instr::FixToF { s, fd } => {
                 let v = self.get_reg(s);
@@ -520,13 +517,15 @@ impl Cpu {
                 self.stats.useful_cycles += 1;
                 return StepEvent::Halted;
             }
+            // Tagged, or multi-cycle: the untagged add…sra ops are
+            // bookable and fall to the last arm.
             Instr::Alu {
                 op,
                 s1,
                 s2,
                 d,
                 tagged,
-            } => {
+            } if tagged || SafeAlu::of(op).is_none() => {
                 let a = self.get_reg(s1);
                 let b = match s2 {
                     Operand::Reg(r) => self.get_reg(r),
@@ -544,16 +543,9 @@ impl Cpu {
                         }
                     }
                 }
-                let (result, cc) = match op {
-                    AluOp::Add => alu_add(a.0, b.0),
-                    AluOp::Sub => alu_sub(a.0, b.0),
-                    AluOp::And => logic_cc(a.0 & b.0),
-                    AluOp::Or => logic_cc(a.0 | b.0),
-                    AluOp::Xor => logic_cc(a.0 ^ b.0),
-                    AluOp::Sll => logic_cc(a.0.wrapping_shl(b.0 & 31)),
-                    AluOp::Srl => logic_cc(a.0.wrapping_shr(b.0 & 31)),
-                    AluOp::Sra => logic_cc(((a.0 as i32).wrapping_shr(b.0 & 31)) as u32),
-                    AluOp::Mul => {
+                let (result, cc) = match SafeAlu::of(op) {
+                    Some(safe) => eval_alu(safe, a.0, b.0),
+                    None if op == AluOp::Mul => {
                         cost = self.cfg.mul_cycles;
                         if tagged {
                             let v = ((a.0 as i32) >> 2).wrapping_mul((b.0 as i32) >> 2);
@@ -562,7 +554,7 @@ impl Cpu {
                             logic_cc(a.0.wrapping_mul(b.0))
                         }
                     }
-                    AluOp::Div | AluOp::Rem => {
+                    None => {
                         cost = self.cfg.div_cycles;
                         let (x, y) = if tagged {
                             ((a.0 as i32) >> 2, (b.0 as i32) >> 2)
@@ -582,9 +574,6 @@ impl Cpu {
                 };
                 self.set_reg(d, Word(result));
                 self.frames[self.fp].psr.cc = cc;
-            }
-            Instr::MovI { imm, d } => {
-                self.set_reg(d, Word(imm));
             }
             Instr::Branch { cond, offset } => {
                 if self.eval_cond(cond) {
@@ -702,10 +691,6 @@ impl Cpu {
                 self.stats.useful_cycles += cost;
                 return StepEvent::Executed;
             }
-            Instr::RdFp { d } => {
-                let fp = self.fp;
-                self.set_reg(d, Word::fixnum(fp as i32));
-            }
             Instr::StFp { s } => {
                 let v = self.get_reg(s).as_fixnum().unwrap_or(0).unsigned_abs() as usize;
                 let n = self.frames.len();
@@ -715,10 +700,6 @@ impl Cpu {
                 self.stats.instructions += 1;
                 self.stats.useful_cycles += cost;
                 return StepEvent::Executed;
-            }
-            Instr::RdPsr { d } => {
-                let w = self.frames[self.fp].psr.to_word();
-                self.set_reg(d, w);
             }
             Instr::WrPsr { s } => {
                 let w = self.get_reg(s);
@@ -752,6 +733,9 @@ impl Cpu {
                 mem.stio(reg, w);
                 cost = self.cfg.io_cycles;
             }
+            // The bookable forms: one statement, shared with booked runs
+            // (`crate::decoded`).
+            _ => self.exec_bookable(instr),
         }
 
         // Commit.
@@ -764,6 +748,19 @@ impl Cpu {
             Some(n) => StepEvent::RtCall { n },
             None => StepEvent::Executed,
         }
+    }
+
+    /// Executes a bookable instruction through the per-op statement
+    /// booked runs share.
+    #[inline(always)]
+    fn exec_bookable(&mut self, instr: Instr) {
+        let fp = self.fp;
+        exec(
+            &mut self.globals,
+            &mut self.frames[fp],
+            fp,
+            lower_instr(instr),
+        );
     }
 
     fn eval_cond(&self, cond: Cond) -> bool {

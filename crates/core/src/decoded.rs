@@ -1,4 +1,5 @@
-//! Pre-decoded bytecode for the fast execution engine.
+//! Pre-decoded bytecode for booked runs, and the one statement of the
+//! bookable instructions' semantics.
 //!
 //! [`Cpu::step`] re-fetches a fat [`Instr`] enum and re-dispatches a
 //! large `match` on every visited cycle, re-checking interrupts and
@@ -10,7 +11,8 @@
 //! immediates pre-resolved, and segments it into *runs* — maximal
 //! straight-line stretches of safe ops — so a scheduler can execute a
 //! whole run as one tight loop ([`Cpu::run_decoded`]) instead of one
-//! `step` per cycle.
+//! `step` per cycle. `step` runs every safe instruction through the
+//! same per-op `exec` as the run loop.
 //!
 //! # The safety whitelist
 //!
@@ -26,9 +28,9 @@
 //!   bits (condition codes are data, not control, and are updated
 //!   exactly as `step` would).
 //!
-//! Everything else lowers to [`DecOp::Other`], which terminates a run;
-//! the scheduler falls back to [`Cpu::step`] there. The decoded image
-//! is **derived state**: machines rebuild it from the program on
+//! Everything else lowers to [`DecOp::Other`], which terminates a run
+//! and which `step` executes through its own `match`. The decoded
+//! image is **derived state**: machines rebuild it from the program on
 //! construction and on snapshot restore, and it must never be encoded
 //! into an APRL snapshot (DESIGN.md §13).
 
@@ -71,10 +73,29 @@ pub enum SafeAlu {
     Sra,
 }
 
+impl SafeAlu {
+    /// The single-cycle form of `op`, or `None` for the multi-cycle
+    /// (and, for div/rem, trapping) ops.
+    #[inline(always)]
+    pub(crate) fn of(op: AluOp) -> Option<SafeAlu> {
+        Some(match op {
+            AluOp::Add => SafeAlu::Add,
+            AluOp::Sub => SafeAlu::Sub,
+            AluOp::And => SafeAlu::And,
+            AluOp::Or => SafeAlu::Or,
+            AluOp::Xor => SafeAlu::Xor,
+            AluOp::Sll => SafeAlu::Sll,
+            AluOp::Srl => SafeAlu::Srl,
+            AluOp::Sra => SafeAlu::Sra,
+            AluOp::Mul | AluOp::Div | AluOp::Rem => return None,
+        })
+    }
+}
+
 /// One pre-decoded instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecOp {
-    /// Not on the whitelist: execute through [`Cpu::step`].
+    /// Not on the whitelist: executed by [`Cpu::step`]'s own `match`.
     Other,
     /// No operation.
     Nop,
@@ -144,7 +165,9 @@ fn reg_idx(r: Reg) -> RegIdx {
     }
 }
 
-fn lower_instr(ins: Instr) -> DecOp {
+/// `ins` as a whitelisted [`DecOp`], or [`DecOp::Other`].
+#[inline(always)]
+pub(crate) fn lower_instr(ins: Instr) -> DecOp {
     match ins {
         Instr::Nop => DecOp::Nop,
         Instr::MovI { imm, d } => DecOp::MovI { d: reg_idx(d), imm },
@@ -158,18 +181,8 @@ fn lower_instr(ins: Instr) -> DecOp {
             d,
             tagged: false,
         } => {
-            let op = match op {
-                AluOp::Add => SafeAlu::Add,
-                AluOp::Sub => SafeAlu::Sub,
-                AluOp::And => SafeAlu::And,
-                AluOp::Or => SafeAlu::Or,
-                AluOp::Xor => SafeAlu::Xor,
-                AluOp::Sll => SafeAlu::Sll,
-                AluOp::Srl => SafeAlu::Srl,
-                AluOp::Sra => SafeAlu::Sra,
-                // Multi-cycle (and, for div/rem, trapping) ops stay on
-                // the slow path.
-                AluOp::Mul | AluOp::Div | AluOp::Rem => return DecOp::Other,
+            let Some(op) = SafeAlu::of(op) else {
+                return DecOp::Other;
             };
             match s2 {
                 Operand::Reg(r) => DecOp::AluRR {
@@ -250,8 +263,9 @@ fn wr(globals: &mut [Word; 8], f: &mut TaskFrame, r: RegIdx, w: Word) {
     }
 }
 
+/// The add…sra table: the result and condition codes of `a op b`.
 #[inline(always)]
-fn eval_alu(op: SafeAlu, a: u32, b: u32) -> (u32, CondCodes) {
+pub(crate) fn eval_alu(op: SafeAlu, a: u32, b: u32) -> (u32, CondCodes) {
     match op {
         SafeAlu::Add => alu_add(a, b),
         SafeAlu::Sub => alu_sub(a, b),
@@ -261,6 +275,36 @@ fn eval_alu(op: SafeAlu, a: u32, b: u32) -> (u32, CondCodes) {
         SafeAlu::Sll => logic_cc(a.wrapping_shl(b & 31)),
         SafeAlu::Srl => logic_cc(a.wrapping_shr(b & 31)),
         SafeAlu::Sra => logic_cc(((a as i32).wrapping_shr(b & 31)) as u32),
+    }
+}
+
+/// One safe op's register and condition-code effects on the active
+/// frame `f` (index `fp`); the caller commits the PC chain and ledger.
+#[inline(always)]
+pub(crate) fn exec(globals: &mut [Word; 8], f: &mut TaskFrame, fp: usize, op: DecOp) {
+    match op {
+        DecOp::Nop => {}
+        DecOp::MovI { d, imm } => wr(globals, f, d, Word(imm)),
+        DecOp::FMovI { fd, bits } => f.fregs[(fd & 7) as usize] = bits,
+        DecOp::AluRR { op, s1, s2, d } => {
+            let a = rd(globals, f, s1).0;
+            let b = rd(globals, f, s2).0;
+            let (r, cc) = eval_alu(op, a, b);
+            wr(globals, f, d, Word(r));
+            f.psr.cc = cc;
+        }
+        DecOp::AluRI { op, s1, imm, d } => {
+            let a = rd(globals, f, s1).0;
+            let (r, cc) = eval_alu(op, a, imm);
+            wr(globals, f, d, Word(r));
+            f.psr.cc = cc;
+        }
+        DecOp::RdPsr { d } => {
+            let w = f.psr.to_word();
+            wr(globals, f, d, w);
+        }
+        DecOp::RdFp { d } => wr(globals, f, d, Word::fixnum(fp as i32)),
+        DecOp::Other => unreachable!("executed an unsafe op as a safe one"),
     }
 }
 
@@ -286,10 +330,10 @@ impl Cpu {
     }
 
     /// Executes `n` decoded ops starting at the active frame's PC, as
-    /// one tight loop: register reads/writes, condition codes, and the
-    /// PC chain end up bit-identical to `n` consecutive
-    /// [`Cpu::step`] calls, and the ledger is charged `n` instructions
-    /// and `n` useful cycles.
+    /// one tight loop over the `exec` that `step` runs them through
+    /// too: register reads/writes, condition codes, and the PC chain
+    /// end up bit-identical to `n` consecutive [`Cpu::step`] calls, and
+    /// the ledger is charged `n` instructions and `n` useful cycles.
     ///
     /// # Panics
     ///
@@ -305,31 +349,8 @@ impl Cpu {
         debug_assert!(f.state == FrameState::Ready);
         debug_assert_eq!(f.npc, f.pc.wrapping_add(1));
         let pc = f.pc as usize;
-        for op in &dec.ops[pc..pc + n as usize] {
-            match *op {
-                DecOp::Nop => {}
-                DecOp::MovI { d, imm } => wr(globals, f, d, Word(imm)),
-                DecOp::FMovI { fd, bits } => f.fregs[(fd & 7) as usize] = bits,
-                DecOp::AluRR { op, s1, s2, d } => {
-                    let a = rd(globals, f, s1).0;
-                    let b = rd(globals, f, s2).0;
-                    let (r, cc) = eval_alu(op, a, b);
-                    wr(globals, f, d, Word(r));
-                    f.psr.cc = cc;
-                }
-                DecOp::AluRI { op, s1, imm, d } => {
-                    let a = rd(globals, f, s1).0;
-                    let (r, cc) = eval_alu(op, a, imm);
-                    wr(globals, f, d, Word(r));
-                    f.psr.cc = cc;
-                }
-                DecOp::RdPsr { d } => {
-                    let w = f.psr.to_word();
-                    wr(globals, f, d, w);
-                }
-                DecOp::RdFp { d } => wr(globals, f, d, Word::fixnum(fp as i32)),
-                DecOp::Other => unreachable!("booked run crossed an unsafe op"),
-            }
+        for &op in &dec.ops[pc..pc + n as usize] {
+            exec(globals, f, fp, op);
         }
         f.pc = f.pc.wrapping_add(n);
         f.npc = f.pc.wrapping_add(1);
@@ -343,26 +364,6 @@ mod tests {
     use super::*;
     use crate::cpu::CpuConfig;
     use crate::isa::asm::assemble;
-    use crate::memport::{AccessCtx, LoadReply, MemoryPort, StoreReply};
-
-    struct NullMem;
-    impl MemoryPort for NullMem {
-        fn load(&mut self, _: u32, _: crate::isa::LoadFlavor, _: AccessCtx) -> LoadReply {
-            LoadReply::Data {
-                word: Word::ZERO,
-                fe: true,
-            }
-        }
-        fn store(
-            &mut self,
-            _: u32,
-            _: Word,
-            _: crate::isa::StoreFlavor,
-            _: AccessCtx,
-        ) -> StoreReply {
-            StoreReply::Done { fe: false }
-        }
-    }
 
     #[test]
     fn lowering_classifies_the_whitelist() {
@@ -398,62 +399,6 @@ mod tests {
         let prog = assemble(&src).unwrap();
         let dec = DecodedProgram::lower(&prog);
         assert_eq!(dec.run_len(0), MAX_RUN);
-    }
-
-    #[test]
-    fn run_decoded_matches_step_exactly() {
-        // Every whitelisted form, including a g0 write, shifts, and
-        // condition-code consumers downstream.
-        let prog = assemble(
-            "
-            movi 0x8000000a, r1
-            add r1, -3, r2
-            sub r2, r1, r3
-            and r3, 0xff, r4
-            or r4, r1, r5
-            xor r5, r2, r6
-            sll r6, 3, r7
-            srl r7, 1, r8
-            sra r1, 2, r9
-            add r9, r8, g0
-            movi 5, g2
-            rdpsr r10
-            rdfp r11
-            nop
-            halt
-        ",
-        )
-        .unwrap();
-        let dec = DecodedProgram::lower(&prog);
-
-        let mut slow = Cpu::new(CpuConfig::default());
-        slow.boot(0);
-        let mut fast = slow.clone();
-
-        let n = slow.bookable_run(&dec);
-        assert_eq!(n, 14, "all but halt are safe");
-        assert_eq!(n, fast.bookable_run(&dec));
-
-        for _ in 0..n {
-            assert_eq!(
-                slow.step(&prog, &mut NullMem),
-                crate::cpu::StepEvent::Executed
-            );
-        }
-        fast.run_decoded(&dec, n);
-
-        assert_eq!(slow.stats, fast.stats);
-        for i in 0..slow.nframes() {
-            assert_eq!(slow.frame(i), fast.frame(i), "frame {i}");
-        }
-        for g in 0..8 {
-            assert_eq!(
-                slow.get_reg(Reg::G(g as u8)),
-                fast.get_reg(Reg::G(g as u8)),
-                "g{g}"
-            );
-        }
-        assert_eq!(slow.active_frame().psr, fast.active_frame().psr);
     }
 
     #[test]

@@ -27,13 +27,8 @@ pub struct Program {
 }
 
 impl Program {
-    /// Fetches the instruction at `pc`, or `None` past the end.
-    pub fn fetch(&self, pc: u32) -> Option<Instr> {
-        self.instrs.get(pc as usize).copied()
-    }
-
-    /// Borrowing fetch for hot paths: the instruction at `pc` without
-    /// copying the enum out of the text segment.
+    /// The instruction at `pc`, or `None` past the end; borrowed, so
+    /// the hot path does not copy the enum out of the text segment.
     #[inline]
     pub fn fetch_ref(&self, pc: u32) -> Option<&Instr> {
         self.instrs.get(pc as usize)
@@ -369,7 +364,7 @@ mod tests {
     #[test]
     fn fetch_past_end_is_none() {
         let p = Program::default();
-        assert_eq!(p.fetch(0), None);
+        assert_eq!(p.fetch_ref(0), None);
         assert!(p.is_empty());
     }
 }

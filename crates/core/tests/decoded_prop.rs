@@ -1,9 +1,12 @@
-//! Property test for the decode-cache execution engine (DESIGN.md
-//! §13): random straight-line and branchy programs, executed once
-//! instruction by instruction through `Cpu::step` and once through
+//! The CPU-level referee for booked runs (DESIGN.md §13): random
+//! straight-line and branchy programs, executed once instruction by
+//! instruction through `Cpu::step` and once through
 //! `bookable_run`/`run_decoded` with step fallback, must produce the
 //! same machine-visible `StepEvent` stream, the same statistics
-//! ledger, and the same final register, frame, and memory state.
+//! ledger, and the same final register, frame, and memory state. The
+//! generator covers every bookable form — the ones both paths execute
+//! through the same `exec` — and the non-bookable neighbours that must
+//! end a run.
 //!
 //! The generator is seeded with the workspace's vendored deterministic
 //! RNG, so every failure reproduces from its printed seed.
@@ -45,35 +48,79 @@ fn flat_mem() -> FlatMem {
     }
 }
 
-/// One random instruction. Mixes the decode whitelist (ALU, movi, nop)
-/// with deliberate run-breakers (loads and stores, which lower to
-/// `DecOp::Other`) so runs of every length abut fallback steps.
+/// A random data register: a local `r1`–`r12` mostly, a global
+/// `g0`–`g7` one time in four (writes to `g0` must be discarded on
+/// both paths). `r13`–`r15` are reserved for addresses, sanitized
+/// operands and the loop counter.
+fn reg(rng: &mut Rng) -> String {
+    if rng.next_u64().is_multiple_of(4) {
+        format!("g{}", rng.next_u64() % 8)
+    } else {
+        format!("r{}", 1 + rng.next_u64() % 12)
+    }
+}
+
+/// One random instruction. Mixes every bookable form (`nop`, `movi`,
+/// `fmovi`, the untagged add…sra ALU ops, `rdpsr`, `rdfp`) with its
+/// non-bookable neighbours, which lower to `DecOp::Other` and end a
+/// run: tagged ALU ops on fixnums, `mul`, `div`/`rem` by a nonzero
+/// divisor, and (with `mem_ops`) loads and stores. Runs of every length
+/// abut fallback steps.
 fn push_random_op(rng: &mut Rng, src: &mut String, mem_ops: bool) {
-    let d = 1 + rng.next_u64() % 12;
-    let s1 = 1 + rng.next_u64() % 12;
-    let s2 = 1 + rng.next_u64() % 12;
-    match rng.next_u64() % 10 {
-        0 => src.push_str(&format!("    movi {}, r{d}\n", rng.next_u64() % 1000)),
+    let (d, s1, s2) = (reg(rng), reg(rng), reg(rng));
+    let alu = ["add", "sub", "and", "or", "xor", "sll", "srl", "sra"];
+    match rng.next_u64() % 16 {
+        0 => src.push_str(&format!("    movi {}, {d}\n", rng.next_u64() % 1000)),
         1 => src.push_str("    nop\n"),
         2 => {
             let op = ["add", "sub", "and", "or", "xor"][(rng.next_u64() % 5) as usize];
-            src.push_str(&format!("    {op} r{s1}, r{s2}, r{d}\n"));
+            src.push_str(&format!("    {op} {s1}, {s2}, {d}\n"));
         }
         3 => {
             let op = ["sll", "srl", "sra"][(rng.next_u64() % 3) as usize];
-            src.push_str(&format!("    {op} r{s1}, {}, r{d}\n", rng.next_u64() % 31));
+            src.push_str(&format!("    {op} {s1}, {}, {d}\n", rng.next_u64() % 31));
         }
         4 if mem_ops => {
             src.push_str(&format!("    movi {}, r13\n", 4 * (rng.next_u64() % 128)));
-            src.push_str(&format!("    ld r13+{}, r{d}\n", 4 * (rng.next_u64() % 8)));
+            src.push_str(&format!("    ld r13+{}, {d}\n", 4 * (rng.next_u64() % 8)));
         }
         5 if mem_ops => {
             src.push_str(&format!("    movi {}, r13\n", 4 * (rng.next_u64() % 128)));
-            src.push_str(&format!("    st r{s1}, r13+{}\n", 4 * (rng.next_u64() % 8)));
+            src.push_str(&format!("    st {s1}, r13+{}\n", 4 * (rng.next_u64() % 8)));
+        }
+        6 => {
+            let bits = rng.next_u64() as u32;
+            src.push_str(&format!("    fmovi 0x{bits:x}, f{}\n", rng.next_u64() % 8));
+        }
+        7 => {
+            // The condition codes a CC-setting op just produced.
+            let op = alu[(rng.next_u64() % 8) as usize];
+            src.push_str(&format!(
+                "    {op} {s1}, {s2}, {d}\n    rdpsr {}\n",
+                reg(rng)
+            ));
+        }
+        8 => src.push_str(&format!("    rdfp {d}\n")),
+        9 => {
+            // Tagged, on a fixnum (low tag bits clear), so it never
+            // traps on a future.
+            let op = alu[(rng.next_u64() % 8) as usize];
+            let imm = rng.next_u64() % 64;
+            src.push_str(&format!(
+                "    and {s1}, -4, r14\n    t{op} r14, {imm}, {d}\n"
+            ));
+        }
+        10 => src.push_str(&format!("    mul {s1}, {s2}, {d}\n")),
+        11 => {
+            let op = ["div", "rem"][(rng.next_u64() % 2) as usize];
+            src.push_str(&format!(
+                "    {op} {s1}, {}, {d}\n",
+                1 + rng.next_u64() % 100
+            ));
         }
         _ => {
             let op = ["add", "sub", "xor", "or"][(rng.next_u64() % 4) as usize];
-            src.push_str(&format!("    {op} r{s1}, {}, r{d}\n", rng.next_u64() % 256));
+            src.push_str(&format!("    {op} {s1}, {}, {d}\n", rng.next_u64() % 256));
         }
     }
 }

@@ -123,10 +123,9 @@ pub struct Alewife {
     pub(crate) mem: FeMemory,
     pub(crate) net: Network<Env>,
     pub(crate) prog: Program,
-    /// The program lowered to flat bytecode for the decode engine
-    /// (`None` with `cfg.decode` off). Derived state: rebuilt by
-    /// construction, never part of a snapshot.
-    pub(crate) dec: Option<DecodedProgram>,
+    /// The program lowered to flat bytecode for booked runs. Derived
+    /// state: rebuilt by construction, never part of a snapshot.
+    pub(crate) dec: DecodedProgram,
     pub(crate) cfg: MachineConfig,
     pub(crate) ready_at: Vec<u64>,
     pub(crate) now: u64,
@@ -193,7 +192,7 @@ impl Alewife {
                     .map(|_| Box::default()),
             })
             .collect();
-        let dec = cfg.decode.then(|| DecodedProgram::lower(&prog));
+        let dec = DecodedProgram::lower(&prog);
         let mut m = Alewife {
             nodes,
             mem,
@@ -369,15 +368,21 @@ impl Alewife {
     /// advance loop (a driver mutation, a checkpoint) can observe the
     /// CPU.
     pub(crate) fn settle_resv(&mut self, i: usize) {
+        let done = self.pending_booked(i) as u32;
         let Some(r) = self.nodes[i].resv.take() else {
             return;
         };
-        let done = (self.now - r.start + 1).min(r.len as u64) as u32;
-        let dec = self.dec.as_ref().expect("booked run without decode image");
-        self.nodes[i].cpu.run_decoded(dec, done);
-        self.sched.retire(done as u64);
+        self.nodes[i].cpu.run_decoded(&self.dec, done);
+        self.sched.materialized(r.start, done);
         self.ready_at[i] = self.now + 1;
         self.sched.cpu.set(i, self.ready_at[i]);
+    }
+
+    /// Instructions node `i`'s booked run has executed through cycle
+    /// `now`: lockstep, which never books, has retired them already.
+    pub(crate) fn pending_booked(&self, i: usize) -> u64 {
+        let run = self.nodes[i].resv;
+        run.map_or(0, |r| (self.now + 1 - r.start).min(r.len as u64))
     }
 
     /// Whether the machine still owes anyone an answer: packets in
@@ -560,8 +565,17 @@ impl Alewife {
     /// settles every clock before encoding.
     fn advance_to(&mut self, target: u64, evs: &mut Vec<(usize, StepEvent)>) {
         self.reclaim_lent();
-        self.now = target;
         let faulted = self.fault.is_some();
+        let watch = self.cfg.watchdog.enabled && !faulted;
+        if watch {
+            // Lockstep saw the skipped cycles' booked instructions, the
+            // last of them at `target - 1`.
+            let (instrs, dir_events, ctl_events) = self.sched.through(target - 1);
+            let sig = (instrs, self.net.stats.delivered, dir_events, ctl_events);
+            self.watchdog
+                .observe(target - 1, sig, self.cfg.watchdog.horizon);
+        }
+        self.now = target;
         self.ingress(target);
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         deliveries.clear();
@@ -575,8 +589,8 @@ impl Alewife {
         // Forward-progress watchdog: fire only when work is pending —
         // a stable signature on an idle machine is quiescence. Both
         // moves of its firing deadline are narrated on the meta lane.
-        if self.cfg.watchdog.enabled && self.fault.is_none() {
-            let (instrs, dir_events, ctl_events) = self.sched.settle(&self.nodes);
+        if watch && self.fault.is_none() {
+            let (instrs, dir_events, ctl_events) = self.sched.settle(&self.nodes, target);
             let sig = (instrs, self.net.stats.delivered, dir_events, ctl_events);
             let horizon = self.cfg.watchdog.horizon;
             let before = self.watchdog.deadline(horizon);
@@ -594,9 +608,10 @@ impl Alewife {
             }
         }
         if !faulted && self.fault.is_some() {
-            // The run ends here: settle every parked ledger, so the
-            // faulted machine reads like lockstep, which never parks.
+            // The run ends here: settle every booked run and parked
+            // ledger, so the machine reads like lockstep.
             for i in 0..self.nodes.len() {
+                self.settle_resv(i);
                 self.settle_idle(i);
             }
         }
@@ -947,6 +962,9 @@ impl Machine for Alewife {
     fn cpu_stats(&self, i: usize) -> CpuStats {
         let mut s = self.nodes[i].cpu.stats;
         s.idle_cycles += self.pending_idle(i);
+        let booked = self.pending_booked(i);
+        s.instructions += booked;
+        s.useful_cycles += booked;
         s
     }
 

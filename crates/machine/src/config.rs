@@ -34,19 +34,12 @@ pub struct MachineConfig {
     /// data-bearing protocol reply is injected (Table 4: 10 cycles).
     pub mem_latency: u64,
     /// Force the strict cycle-by-cycle advance loop instead of the
-    /// event-driven skip: every cycle is visited and no CPU ever parks.
-    /// The two are cycle-exact equivalents (see DESIGN.md §8); this
-    /// flag exists so the equivalence is testable and so anomalies can
-    /// be bisected against the reference path.
+    /// event-driven skip: every cycle is visited, no CPU ever parks and
+    /// none books a run (DESIGN.md §13), so every instruction steps on
+    /// its own cycle. The two are cycle-exact equivalents (see
+    /// DESIGN.md §8); this flag exists so the equivalence is testable
+    /// and so anomalies can be bisected against the reference path.
     pub lockstep: bool,
-    /// Use the pre-decoded bytecode fast path (DESIGN.md §13): the
-    /// loaded program is lowered once into flat [`april_core::DecodedProgram`]
-    /// ops and straight-line safe runs are executed in batches without
-    /// per-instruction IRQ/frame/trap re-checks. Cycle-exact with the
-    /// interpreter (`decode: false`); defaults on, overridable with the
-    /// `APRIL_DECODE=0` environment variable. The decoded image is
-    /// derived state — rebuilt on load/restore, never snapshotted.
-    pub decode: bool,
     /// Open-loop traffic description (DESIGN.md §15): when set, edge
     /// I/O-handler nodes receive a seeded, deterministic open-arrival
     /// request stream injected by the machine itself. `None` (the
@@ -67,17 +60,9 @@ impl Default for MachineConfig {
             region_bytes: 1 << 20,
             mem_latency: 10,
             lockstep: false,
-            decode: decode_default(),
             traffic: None,
         }
     }
-}
-
-/// Default for [`MachineConfig::decode`]: on, unless `APRIL_DECODE=0`
-/// is set in the environment (the CI equivalence suite uses this to
-/// keep the legacy interpreter path honest).
-fn decode_default() -> bool {
-    std::env::var("APRIL_DECODE").map_or(true, |v| v != "0")
 }
 
 impl MachineConfig {

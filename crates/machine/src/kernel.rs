@@ -156,6 +156,8 @@ pub(crate) struct Schedule {
     counted: Vec<(u64, u64)>,
     /// Bit `k % 64` of word `k / 64` marks node `k`.
     marked: Vec<u64>,
+    /// Open booked runs: how many, and the sum of their start cycles.
+    booked: (u64, u64),
     /// Halted CPUs: the step loop counts each `halt` it executes.
     pub(crate) halted: usize,
 }
@@ -164,6 +166,7 @@ impl Schedule {
     pub(crate) fn new(nodes: &[Node], parked: &[bool], ready_at: &[u64]) -> Schedule {
         let cpu = nodes.iter().zip(parked.iter().zip(ready_at));
         let (tick, skip) = nodes.iter().map(proto_words).unzip();
+        let runs = nodes.iter().filter_map(|n| n.resv);
         Schedule {
             cpu: Wake::new(cpu.map(|(n, (&p, &r))| cpu_word(n, p, r)).collect()),
             tick: Wake::new(tick),
@@ -171,6 +174,7 @@ impl Schedule {
             sig: signature(nodes),
             counted: nodes.iter().map(protocol_counts).collect(),
             marked: vec![0; nodes.len().div_ceil(64)],
+            booked: runs.fold((0, 0), |(k, s), r| (k + 1, s + r.start)),
             halted: nodes.iter().filter(|n| n.cpu.is_halted()).count(),
         }
     }
@@ -184,12 +188,34 @@ impl Schedule {
         self.skip.set(k, skip);
     }
 
-    pub(crate) fn retire(&mut self, instructions: u64) {
+    fn retire(&mut self, instructions: u64) {
         self.sig.0 += instructions;
     }
 
-    /// Adds what the marked nodes counted; returns the signature.
-    pub(crate) fn settle(&mut self, nodes: &[Node]) -> Progress {
+    /// A run was booked at cycle `start`.
+    fn book(&mut self, start: u64) {
+        self.booked.0 += 1;
+        self.booked.1 += start;
+    }
+
+    /// The run booked at `start` closed after `done` instructions.
+    pub(crate) fn materialized(&mut self, start: u64, done: u32) {
+        self.retire(done as u64);
+        self.booked.0 -= 1;
+        self.booked.1 -= start;
+    }
+
+    /// Lockstep's signature after cycle `c`, which no open run has run
+    /// past (a run's end is a visit that closes it): each run counts
+    /// the instructions it executed through `c`.
+    pub(crate) fn through(&self, c: u64) -> Progress {
+        let (runs, starts) = self.booked;
+        (self.sig.0 + runs * (c + 1) - starts, self.sig.1, self.sig.2)
+    }
+
+    /// Adds what the marked nodes counted; returns the signature after
+    /// cycle `c` (see [`Self::through`]).
+    pub(crate) fn settle(&mut self, nodes: &[Node], c: u64) -> Progress {
         for w in 0..self.marked.len() {
             let mut bits = std::mem::take(&mut self.marked[w]);
             while bits != 0 {
@@ -202,7 +228,7 @@ impl Schedule {
             }
         }
         debug_assert_eq!(self.sig, signature(nodes));
-        self.sig
+        self.through(c)
     }
 }
 
@@ -291,11 +317,8 @@ impl Alewife {
             // lockstep would take it.
             if let Some(r) = node.resv.take() {
                 let done = (c - r.start) as u32;
-                if done > 0 {
-                    let dec = self.dec.as_ref().expect("booked run without decode image");
-                    node.cpu.run_decoded(dec, done);
-                    self.sched.retire(done as u64);
-                }
+                node.cpu.run_decoded(&self.dec, done);
+                self.sched.materialized(r.start, done);
                 self.ready_at[dst] = c;
             }
             self.sched
@@ -359,20 +382,22 @@ impl Alewife {
         node.cpu.set_clock(c);
         node.ctl.set_clock(c);
         node.dir.set_clock(c);
-        // Decode engine (DESIGN.md §13): a visit first materializes the
-        // booked run that just elapsed, then — if the next instructions
-        // are a safe straight-line run — books a new one: charge the
-        // whole span now, execute at the next visit. A booked cycle
-        // emits no event and sends nothing (safe ops can't), which is
-        // exactly what lockstep's per-cycle `Executed` steps amount to.
-        if let Some(dec) = &self.dec {
-            if let Some(r) = node.resv.take() {
-                node.cpu.run_decoded(dec, r.len);
-                self.sched.retire(r.len as u64);
-            }
-            let len = node.cpu.bookable_run(dec);
+        // Booked runs (DESIGN.md §13): a visit first materializes the
+        // run that just elapsed, then — if the next instructions are a
+        // safe straight-line run — books a new one: charge the whole
+        // span now, execute at the next visit. A booked cycle emits no
+        // event and sends nothing (safe ops can't), which is exactly
+        // what lockstep's per-cycle `Executed` steps amount to. Lockstep
+        // never books: it is the per-instruction referee.
+        if let Some(r) = node.resv.take() {
+            node.cpu.run_decoded(&self.dec, r.len);
+            self.sched.materialized(r.start, r.len);
+        }
+        if !self.cfg.lockstep {
+            let len = node.cpu.bookable_run(&self.dec);
             if len >= MIN_RUN {
                 node.resv = Some(Resv { start: c, len });
+                self.sched.book(c);
                 self.ready_at[i] = c + len as u64;
                 self.sched.cpu.set(i, self.ready_at[i]);
                 return;

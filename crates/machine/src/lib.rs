@@ -85,8 +85,9 @@ pub trait Machine {
     fn cpu(&self, i: usize) -> &Cpu;
 
     /// Processor `i`'s cycle ledger as of the current cycle. A machine
-    /// that charges some cycles lazily (ALEWIFE's parked CPUs) adds
-    /// them here; read ledgers through this, not `cpu(i).stats`.
+    /// that charges some cycles lazily (ALEWIFE's parked CPUs and
+    /// booked runs) adds them here; read ledgers through this, not
+    /// `cpu(i).stats`.
     fn cpu_stats(&self, i: usize) -> CpuStats {
         self.cpu(i).stats
     }
@@ -154,8 +155,8 @@ pub trait Machine {
     }
 
     /// Captures the machine's complete state as a versioned
-    /// [`Snapshot`] (DESIGN.md §11). Takes `&mut self` because the
-    /// decode engine's booked runs must materialize before encoding —
+    /// [`Snapshot`] (DESIGN.md §11). Takes `&mut self` because booked
+    /// runs must materialize before encoding —
     /// the snapshot itself is still a pure read of the settled state.
     /// Machines without snapshot support report
     /// [`SnapshotError::Unsupported`].

@@ -319,10 +319,6 @@ fn semantic_config_debug(cfg: &MachineConfig) -> String {
     let mut c = *cfg;
     c.lockstep = false;
     c.watchdog.horizon = 0;
-    // The decode engine is cycle-exact with the interpreter and its
-    // image is derived state: a checkpoint taken with it on restores
-    // with it off, and vice versa.
-    c.decode = false;
     format!("{c:?}")
 }
 
@@ -422,7 +418,7 @@ impl Alewife {
     /// fault report references state the snapshot format deliberately
     /// omits, and resuming a dead run is meaningless anyway.
     ///
-    /// Takes `&mut self` to materialize any decode-engine booked runs
+    /// Takes `&mut self` to materialize any booked runs
     /// first (their instructions semantically executed on cycles up to
     /// and including `now`); the encoded bytes are a pure read of the
     /// settled state.

@@ -1,9 +1,9 @@
 //! Scheduler equivalence: the event-driven `advance()` must be
 //! *bit-exact* with the strict cycle-by-cycle reference path, lockstep,
-//! whose CPUs never park. Every workload here runs under the identical
-//! [`SwitchSpin`] driver on both schedulers (the skip with the decode
-//! engine on and off), and the machines must end in bit-identical
-//! states: the same final memory
+//! whose CPUs never park and never book a run, so every instruction
+//! steps on its own cycle. Every workload here runs under the identical
+//! [`SwitchSpin`] driver on both schedulers, and the machines must end
+//! in bit-identical states: the same final memory
 //! image (data words *and* full/empty bits), the same per-node
 //! `CpuStats`/`CtlStats`/`DirStats`, the same per-node halt cycles, the
 //! same network and fault-injection counters, and the same structured
@@ -103,17 +103,11 @@ fn assert_seq_matches(reference: &Alewife, skipping: &Alewife, who: &str) {
 }
 
 /// Runs `prog` under both schedulers and asserts bit-exact
-/// equivalence: lockstep vs event-skip, with the decode engine and
-/// with `decode: false` (the per-instruction interpreter the engine
-/// falls back to).
+/// equivalence: lockstep vs event-skip.
 fn assert_equivalent(cfg: MachineConfig, prog: Program, plan: Option<FaultPlan>, max: u64) {
     let reference = run_seq(cfg, prog.clone(), plan.clone(), true, max);
-    let skipping = run_seq(cfg, prog.clone(), plan.clone(), false, max);
+    let skipping = run_seq(cfg, prog, plan, false, max);
     assert_seq_matches(&reference, &skipping, "skip");
-    let mut decode_off = cfg;
-    decode_off.decode = false;
-    let interpreted = run_seq(decode_off, prog, plan, false, max);
-    assert_seq_matches(&reference, &interpreted, "skip, decode off");
 }
 
 /// The false-sharing increment stress of `coherence_stress.rs`.
@@ -432,6 +426,38 @@ fn quiescent_machine_skips_without_diverging() {
     assert_eq!(skipping.fault(), None);
     assert_eq!(lockstep.nodes[0].cpu.stats, skipping.nodes[0].cpu.stats);
     assert_eq!(lockstep.nodes[1].cpu.stats, skipping.nodes[1].cpu.stats);
+}
+
+#[test]
+fn lockstep_steps_every_instruction_and_ledgers_show_it() {
+    // A straight-line ALU loop of single-cycle ops retires exactly one
+    // instruction per cycle. Lockstep never books a run, so its CPU's
+    // own count keeps step with the clock after every advance; the
+    // skip books the loop body, and its ledger reader adds what the
+    // open run has executed so far.
+    let body = "add r1, 1, r1\nxor r2, r1, r2\n".repeat(8);
+    let prog = assemble(&format!("top:\n{body}jmp top\nnop\n")).unwrap();
+    let cfg = MachineConfig {
+        topology: Topology::new(1, 2),
+        region_bytes: 1 << 20,
+        ..MachineConfig::default()
+    };
+    for lockstep in [true, false] {
+        let mut m = Alewife::new(MachineConfig { lockstep, ..cfg }, prog.clone());
+        m.boot();
+        while m.now() < 300 {
+            // Node 1 never boots: park it, so the skip jumps the runs.
+            for (i, _) in m.advance() {
+                m.charge_idle(i, 1);
+            }
+            if lockstep {
+                assert_eq!(m.nodes[0].cpu.stats.instructions, m.now());
+            }
+            let ledger = m.cpu_stats(0);
+            assert_eq!(ledger.instructions, m.now(), "lockstep={lockstep}");
+            assert_eq!(ledger.useful_cycles, m.now(), "lockstep={lockstep}");
+        }
+    }
 }
 
 /// Like [`run_seq`], with event probes attached before boot.

@@ -233,9 +233,6 @@ fn golden_cut() -> Alewife {
             work_remote: 2,
             work_local: 8,
         }),
-        // The meta lane records scheduler artifacts, which differ
-        // between the engines; pin one.
-        decode: true,
         ..MachineConfig::default()
     };
     let plan = FaultPlan::new(0x60_1d)
@@ -285,7 +282,7 @@ fn golden_checkpoint_bytes_are_pinned() {
     let bytes = m.checkpoint().unwrap().as_bytes().to_vec();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (69_717, 0x132d_e2c5_60af_a232)
+        (69_702, 0x3c07_1bb8_08d7_1ffa)
     );
 }
 

@@ -9,6 +9,7 @@
 
 use crate::abi;
 use crate::config::RtConfig;
+use crate::runtime::{Pool, RunError};
 use april_core::word::Word;
 use april_mem::alloc::BumpAllocator;
 use april_mem::femem::FeMemory;
@@ -26,6 +27,8 @@ pub struct NodeLayout {
     pub(crate) stacks: BumpAllocator,
     pub(crate) free_stacks: Vec<u32>,
     pub(crate) stack_bytes: u32,
+    /// The node whose region this is, named when a pool runs dry.
+    node: usize,
 }
 
 /// Size of the heap chunk installed into `g5`/`g6` at a time.
@@ -49,48 +52,56 @@ impl NodeLayout {
             stacks: BumpAllocator::new(stack_base, end),
             free_stacks: Vec::new(),
             stack_bytes: cfg.stack_bytes,
+            node,
+        }
+    }
+
+    fn exhausted(&self, pool: Pool) -> RunError {
+        RunError::Exhausted {
+            pool,
+            node: self.node,
         }
     }
 
     /// Allocates a heap chunk for the processor's inline allocator,
     /// returning `(g5, g6)` = (pointer, limit).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the node heap is exhausted (simulated OOM).
-    pub fn heap_chunk(&mut self) -> (u32, u32) {
+    /// [`RunError::Exhausted`] when the node heap is empty (simulated
+    /// OOM).
+    pub fn heap_chunk(&mut self) -> Result<(u32, u32), RunError> {
         let chunk = HEAP_CHUNK_BYTES.min(self.heap.remaining());
-        let base = self
-            .heap
-            .alloc(chunk, 8)
-            .unwrap_or_else(|e| panic!("node heap exhausted: {e}"));
-        (base, base + chunk)
+        match self.heap.alloc(chunk, 8) {
+            Ok(base) if chunk > 0 => Ok((base, base + chunk)),
+            _ => Err(self.exhausted(Pool::Heap)),
+        }
     }
 
     /// Allocates a small runtime object (future records etc.) directly.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on simulated OOM.
-    pub fn alloc(&mut self, bytes: u32) -> u32 {
+    /// [`RunError::Exhausted`] on simulated OOM.
+    pub fn alloc(&mut self, bytes: u32) -> Result<u32, RunError> {
         self.heap
             .alloc(bytes, 8)
-            .unwrap_or_else(|e| panic!("node heap exhausted: {e}"))
+            .map_err(|_| self.exhausted(Pool::Heap))
     }
 
     /// Takes a stack segment (recycled if available), returning its
     /// base address.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the stack pool is exhausted.
-    pub fn take_stack(&mut self) -> u32 {
+    /// [`RunError::Exhausted`] when the stack pool is.
+    pub fn take_stack(&mut self) -> Result<u32, RunError> {
         if let Some(s) = self.free_stacks.pop() {
-            return s;
+            return Ok(s);
         }
         self.stacks
             .alloc(self.stack_bytes, 8)
-            .unwrap_or_else(|e| panic!("stack pool exhausted: {e}"))
+            .map_err(|_| self.exhausted(Pool::Stacks))
     }
 
     /// Returns a stack segment to the pool.
@@ -131,8 +142,8 @@ mod tests {
     #[test]
     fn heap_chunks_are_disjoint() {
         let mut l = NodeLayout::new(1, &cfg());
-        let (a0, a1) = l.heap_chunk();
-        let (b0, _b1) = l.heap_chunk();
+        let (a0, a1) = l.heap_chunk().unwrap();
+        let (b0, _b1) = l.heap_chunk().unwrap();
         assert!(a1 <= b0);
         assert_eq!(a1 - a0, HEAP_CHUNK_BYTES);
     }
@@ -140,11 +151,35 @@ mod tests {
     #[test]
     fn stacks_recycle() {
         let mut l = NodeLayout::new(0, &cfg());
-        let s1 = l.take_stack();
-        let s2 = l.take_stack();
+        let s1 = l.take_stack().unwrap();
+        let s2 = l.take_stack().unwrap();
         assert_ne!(s1, s2);
         l.release_stack(s1);
-        assert_eq!(l.take_stack(), s1);
+        assert_eq!(l.take_stack(), Ok(s1));
+    }
+
+    #[test]
+    fn drained_pools_name_themselves_and_the_node() {
+        let mut l = NodeLayout::new(3, &cfg());
+        // Half of a 1 MiB region is stacks: 128 of 4 KiB.
+        for _ in 0..128 {
+            l.take_stack().unwrap();
+        }
+        let stacks = RunError::Exhausted {
+            pool: Pool::Stacks,
+            node: 3,
+        };
+        assert_eq!(l.take_stack(), Err(stacks));
+        // The other half is heap: eight 64 KiB chunks.
+        for _ in 0..8 {
+            l.heap_chunk().unwrap();
+        }
+        let heap = RunError::Exhausted {
+            pool: Pool::Heap,
+            node: 3,
+        };
+        assert_eq!(l.heap_chunk(), Err(heap.clone()));
+        assert_eq!(l.alloc(8), Err(heap));
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod snapshot;
 pub mod thread;
 
 pub use config::{FePolicy, RtConfig, TouchPolicy};
-pub use runtime::{RunError, RunResult, Runtime};
+pub use runtime::{Pool, RunError, RunResult, Runtime};
 pub use snapshot::RuntimeSnapshot;
 pub use thread::{Thread, ThreadId, ThreadState};

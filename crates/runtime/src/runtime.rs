@@ -116,6 +116,23 @@ pub enum RunError {
     /// error or the forward-progress watchdog fired. Carries the full
     /// structured post-mortem.
     MachineFault(Box<april_machine::MachineFault>),
+    /// A node's run-time memory pool ran dry (simulated OOM: heaps are
+    /// bump-allocated and never collected).
+    Exhausted {
+        /// The pool.
+        pool: Pool,
+        /// The node whose region it is.
+        node: usize,
+    },
+}
+
+/// A per-node run-time memory pool (see [`crate::layout`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pool {
+    /// The heap: allocation chunks and future records.
+    Heap,
+    /// The thread stacks.
+    Stacks,
 }
 
 impl std::fmt::Display for RunError {
@@ -132,6 +149,7 @@ impl std::fmt::Display for RunError {
                 write!(f, "fault on node {node} at pc {pc}: {what}")
             }
             RunError::MachineFault(fault) => write!(f, "machine fault: {fault}"),
+            RunError::Exhausted { pool, node } => write!(f, "node {node}: {pool:?} exhausted"),
         }
     }
 }
@@ -221,19 +239,25 @@ impl<M: Machine> Runtime<M> {
 
     /// Initializes memory (singletons, heap registers) and loads the
     /// root thread at the program entry on node 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called twice, or if a region cannot hold one heap
+    /// chunk and one stack (a configuration error).
     pub fn boot(&mut self) {
         assert!(!self.booted, "boot called twice");
         self.booted = true;
         init_singletons(self.machine.mem_mut());
+        let fits = "region holds a heap chunk and a stack";
         for i in 0..self.machine.num_procs() {
-            let (g5, g6) = self.layouts[i].heap_chunk();
+            let (g5, g6) = self.layouts[i].heap_chunk().expect(fits);
             let cpu = self.machine.cpu_mut(i);
             cpu.set_reg(abi::REG_HEAP, Word(g5));
             cpu.set_reg(abi::REG_HEAP_LIM, Word(g6));
         }
         let entry = self.machine.program().entry;
         let root = self.new_thread(entry, 0);
-        self.load_thread(0, 0, root);
+        self.load_thread(0, 0, root).expect(fits);
     }
 
     /// Runs to completion.
@@ -291,7 +315,7 @@ impl<M: Machine> Runtime<M> {
             // changing the run (DESIGN.md §8).
             for &(node, ev) in &evs {
                 if matches!(ev, StepEvent::NoReadyFrame) {
-                    self.schedule(node);
+                    self.schedule(node)?;
                 }
             }
             for (node, ev) in evs.drain(..) {
@@ -322,7 +346,7 @@ impl<M: Machine> Runtime<M> {
             if self.machine.now() >= next_liveness {
                 next_liveness = (self.machine.now() / 4096 + 1) * 4096;
                 let instrs: u64 = (0..self.machine.num_procs())
-                    .map(|i| self.machine.cpu(i).stats.instructions)
+                    .map(|i| self.machine.cpu_stats(i).instructions)
                     .sum();
                 if instrs == last_progress.1 && self.machine.now() - last_progress.0 > 200_000 {
                     let blocked = self
@@ -397,17 +421,14 @@ impl<M: Machine> Runtime<M> {
                             let now = self.machine.now();
                             self.probe
                                 .emit(now, EventKind::ThreadBlock, tid.0 as u64, addr as u64);
-                            self.fill_frame(node, fp);
+                            self.fill_frame(node, fp)?;
                         }
                         self.machine.charge_handler(node, 4);
                     }
                 }
                 Ok(())
             }
-            Trap::FutureTouch { reg } | Trap::FutureAddr { reg } => {
-                self.touch(node, reg);
-                Ok(())
-            }
+            Trap::FutureTouch { reg } | Trap::FutureAddr { reg } => self.touch(node, reg),
             Trap::Interrupt { .. } => {
                 // IPIs are scheduling pokes; acknowledge and return.
                 let fp = self.machine.cpu(node).fp();
@@ -457,7 +478,7 @@ impl<M: Machine> Runtime<M> {
     }
 
     /// The future-touch trap handler (Section 6.2).
-    fn touch(&mut self, node: usize, reg: Reg) {
+    fn touch(&mut self, node: usize, reg: Reg) -> Result<(), RunError> {
         let w = self.machine.cpu(node).get_reg(reg);
         debug_assert!(w.is_future(), "future trap on non-future {w}");
         match self.chase(w) {
@@ -469,6 +490,7 @@ impl<M: Machine> Runtime<M> {
                 cpu.frame_mut(fp).psr.in_trap = false;
                 self.machine
                     .charge_handler(node, self.cfg.touch_resolved_cycles);
+                Ok(())
             }
             Err(addr) => self.unresolved_touch(node, addr),
         }
@@ -478,7 +500,7 @@ impl<M: Machine> Runtime<M> {
     /// can claim it, otherwise block or switch-spin per policy. The PC
     /// chain still addresses the touching instruction, so whatever we
     /// do, the instruction retries later.
-    fn unresolved_touch(&mut self, node: usize, addr: u32) {
+    fn unresolved_touch(&mut self, node: usize, addr: u32) -> Result<(), RunError> {
         // Lazy inline path: claim the thunk and evaluate it in this
         // thread, like the procedure call lazy task creation replaces.
         if let Some(LazyThunk { closure, owner }) = self.futures.take_lazy(addr) {
@@ -486,7 +508,7 @@ impl<M: Machine> Runtime<M> {
             debug_assert!(claimed, "thunk in table but not in queue");
             self.sched.stats.inline_evals += 1;
             self.inline_eval(node, addr, closure);
-            return;
+            return Ok(());
         }
         match self.cfg.touch_policy {
             TouchPolicy::SwitchSpin => {
@@ -503,9 +525,10 @@ impl<M: Machine> Runtime<M> {
                 let now = self.machine.now();
                 self.probe
                     .emit(now, EventKind::ThreadBlock, tid.0 as u64, addr as u64);
-                self.fill_frame(node, fp);
+                self.fill_frame(node, fp)?;
             }
         }
+        Ok(())
     }
 
     /// Redirects the current thread into an inline thunk evaluation:
@@ -594,10 +617,10 @@ impl<M: Machine> Runtime<M> {
         id
     }
 
-    fn load_thread(&mut self, node: usize, frame: usize, tid: ThreadId) {
+    fn load_thread(&mut self, node: usize, frame: usize, tid: ThreadId) -> Result<(), RunError> {
         let fresh = !self.threads[tid.0 as usize].started;
         if fresh {
-            let stack = self.layouts[node].take_stack();
+            let stack = self.layouts[node].take_stack()?;
             let t = &mut self.threads[tid.0 as usize];
             t.stack_base = stack;
             t.regs[29] = Word(stack); // REG_SP
@@ -625,6 +648,7 @@ impl<M: Machine> Runtime<M> {
             self.cfg.thread_load_cycles
         };
         self.machine.charge_handler(node, cost);
+        Ok(())
     }
 
     fn unload_thread(&mut self, node: usize, frame: usize, into: ThreadState) {
@@ -648,36 +672,42 @@ impl<M: Machine> Runtime<M> {
     }
 
     /// Fills `frame` on `node` with work, if any exists anywhere.
-    fn fill_frame(&mut self, node: usize, frame: usize) -> bool {
+    fn fill_frame(&mut self, node: usize, frame: usize) -> Result<bool, RunError> {
         // 1. Local ready queue.
         if let Some(tid) = self.sched.dequeue_ready(node) {
             self.machine.charge_handler(node, self.cfg.dequeue_cycles);
-            self.load_thread(node, frame, tid);
-            return true;
+            self.load_thread(node, frame, tid)?;
+            return Ok(true);
         }
         // 2. Own lazy queue (oldest thunk), promoted to a thread.
         if let Some(fut) = self.sched.pop_own_lazy(node) {
-            self.promote_lazy(node, frame, fut, 0);
-            return true;
+            self.promote_lazy(node, frame, fut, 0)?;
+            return Ok(true);
         }
         // 3. Steal a ready thread.
         if let Some((tid, _victim)) = self.sched.steal_ready(node) {
             self.machine.charge_handler(node, self.cfg.steal_cycles);
-            self.load_thread(node, frame, tid);
-            return true;
+            self.load_thread(node, frame, tid)?;
+            return Ok(true);
         }
         // 4. Steal a lazy thunk and promote it.
         if let Some((fut, _victim)) = self.sched.steal_lazy(node) {
-            self.promote_lazy(node, frame, fut, self.cfg.steal_cycles);
-            return true;
+            self.promote_lazy(node, frame, fut, self.cfg.steal_cycles)?;
+            return Ok(true);
         }
-        false
+        Ok(false)
     }
 
     /// Converts a claimed lazy future into a real thread loaded into
     /// `frame` (deferred thread creation: the cost the lazy scheme
     /// avoids until parallelism is actually needed).
-    fn promote_lazy(&mut self, node: usize, frame: usize, fut: u32, access_cost: u64) {
+    fn promote_lazy(
+        &mut self,
+        node: usize,
+        frame: usize,
+        fut: u32,
+        access_cost: u64,
+    ) -> Result<(), RunError> {
         let thunk = self
             .futures
             .take_lazy(fut)
@@ -692,7 +722,7 @@ impl<M: Machine> Runtime<M> {
         let now = self.machine.now();
         self.probe
             .emit(now, EventKind::ThreadSpawn, tid.0 as u64, node as u64);
-        self.load_thread(node, frame, tid);
+        self.load_thread(node, frame, tid)
     }
 
     /// Re-queues threads whose awaited full/empty state has arrived
@@ -733,29 +763,30 @@ impl<M: Machine> Runtime<M> {
 
     /// The idle-processor scheduler: called when the active frame is
     /// not runnable.
-    fn schedule(&mut self, node: usize) {
+    fn schedule(&mut self, node: usize) -> Result<(), RunError> {
         let cpu = self.machine.cpu(node);
         // A frame woken by the controller? Resume it (the switch cost
         // was charged when we switched away).
         if let Some(next) = cpu.next_ready_frame() {
             self.machine.cpu_mut(node).set_fp(next);
-            return;
+            return Ok(());
         }
         // An empty frame to fill?
         if let Some(frame) = (0..cpu.nframes()).find(|&i| cpu.frame(i).state == FrameState::Empty) {
             // Local lazy work first (cheapest locality), then the
             // generic fill path.
             if let Some(fut) = self.sched.pop_own_lazy(node) {
-                self.promote_lazy(node, frame, fut, 0);
+                self.promote_lazy(node, frame, fut, 0)?;
                 self.machine.cpu_mut(node).set_fp(frame);
-                return;
+                return Ok(());
             }
-            if self.fill_frame(node, frame) {
+            if self.fill_frame(node, frame)? {
                 self.machine.cpu_mut(node).set_fp(frame);
-                return;
+                return Ok(());
             }
         }
         self.machine.charge_idle(node, 1);
+        Ok(())
     }
 
     // -----------------------------------------------------------------
@@ -764,7 +795,7 @@ impl<M: Machine> Runtime<M> {
 
     fn service(&mut self, node: usize, n: u16) -> Result<(), RunError> {
         match n {
-            abi::RT_EXIT => self.svc_exit(node),
+            abi::RT_EXIT => self.svc_exit(node)?,
             abi::RT_MAIN_DONE => {
                 let value = self.machine.cpu(node).get_reg(abi::REG_RET);
                 self.result = Some(value);
@@ -774,7 +805,7 @@ impl<M: Machine> Runtime<M> {
             }
             abi::RT_FUTURE => {
                 let target = self.sched.next_spawn_node();
-                self.svc_future(node, target, self.cfg.thread_create_cycles);
+                self.svc_future(node, target, self.cfg.thread_create_cycles)?;
             }
             abi::RT_FUTURE_ON => {
                 let t = self
@@ -784,16 +815,16 @@ impl<M: Machine> Runtime<M> {
                     .as_fixnum()
                     .unwrap_or(0);
                 let target = (t.max(0) as usize) % self.machine.num_procs();
-                self.svc_future(node, target, self.cfg.thread_create_cycles);
+                self.svc_future(node, target, self.cfg.thread_create_cycles)?;
             }
             abi::RT_FUTURE_SW => {
                 let target = self.sched.next_spawn_node();
                 let cost = self.cfg.thread_create_cycles + self.cfg.sw_create_extra_cycles;
-                self.svc_future(node, target, cost);
+                self.svc_future(node, target, cost)?;
             }
             abi::RT_LAZY_FUTURE => {
                 let closure = self.machine.cpu(node).get_reg(abi::REG_RET);
-                let fut = self.alloc_future(node);
+                let fut = self.alloc_future(node)?;
                 self.futures.set_lazy(
                     fut,
                     LazyThunk {
@@ -835,9 +866,9 @@ impl<M: Machine> Runtime<M> {
                 // path costs (almost) a call (Section 3.2).
                 self.machine.charge_handler(node, 3);
             }
-            abi::RT_TOUCH_SW => self.svc_touch_sw(node),
+            abi::RT_TOUCH_SW => self.svc_touch_sw(node)?,
             abi::RT_HEAP_MORE => {
-                let (g5, g6) = self.layouts[node].heap_chunk();
+                let (g5, g6) = self.layouts[node].heap_chunk()?;
                 let cpu = self.machine.cpu_mut(node);
                 cpu.set_reg(abi::REG_HEAP, Word(g5));
                 cpu.set_reg(abi::REG_HEAP_LIM, Word(g6));
@@ -870,28 +901,29 @@ impl<M: Machine> Runtime<M> {
         Ok(())
     }
 
-    fn alloc_future(&mut self, node: usize) -> u32 {
-        let addr = self.layouts[node].alloc(FUTURE_BYTES);
+    fn alloc_future(&mut self, node: usize) -> Result<u32, RunError> {
+        let addr = self.layouts[node].alloc(FUTURE_BYTES)?;
         let mem = self.machine.mem_mut();
         mem.write(addr, Word::ZERO);
         mem.set_fe(addr, false); // unresolved
         mem.write(addr + 4, Word::ZERO);
         mem.set_fe(addr + 4, true);
         self.futures.create(addr);
-        addr
+        Ok(addr)
     }
 
-    fn svc_future(&mut self, node: usize, target: usize, cost: u64) {
+    fn svc_future(&mut self, node: usize, target: usize, cost: u64) -> Result<(), RunError> {
         let closure = self.machine.cpu(node).get_reg(abi::REG_RET);
-        let fut = self.alloc_future(node);
+        let fut = self.alloc_future(node)?;
         self.spawn_task(closure, fut, target);
         self.machine
             .cpu_mut(node)
             .set_reg(abi::REG_RET, Word::future_ptr(fut));
         self.machine.charge_handler(node, cost);
+        Ok(())
     }
 
-    fn svc_exit(&mut self, node: usize) {
+    fn svc_exit(&mut self, node: usize) -> Result<(), RunError> {
         let fp = self.machine.cpu(node).fp();
         let tid = self.loaded[node][fp]
             .take()
@@ -904,18 +936,19 @@ impl<M: Machine> Runtime<M> {
         }
         self.machine.cpu_mut(node).frame_mut(fp).state = FrameState::Empty;
         self.machine.charge_handler(node, self.cfg.exit_cycles);
-        self.fill_frame(node, fp);
+        self.fill_frame(node, fp)?;
+        Ok(())
     }
 
     /// Software touch for the Encore baseline: the compiled check
     /// found a future in `r24`; resolve or block. Because the RTCALL
     /// has already retired, blocking rewinds the PC chain so the call
     /// retries on wake-up.
-    fn svc_touch_sw(&mut self, node: usize) {
+    fn svc_touch_sw(&mut self, node: usize) -> Result<(), RunError> {
         let w = self.machine.cpu(node).get_reg(abi::REG_SW_TOUCH);
         if !w.is_future() {
             self.machine.charge_handler(node, self.cfg.sw_touch_cycles);
-            return;
+            return Ok(());
         }
         match self.chase(w) {
             Ok(value) => {
@@ -938,7 +971,7 @@ impl<M: Machine> Runtime<M> {
                     debug_assert!(claimed);
                     self.sched.stats.inline_evals += 1;
                     self.inline_eval(node, addr, closure);
-                    return;
+                    return Ok(());
                 }
                 let tid = self.loaded[node][fp].expect("loaded frame");
                 self.unload_thread(node, fp, ThreadState::Blocked { future: addr });
@@ -947,8 +980,9 @@ impl<M: Machine> Runtime<M> {
                 let now = self.machine.now();
                 self.probe
                     .emit(now, EventKind::ThreadBlock, tid.0 as u64, addr as u64);
-                self.fill_frame(node, fp);
+                self.fill_frame(node, fp)?;
             }
         }
+        Ok(())
     }
 }

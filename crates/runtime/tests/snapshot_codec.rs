@@ -71,7 +71,6 @@ fn fresh_rt() -> Runtime<Alewife> {
             block_bytes: 16,
             assoc: 2,
         },
-        decode: true,
         ..MachineConfig::default()
     };
     let mut rt = Runtime::new(
@@ -110,7 +109,7 @@ fn golden_runtime_snapshot_bytes_are_pinned() {
     let bytes = golden_bytes();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (31_502, 0x0fdc_1bc5_345e_2d26)
+        (31_487, 0xb004_fba4_b745_2cf2)
     );
 }
 

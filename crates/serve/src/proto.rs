@@ -23,8 +23,9 @@ use std::io::Read;
 
 /// The protocol version this build speaks (and the only one it
 /// accepts). Version 2 dropped the two parallel-scheduler fields from
-/// `SimSpec`, changing the `RegisterWarm` and `Submit` bodies.
-pub const PROTO_VERSION: u8 = 2;
+/// `SimSpec`, version 3 its `decode` engine switch, each changing the
+/// `RegisterWarm` and `Submit` bodies.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Upper bound on one frame's `kind + body` length; a peer announcing
 /// more is treated as corrupt and the connection is dropped.

@@ -73,7 +73,7 @@ impl Wire for Workload {
 
 /// A complete machine + workload description: everything needed to
 /// build a [`MachineConfig`] and assemble the program. Scheduler knobs
-/// (`lockstep`, `decode`, `watchdog_horizon`) select *how* the job is
+/// (`lockstep`, `watchdog_horizon`) select *how* the job is
 /// executed, not *what* it computes — they are free to differ between
 /// a warm image and the jobs forked from it, exactly as the snapshot
 /// layer's semantic config normalization allows (DESIGN.md §11).
@@ -89,8 +89,6 @@ pub struct SimSpec {
     pub mem_latency: u64,
     /// Force the strict cycle-by-cycle reference scheduler.
     pub lockstep: bool,
-    /// Use the pre-decoded bytecode engine (DESIGN.md §13).
-    pub decode: bool,
     /// Forward-progress watchdog horizon in cycles (0 = the machine
     /// default).
     pub watchdog_horizon: u64,
@@ -106,7 +104,6 @@ impl Default for SimSpec {
             region_bytes: 1 << 20,
             mem_latency: 10,
             lockstep: false,
-            decode: true,
             watchdog_horizon: 0,
             workload: Workload::Contended {
                 outer: 50,
@@ -124,7 +121,6 @@ impl SimSpec {
             region_bytes: self.region_bytes,
             mem_latency: self.mem_latency,
             lockstep: self.lockstep,
-            decode: self.decode,
             ..MachineConfig::default()
         };
         if self.watchdog_horizon != 0 {
@@ -151,7 +147,6 @@ impl SimSpec {
     pub fn warm_compatible(&self, base: &SimSpec) -> bool {
         let norm = |s: &SimSpec| SimSpec {
             lockstep: false,
-            decode: true,
             watchdog_horizon: 0,
             ..*s
         };
@@ -166,7 +161,6 @@ wire_fields!(SimSpec {
     region_bytes,
     mem_latency,
     lockstep,
-    decode,
     watchdog_horizon,
     workload,
 });
@@ -359,7 +353,6 @@ mod tests {
         let base = SimSpec::default();
         let knobs = SimSpec {
             lockstep: true,
-            decode: false,
             watchdog_horizon: 1 << 20,
             ..base
         };

@@ -131,7 +131,7 @@ fn golden_frame_bytes_are_pinned() {
     let bytes = encoded().concat();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (573, 0x84ea_3e9e_288c_97e2)
+        (571, 0x8bc5_7dae_b161_e7a5)
     );
 }
 

@@ -8,7 +8,8 @@
 #      heading in the target file (GitHub-style slugs).
 #   3. Repo paths cited in backticks (`crates/…`, `scripts/…`,
 #      `examples/…`, `tests/…`, `benchmark/…`, less a `:line`) in the
-#      living docs must exist, and none may name a `BENCH_*.json`, so
+#      living docs must exist, and none may name a `BENCH_*.json` or
+#      the deleted engine switch (`APRIL_DECODE`, `decode: false`), so
 #      a stale reference fails here (CHANGES.md and ROADMAP.md are
 #      history and exempt).
 #   4. `RUSTDOCFLAGS="-D warnings" cargo doc` must succeed, so broken
@@ -97,6 +98,7 @@ for doc in README.md DESIGN.md EXPERIMENTS.md PROTOCOL.md .claude/skills/verify/
             [ -e "${tok%%:*}" ] || echo "DEAD PATH $doc -> $tok"
         done
     grep -Eo 'BENCH_[a-z]+\.json' "$doc" | sed "s|^|DELETED BASELINE $doc -> |"
+    grep -Eo 'APRIL_DECODE|decode: false' "$doc" | sed "s|^|DELETED ENGINE SWITCH $doc -> |"
 done >"$hits" || true
 verdict "docs cite paths that do not exist" "every cited path exists"
 

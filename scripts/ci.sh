@@ -66,7 +66,9 @@ sh benchmark/agree.sh --smoke
 stage "lockstep/event scheduler equivalence (3 fault seeds)"
 # The lockstep/event bit-exactness suite is part of the workspace tests
 # above; run it again in release so the fault-soak seeds and the
-# 1089-node fan-in execute at full depth quickly.
+# 1089-node fan-in execute at full depth quickly. Lockstep never books
+# a run, so the suite is also the per-instruction referee of the event
+# scheduler's booked runs.
 cargo test -q --release -p april-machine --test lockstep_vs_skip
 
 stage "1089-node directory-kind agreement (release)"

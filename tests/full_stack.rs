@@ -7,7 +7,7 @@ use april::machine::config::MachineConfig;
 use april::machine::IdealMachine;
 use april::mult::{compile, programs, CompileOptions};
 use april::net::topology::Topology;
-use april::runtime::{RtConfig, Runtime};
+use april::runtime::{Pool, RtConfig, RunError, Runtime};
 
 const REGION: u32 = 4 << 20;
 
@@ -110,12 +110,12 @@ fn alewife_runs_are_deterministic() {
 }
 
 /// The scheduler-equivalence contract at the run-time layer: lockstep,
-/// the event-driven skip and the skip over the interpreter (`decode:
-/// false`) agree on the value, the clock, every processor's ledger and
-/// the whole stats report. The run-time mutates the machine between
-/// cycles — `mem_mut` on every future allocation, `cpu_mut` on every
-/// thread load, `charge_handler` on every trap — paths the machine-level
-/// suites, driven by a switch-spin driver, barely touch.
+/// which steps every instruction on its own cycle, and the
+/// event-driven skip agree on the value, the clock, every processor's
+/// ledger and the whole stats report. The run-time mutates the machine
+/// between cycles — `mem_mut` on every future allocation, `cpu_mut` on
+/// every thread load, `charge_handler` on every trap — paths the
+/// machine-level suites, driven by a switch-spin driver, barely touch.
 #[test]
 fn runtime_runs_agree_across_schedulers() {
     let cases = [
@@ -124,14 +124,13 @@ fn runtime_runs_agree_across_schedulers() {
     ];
     for (radix, src, opts, want) in cases {
         let prog = compile(&src, &opts).expect("compiles");
-        let runs: Vec<_> = [(true, true), (false, true), (false, false)]
+        let runs: Vec<_> = [true, false]
             .into_iter()
-            .map(|(lockstep, decode)| {
+            .map(|lockstep| {
                 let cfg = MachineConfig {
                     topology: Topology::new(2, radix),
                     region_bytes: REGION,
                     lockstep,
-                    decode,
                     ..MachineConfig::default()
                 };
                 let mut rt = Runtime::new(Alewife::new(cfg, prog.clone()), rt_cfg());
@@ -144,8 +143,39 @@ fn runtime_runs_agree_across_schedulers() {
             .collect();
         assert_eq!(runs[0].0.as_fixnum(), Some(want));
         assert_eq!(runs[0], runs[1], "{radix}x{radix}: event-driven diverged");
-        assert_eq!(runs[0], runs[2], "{radix}x{radix}: decode off diverged");
     }
+}
+
+#[test]
+fn eager_fib_that_drains_its_stack_pool_fails_with_a_typed_error() {
+    // Eager futures hold a stack per started, unfinished task; half of
+    // a 512 KiB region is 16 stacks of 16 KiB, which fib(14) outgrows.
+    // The run ends in an error naming the pool, not a panic.
+    let region = 512 << 10;
+    let prog = compile(&programs::fib(14), &CompileOptions::april()).expect("compiles");
+    let cfg = MachineConfig {
+        topology: Topology::new(2, 2),
+        region_bytes: region,
+        ..MachineConfig::default()
+    };
+    let rt_cfg = RtConfig {
+        region_bytes: region,
+        stack_bytes: 16 << 10,
+        ..rt_cfg()
+    };
+    let err = Runtime::new(Alewife::new(cfg, prog), rt_cfg)
+        .run()
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RunError::Exhausted {
+                pool: Pool::Stacks,
+                ..
+            }
+        ),
+        "{err}"
+    );
 }
 
 #[test]
