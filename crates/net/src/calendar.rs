@@ -11,16 +11,16 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// An event: packet `id`'s header arrives at `node` at `time`; `seq`
-/// breaks ties in push order.
+/// An event: the header of the packet in flight slot `slot` arrives at
+/// `node` at `time`; `seq` breaks ties in push order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub struct Event {
     /// Cycle the header arrives.
     pub time: u64,
     /// Push sequence number.
     pub seq: u64,
-    /// Packet id.
-    pub id: u64,
+    /// The packet's slot in the network's flight slab.
+    pub slot: usize,
     /// Node the header arrives at.
     pub node: usize,
 }

@@ -47,13 +47,8 @@ wire_fields!(FaultStats {
     failstop_drops,
     dead_letters,
 });
-wire_fields!(Event {
-    time,
-    seq,
-    id,
-    node
-});
 wire_fields!([P] Flight<P> {
+    id,
     dst,
     size,
     sent_at,
@@ -94,24 +89,63 @@ impl<P: Wire + Default> Wire for Network<P> {
         c.same(self.cfg.hop_latency, "network timing config mismatch")?;
         c.same(self.cfg.loopback_latency, "network timing config mismatch")?;
 
-        // Sorted: the order the calendar requires of pushes on restore.
-        let mut events: Vec<Event> = Vec::new();
+        // Events and `ready` name flights by slab slot in memory and by
+        // packet id on the wire, where events are sorted (the order the
+        // calendar requires of pushes on restore) and flights are sorted
+        // by id, so a restore puts flight `i` in slot `i`.
+        let mut events: Vec<(u64, u64, u64, usize)> = Vec::new(); // (time, seq, id, node)
         if !C::READS {
-            events.extend(self.events.iter());
-            events.sort();
+            let mut queued: Vec<Event> = self.events.iter().copied().collect();
+            queued.sort();
+            let id = |e: &Event| self.flight(e.slot).id;
+            events.extend(queued.iter().map(|e| (e.time, e.seq, id(e), e.node)));
         }
         events.wire(c)?;
+
+        let n = c.count(self.in_flight_count())?;
+        let mut ids = Vec::with_capacity(n);
         if C::READS {
-            if events.iter().any(|e| e.node >= nodes) || events.windows(2).any(|w| w[0] >= w[1]) {
+            self.flights.clear();
+            self.free.clear();
+            for _ in 0..n {
+                let mut f = Flight::default();
+                f.wire(c)?;
+                if f.dst >= nodes || ids.last().is_some_and(|&last| last >= f.id) {
+                    return Err(WireError::Corrupt("flight out of range or order"));
+                }
+                ids.push(f.id);
+                self.flights.push(Some(f));
+            }
+        } else {
+            let mut live: Vec<&mut Flight<P>> = self.flights.iter_mut().flatten().collect();
+            live.sort_unstable_by_key(|f| f.id);
+            live.into_iter().try_for_each(|f| f.wire(c))?;
+        }
+        // How many events and `ready` entries name each restored flight:
+        // exactly one must, or a packet would advance twice or never.
+        let mut named = vec![0u32; ids.len()];
+        let mut slot_of = |id: u64| match ids.binary_search(&id) {
+            Ok(slot) => {
+                named[slot] += 1;
+                Ok(slot)
+            }
+            Err(_) => Err(WireError::Corrupt("unknown packet id in network queue")),
+        };
+        if C::READS {
+            let order = |w: &[(u64, u64, u64, usize)]| (w[0].0, w[0].1) >= (w[1].0, w[1].1);
+            if events.iter().any(|e| e.3 >= nodes) || events.windows(2).any(order) {
                 return Err(WireError::Corrupt("network event out of range or order"));
             }
             self.events = Calendar::default();
-            events.into_iter().for_each(|e| self.events.push(e));
-        }
-
-        self.flights.wire(c)?;
-        if C::READS && self.flights.values().any(|f| f.dst >= nodes) {
-            return Err(WireError::Corrupt("flight destination out of range"));
+            for (time, seq, id, node) in events {
+                let slot = slot_of(id)?;
+                self.events.push(Event {
+                    time,
+                    seq,
+                    slot,
+                    node,
+                });
+            }
         }
 
         // Every channel ever crossed (its free time is nonzero), at its
@@ -136,7 +170,28 @@ impl<P: Wire + Default> Wire for Network<P> {
             |c, t| c.u64(t),
         )?;
 
-        self.ready.wire(c)?;
+        let mut ready: Vec<(u64, usize, u64)> = Vec::new(); // (tail, dst, id)
+        if !C::READS {
+            let entry = |&(t, s): &(u64, usize)| (t, self.flight(s).dst, self.flight(s).id);
+            ready.extend(self.ready.iter().map(entry));
+        }
+        ready.wire(c)?;
+        if C::READS {
+            if ready.windows(2).any(|w| w[0].0 > w[1].0) {
+                return Err(WireError::Corrupt("ready tails out of order"));
+            }
+            self.ready.clear();
+            for (tail, dst, id) in ready {
+                let slot = slot_of(id)?;
+                if self.flight(slot).dst != dst {
+                    return Err(WireError::Corrupt("ready destination is not its flight's"));
+                }
+                self.ready.push_back((tail, slot));
+            }
+            if named.iter().any(|&k| k != 1) {
+                return Err(WireError::Corrupt("flight not queued exactly once"));
+            }
+        }
         c.u64(&mut self.next_id)?;
         c.u64(&mut self.next_dup_id)?;
         c.u64(&mut self.seq)?;
@@ -322,6 +377,56 @@ mod tests {
         let mut other: Network<u64> = Network::new(Topology::new(2, 8), NetConfig::default());
         let mut r = ByteReader::new(&bytes);
         assert!(other.wire(&mut r).is_err());
+    }
+
+    #[test]
+    fn queues_naming_no_flight_are_corrupt() {
+        // 0 -> 1 (8 flits) and 2 -> 1 (2 flits) have arrived by cycle 1,
+        // their tails due at 8 and 2; 3 -> 2 is just sent.
+        let mut net: Network<u64> = Network::new(Topology::new(1, 4), NetConfig::default());
+        let mut out = Vec::new();
+        net.send(0, 0, 1, 8, 10);
+        net.send(0, 2, 1, 2, 11);
+        net.poll_into(1, &mut out);
+        net.send(1, 3, 2, 4, 12);
+        let bytes = snapshot(&mut net);
+        // Layout offsets: 4 config words; one event (time, seq, id,
+        // node); three flights of 6 words; two channels of 25 bytes;
+        // then the ready count and (tail, dst, id) entries.
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let (event_id, flight0_id) = (56, 80);
+        let ready = 72 + 8 + 3 * 48 + 8 + 2 * 25 + 8;
+        let (tail0, dst0, id0) = (ready, ready + 8, ready + 16);
+        assert_eq!([word(32), word(event_id)], [1, 2], "one event, packet 2");
+        assert_eq!([word(72), word(flight0_id)], [3, 0], "flights 0, 1, 2");
+        assert_eq!(
+            [word(ready - 8), word(tail0), word(dst0), word(id0)],
+            [2, 2, 1, 1]
+        );
+        assert_eq!(word(ready + 40), 0, "second ready entry: packet 0");
+
+        let restore = |at: usize, value: u64| {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            let mut fresh: Network<u64> = Network::new(Topology::new(1, 4), NetConfig::default());
+            fresh.wire(&mut ByteReader::new(&hostile))
+        };
+        assert!(restore(event_id, 2).is_ok(), "the genuine bytes restore");
+        for (at, value, what) in [
+            (event_id, 9, "event names an unknown packet"),
+            (event_id, 0, "event names a packet already ready"),
+            (id0, 9, "ready entry names an unknown packet"),
+            (id0, 2, "ready entry names a packet still routing"),
+            (dst0, 3, "ready destination is not the flight's"),
+            (dst0, 99, "ready destination out of range"),
+            (tail0, 9, "ready tails out of order"),
+            (flight0_id, 5, "flight ids out of order"),
+        ] {
+            assert!(
+                matches!(restore(at, value), Err(WireError::Corrupt(_))),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -127,8 +127,6 @@ impl Topology {
 
     /// Manhattan distance (number of hops) between two nodes.
     pub fn distance(&self, a: usize, b: usize) -> usize {
-        // Peel coordinates digit by digit; the router calls this on
-        // hot paths, so no intermediate vectors.
         let (mut a, mut b) = (a, b);
         let mut d = 0;
         for _ in 0..self.dim {
@@ -140,13 +138,13 @@ impl Topology {
     }
 
     /// Dimension-order routing: the channel and next node for a packet
-    /// at `cur` heading to `dst`, or `None` if already there.
+    /// at `cur` heading to `dst`, or `None` if already there. The
+    /// network's own router precomputes the digits this peels, and is
+    /// tested against it.
     pub fn next_hop(&self, cur: usize, dst: usize) -> Option<(Channel, usize)> {
         if cur == dst {
             return None;
         }
-        // Walk the mixed-radix digits in place — this runs once per
-        // channel crossing of every packet, so it must not allocate.
         let (mut c, mut t) = (cur, dst);
         let mut stride = 1;
         for dim in 0..self.dim {

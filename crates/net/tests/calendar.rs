@@ -34,7 +34,7 @@ fn calendar_pops_exactly_as_a_binary_heap() {
                 let ev = Event {
                     time,
                     seq,
-                    id: rng.next_u64(),
+                    slot: rng.gen_index(1 << 20),
                     node: rng.gen_index(16),
                 };
                 cal.push(ev);

@@ -11,15 +11,10 @@
 //! * [`wire`]: the hand-rolled little-endian binary codec behind the
 //!   snapshot formats (DESIGN.md §11) and the april-serve protocol,
 //!   where each layout is one field list read and written alike.
-//! * [`hash`]: a deterministic multiply–xor hasher for hot-path hash
-//!   maps keyed by simulator-generated integers, where SipHash's
-//!   collision hardening is pure overhead.
 
 #![deny(missing_docs)]
 
-pub mod hash;
 pub mod rng;
 pub mod wire;
 
-pub use hash::DetState;
 pub use rng::{splitmix64, Rng};

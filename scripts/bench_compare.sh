@@ -87,7 +87,7 @@ for i in $(seq 1 "$rounds"); do
 done
 
 jq -rs --slurpfile bench "$bench" '
-  def q(p): sort as $s | (($s | length) - 1) * p as $h | ($h | floor) as $i
+  def q(p): sort as $s | ((($s | length) - 1) * p) as $h | ($h | floor) as $i
     | $s[$i] + ($h - $i) * (($s[$i + 1] // $s[$i]) - $s[$i]);
   def share: (map(.failed) | add) / (map(.attempted) | add);
   group_by(.w)[]

@@ -123,7 +123,9 @@ stage "snapshot + protocol codec (release)"
 # runs of these suites; release adds their deep hostile-input cases:
 # every prefix of each frame and of the run-time payload, and
 # truncations and flips at every section boundary of the machine
-# snapshot, each of which must end in a typed error.
+# snapshot, each of which must end in a typed error. The network crate
+# adds its hostile queue restores and the paper-mesh routing case.
+cargo test -q --release -p april-net
 cargo test -q --release -p april-machine --test snapshot_roundtrip
 cargo test -q --release -p april-runtime --test snapshot_codec
 cargo test -q --release -p april-serve --test proto_codec
