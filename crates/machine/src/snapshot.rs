@@ -43,7 +43,9 @@ pub const MAGIC: [u8; 4] = *b"APRL";
 /// coarse/broadcast sharer-set encodings for the sparse directory
 /// kinds, and appended the directory overflow counter. Version 4 added
 /// the per-edge-node open-loop traffic section (DESIGN.md §15).
-pub const VERSION: u8 = 4;
+/// Version 5 writes only the valid lines of each cache, in sparse
+/// chunks of sets.
+pub const VERSION: u8 = 5;
 
 /// Section kinds. Per-node sections (`CPU`..`IO`) carry the node id in
 /// their tag; machine-wide sections use node id 0.
@@ -594,6 +596,10 @@ mod tests {
             Snapshot::from_bytes(wrong_version),
             Err(SnapshotError::Version(99))
         );
+        // Version 4 wrote every cache line; its images are refused.
+        let mut v4 = bytes.clone();
+        v4[12] = 4;
+        assert_eq!(Snapshot::from_bytes(v4), Err(SnapshotError::Version(4)));
         let mut truncated = bytes;
         truncated.truncate(truncated.len() - 1);
         assert!(matches!(

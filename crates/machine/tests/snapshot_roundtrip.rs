@@ -282,7 +282,7 @@ fn golden_checkpoint_bytes_are_pinned() {
     let bytes = m.checkpoint().unwrap().as_bytes().to_vec();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (69_702, 0x3c07_1bb8_08d7_1ffa)
+        (56_727, 0x6b90_1a39_9f9f_d6bf)
     );
 }
 
@@ -330,10 +330,22 @@ fn implausible_counts_restore_to_typed_errors() {
     let cfg = *m.config();
     let bytes = m.checkpoint().unwrap().as_bytes().to_vec();
     let read_usize = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    // Controller 0: node id, then the cache (line count, 13 bytes per
-    // line, clock, six counters), then the transaction count.
-    let ctl = payload_at(&bytes, 1, 0);
-    let txns = ctl + 16 + read_usize(ctl + 8) * 13 + 56;
+    // The first controller that caches a line: node id, then the cache
+    // (three geometry words, the chunk count, per chunk its `u32`
+    // index, line count and 17 bytes per line — a `u32` index and the
+    // 13-byte line — then clock and six counters), then the
+    // transaction count.
+    let ctl = (0..16)
+        .map(|n| payload_at(&bytes, 1, n))
+        .find(|&ctl| read_usize(ctl + 20) > 0)
+        .expect("a controller caches a line");
+    let cache_chunks = ctl + 20;
+    let first_chunk_lines = cache_chunks + 12;
+    let mut at = cache_chunks + 8;
+    for _ in 0..read_usize(cache_chunks) {
+        at += 12 + read_usize(at + 4) * 17;
+    }
+    let txns = at + 56;
     // Directory 0 opens with its entry count; the network with
     // topology and timing (32 bytes), the event count and 32-byte
     // events, then the flight count; the meta probe with lane, enabled
@@ -343,6 +355,8 @@ fn implausible_counts_restore_to_typed_errors() {
     let flights = net + 40 + read_usize(net + 32) * 32;
     let ring_cap = payload_at(&bytes, 8, 0) + 21;
     for (what, at) in [
+        ("cache chunks", cache_chunks),
+        ("lines of a cache chunk", first_chunk_lines),
         ("controller transactions", txns),
         ("directory entries", dir),
         ("network flights", flights),

@@ -324,7 +324,9 @@ impl CacheController {
         let block = self.cache.config().block_of(addr);
         if self.cache.access(addr, write) {
             self.stats.hits += 1;
-            if self.pinned.remove(&block) {
+            // The emptiness test spares the hit path a SipHash when
+            // nothing is pinned, the common case.
+            if !self.pinned.is_empty() && self.pinned.remove(&block) {
                 self.service_deferred(block, &home_of, out);
             }
             return Outcome::Hit;
@@ -415,7 +417,7 @@ impl CacheController {
                     },
                 ));
             }
-            if self.pinned.remove(&victim.block) {
+            if !self.pinned.is_empty() && self.pinned.remove(&victim.block) {
                 self.service_deferred(victim.block, home_of, out);
             }
         }

@@ -138,15 +138,66 @@ wire_fields!(CacheStats {
     invalidations,
 });
 
-/// Every line of the cache, valid or not; restores require the same
-/// geometry.
+/// The cache's valid lines in nested sparse form — the chunks that
+/// hold a valid line, and in each its valid lines — then the clock and
+/// counters. Like [`FeMemory`], the bytes are a function of content: a
+/// chunk that was filled and then emptied by invalidations is a hole,
+/// and every hole restores unmaterialized. Restores require the same
+/// geometry, and a restored valid line must be one `fill` could have
+/// placed: block-aligned, in its block's set, and not repeated there.
 impl Wire for Cache {
     fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
-        c.same(self.lines.len(), "cache geometry mismatch")?;
-        self.lines.as_mut_slice().wire(c)?;
+        let cfg = *self.config();
+        c.same(
+            (cfg.size_bytes, cfg.block_bytes, cfg.assoc),
+            "cache geometry mismatch",
+        )?;
+        let len = self.chunk_len();
+        c.sparse(
+            &mut self.chunks,
+            |k| k.iter().any(Line::valid),
+            u32_index,
+            |c, chunk| {
+                if C::READS {
+                    *chunk = vec![Line::default(); len].into_boxed_slice();
+                }
+                c.sparse(chunk, Line::valid, u32_index, |c, line| {
+                    line.wire(c)?;
+                    // The empty block is misaligned too.
+                    if line.block & (cfg.block_bytes - 1) != 0 {
+                        return Err(WireError::Corrupt("misaligned cache line"));
+                    }
+                    Ok(())
+                })
+            },
+        )?;
+        if C::READS {
+            check_restored_sets(self)?;
+        }
         c.u64(&mut self.clock)?;
         self.stats.wire(c)
     }
+}
+
+/// Rejects restored cache lines that no sequence of fills produces: a
+/// chunk with no valid line (the encoder writes it as a hole), or a
+/// valid line outside its block's set or repeating a block within it.
+fn check_restored_sets(cache: &Cache) -> Result<(), WireError> {
+    for (k, chunk) in cache.chunks.iter().enumerate() {
+        if !chunk.is_empty() && !chunk.iter().any(Line::valid) {
+            return Err(WireError::Corrupt("cache chunk without a valid line"));
+        }
+        for (i, line) in chunk.iter().enumerate().filter(|(_, l)| l.valid()) {
+            let (home, ways) = cache.locate(line.block);
+            if home != k || !ways.contains(&i) {
+                return Err(WireError::Corrupt("cache line outside its block's set"));
+            }
+            if chunk[ways.start..i].iter().any(|l| l.block == line.block) {
+                return Err(WireError::Corrupt("cache line repeated in its set"));
+            }
+        }
+    }
+    Ok(())
 }
 
 wire_fields!(Txn {
@@ -408,6 +459,80 @@ mod tests {
         let mut w2 = ByteWriter::new();
         n.wire(&mut w2).unwrap();
         assert_eq!(w2.finish(), bytes);
+    }
+
+    fn encode(cache: &mut Cache) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        cache.wire(&mut w).unwrap();
+        w.finish()
+    }
+
+    #[test]
+    fn cache_restore_rejects_lines_fill_cannot_place() {
+        // 32 sets × 2 ways, one chunk. Set 4 holds blocks 0x40 and
+        // 0x240, at lines 8 and 9 of the chunk.
+        let cfg = CacheConfig {
+            size_bytes: 1024,
+            block_bytes: 16,
+            assoc: 2,
+        };
+        let mut cache = Cache::new(cfg);
+        cache.fill(0x40, LineState::Modified);
+        cache.fill(0x240, LineState::Shared);
+        let bytes = encode(&mut cache);
+        // Geometry (12), chunk count (8), chunk index (4), line count
+        // (8), then per line its index (4), block (4), state and lru.
+        let (first, second) = (36, 53);
+        assert_eq!(bytes[first..first + 4], 0x40u32.to_le_bytes());
+        assert_eq!(bytes[second..second + 4], 0x240u32.to_le_bytes());
+        let restore = |at: usize, block: u32| {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 4].copy_from_slice(&block.to_le_bytes());
+            Cache::new(cfg).wire(&mut ByteReader::new(&hostile))
+        };
+        assert_eq!(restore(first, 0x40), Ok(()));
+        for (at, block, why) in [
+            (first, 0x50, "cache line outside its block's set"),
+            (second, 0x40, "cache line repeated in its set"),
+            (first, 0x44, "misaligned cache line"),
+            (first, u32::MAX, "misaligned cache line"),
+        ] {
+            assert_eq!(
+                restore(at, block),
+                Err(WireError::Corrupt(why)),
+                "{block:#x}"
+            );
+        }
+        // A chunk on the wire with no line in it.
+        let mut empty = bytes[..32].to_vec();
+        empty[24..32].copy_from_slice(&0u64.to_le_bytes());
+        empty.extend_from_slice(&bytes[bytes.len() - 56..]);
+        assert_eq!(
+            Cache::new(cfg).wire(&mut ByteReader::new(&empty)),
+            Err(WireError::Corrupt("cache chunk without a valid line"))
+        );
+    }
+
+    #[test]
+    fn emptied_cache_chunks_are_holes_and_a_byte_fixed_point() {
+        let mut cache = Cache::new(CacheConfig::default());
+        // Blocks in chunks 0, 1 and 3 (64 sets of 16 bytes per chunk);
+        // chunk 1 is then emptied by invalidation.
+        for block in [0x40, 0x410, 0x420, 0xc00] {
+            cache.fill(block, LineState::Shared);
+        }
+        cache.invalidate(0x410);
+        cache.invalidate(0x420);
+        let materialized = |c: &Cache| c.chunks.iter().filter(|k| !k.is_empty()).count();
+        assert_eq!(materialized(&cache), 3);
+        let bytes = encode(&mut cache);
+        let mut restored = Cache::new(CacheConfig::default());
+        restored.wire(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(materialized(&restored), 2, "the emptied chunk is a hole");
+        assert_eq!(restored.resident(), 2);
+        assert_eq!(restored.probe(0xc00), Some(LineState::Shared));
+        assert_eq!(restored.stats, cache.stats);
+        assert_eq!(encode(&mut restored), bytes);
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn golden_runtime_snapshot_bytes_are_pinned() {
     let bytes = golden_bytes();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (31_487, 0xb004_fba4_b745_2cf2)
+        (28_379, 0x70a4_8787_4782_b780)
     );
 }
 

@@ -12,7 +12,12 @@
 #      the deleted engine switch (`APRIL_DECODE`, `decode: false`), so
 #      a stale reference fails here (CHANGES.md and ROADMAP.md are
 #      history and exempt).
-#   4. `RUSTDOCFLAGS="-D warnings" cargo doc` must succeed, so broken
+#   4. Format versions stated in the docs must equal the code's:
+#      PROTOCOL.md's "Current protocol version: **N**" against
+#      `PROTO_VERSION` in `crates/serve/src/proto.rs`, and DESIGN.md's
+#      "Machine snapshot format (version N)" heading against `VERSION`
+#      in `crates/machine/src/snapshot.rs`.
+#   5. `RUSTDOCFLAGS="-D warnings" cargo doc` must succeed, so broken
 #      intra-doc links and missing docs fail here too.
 #
 # External http(s) links are intentionally not fetched — CI is offline.
@@ -101,6 +106,26 @@ for doc in README.md DESIGN.md EXPERIMENTS.md PROTOCOL.md .claude/skills/verify/
     grep -Eo 'APRIL_DECODE|decode: false' "$doc" | sed "s|^|DELETED ENGINE SWITCH $doc -> |"
 done >"$hits" || true
 verdict "docs cite paths that do not exist" "every cited path exists"
+
+echo "== format versions stated in docs =="
+# The `N` of a `pub const NAME: u8 = N;` line in a source file.
+const_u8() {
+    sed -n "s/^pub const $1: u8 = \([0-9]*\);.*/\1/p" "$2"
+}
+# Fails unless the doc states the code's version exactly once.
+same_version() { # doc, what, stated, code
+    [ -n "$4" ] || echo "NO VERSION CONSTANT for $2"
+    [ "$3" = "$4" ] || echo "STALE VERSION $1: $2 is '$3', code says '$4'"
+}
+{
+    same_version PROTOCOL.md "the current protocol version" \
+        "$(sed -n 's/^Current protocol version: \*\*\([0-9]*\)\*\*\.$/\1/p' PROTOCOL.md)" \
+        "$(const_u8 PROTO_VERSION crates/serve/src/proto.rs)"
+    same_version DESIGN.md "the machine snapshot format heading" \
+        "$(sed -n 's/^#\{1,6\} Machine snapshot format (version \([0-9]*\))$/\1/p' DESIGN.md)" \
+        "$(const_u8 VERSION crates/machine/src/snapshot.rs)"
+} >"$hits"
+verdict "docs state a format version the code does not use" "stated format versions match the code"
 
 echo "== rustdoc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace ||

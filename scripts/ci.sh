@@ -76,6 +76,13 @@ stage "1089-node directory-kind agreement (release)"
 # final cycle under all three kinds, the sparse ones in less storage.
 cargo test -q --release -p april-machine --test dir_kinds
 
+stage "8,000-node footprint (release)"
+# The paper's Table 4 machine (3-D mesh of radix 20, LimitedPtr{8})
+# constructs and boots within a 150 MiB peak resident set: caches,
+# memory and directories cost what they hold. Its own test binary, so
+# the process's peak is this machine's alone.
+cargo test -q --release -p april-machine --test footprint
+
 stage "open-loop determinism suite (release)"
 # Same seed => byte-identical arrival trace and latency report across
 # lockstep and event-driven, under a fault seed, and across a mid-run
