@@ -1109,6 +1109,20 @@ mod tests {
     use april_core::trap::Trap;
     use april_net::topology::Topology;
 
+    /// A node's byte size is a measured cost: `Node`s sit inline in a
+    /// `Vec`, and growing `Cache` by 16 B made `compute_16node`, which
+    /// never touches a cache, about 8 % slower in 5 of 5 interleaved
+    /// runs (2-vCPU x86-64 VM). A change that grows a node restates
+    /// these bounds in its own diff.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_sizes_stay_within_their_stated_bounds() {
+        use std::mem::size_of;
+        assert!(size_of::<Node>() <= 1_048);
+        assert!(size_of::<CacheController>() <= 344);
+        assert!(size_of::<april_mem::cache::Cache>() <= 104);
+    }
+
     fn tiny_cfg() -> MachineConfig {
         MachineConfig {
             topology: Topology::new(2, 2),

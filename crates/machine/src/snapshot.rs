@@ -44,8 +44,10 @@ pub const MAGIC: [u8; 4] = *b"APRL";
 /// kinds, and appended the directory overflow counter. Version 4 added
 /// the per-edge-node open-loop traffic section (DESIGN.md §15).
 /// Version 5 writes only the valid lines of each cache, in sparse
-/// chunks of sets.
-pub const VERSION: u8 = 5;
+/// chunks of sets. Version 6 writes each controller's transaction
+/// store — requests, fenced flushes and fills awaiting use, with held
+/// lines and deferred demands — as one sorted list.
+pub const VERSION: u8 = 6;
 
 /// Section kinds. Per-node sections (`CPU`..`IO`) carry the node id in
 /// their tag; machine-wide sections use node id 0.
@@ -596,10 +598,11 @@ mod tests {
             Snapshot::from_bytes(wrong_version),
             Err(SnapshotError::Version(99))
         );
-        // Version 4 wrote every cache line; its images are refused.
-        let mut v4 = bytes.clone();
-        v4[12] = 4;
-        assert_eq!(Snapshot::from_bytes(v4), Err(SnapshotError::Version(4)));
+        // Version 5 wrote the controller's transactions, flushes and
+        // pins apart; its images are refused.
+        let mut v5 = bytes.clone();
+        v5[12] = 5;
+        assert_eq!(Snapshot::from_bytes(v5), Err(SnapshotError::Version(5)));
         let mut truncated = bytes;
         truncated.truncate(truncated.len() - 1);
         assert!(matches!(

@@ -282,7 +282,7 @@ fn golden_checkpoint_bytes_are_pinned() {
     let bytes = m.checkpoint().unwrap().as_bytes().to_vec();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (56_727, 0x6b90_1a39_9f9f_d6bf)
+        (56_473, 0xbca7_782c_74f8_3c17)
     );
 }
 
@@ -334,7 +334,7 @@ fn implausible_counts_restore_to_typed_errors() {
     // (three geometry words, the chunk count, per chunk its `u32`
     // index, line count and 17 bytes per line — a `u32` index and the
     // 13-byte line — then clock and six counters), then the
-    // transaction count.
+    // transaction store's entry count.
     let ctl = (0..16)
         .map(|n| payload_at(&bytes, 1, n))
         .find(|&ctl| read_usize(ctl + 20) > 0)
@@ -345,7 +345,7 @@ fn implausible_counts_restore_to_typed_errors() {
     for _ in 0..read_usize(cache_chunks) {
         at += 12 + read_usize(at + 4) * 17;
     }
-    let txns = at + 56;
+    let store = at + 56;
     // Directory 0 opens with its entry count; the network with
     // topology and timing (32 bytes), the event count and 32-byte
     // events, then the flight count; the meta probe with lane, enabled
@@ -357,7 +357,7 @@ fn implausible_counts_restore_to_typed_errors() {
     for (what, at) in [
         ("cache chunks", cache_chunks),
         ("lines of a cache chunk", first_chunk_lines),
-        ("controller transactions", txns),
+        ("controller store entries", store),
         ("directory entries", dir),
         ("network flights", flights),
         ("probe ring capacity", ring_cap),

@@ -14,9 +14,10 @@
 use std::fmt;
 
 /// Coherence state of a cache line (MSI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum LineState {
     /// Read-only copy, possibly shared with other caches.
+    #[default]
     Shared,
     /// Exclusive read-write copy (dirty with respect to home memory).
     Modified,

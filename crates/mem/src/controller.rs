@@ -32,7 +32,6 @@ use crate::directory::Directory;
 use crate::error::{ProtocolError, RetryConfig};
 use crate::msg::CohMsg;
 use april_obs::{EventKind, Probe};
-use std::collections::HashMap;
 
 /// Controller timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,25 +68,57 @@ pub enum Outcome {
     Remote,
 }
 
+/// What a transaction-store entry waits for; the order breaks ties
+/// between entries of one block and xid.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Wait {
+    /// A request awaiting its reply.
+    #[default]
+    Reply,
+    /// A fenced flush awaiting its `FlushAck`.
+    FlushAck,
+    /// A fill awaiting its frame's first access.
+    Use,
+}
+
+/// One entry of the transaction store.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Txn {
-    /// This transaction's sequence number; replies must echo it.
+pub(crate) struct Entry {
+    pub(crate) block: u32,
+    /// The request's sequence number, which replies must echo; a
+    /// flush's id; for a fill, the xid of the request it answered.
     pub(crate) xid: u32,
-    /// Waiting hardware contexts: `(frame, needs_write)`.
+    pub(crate) wait: Wait,
+    /// `(frame, needs_write)`: the contexts awaiting the reply, or the
+    /// contexts the fill woke.
     pub(crate) frames: Vec<(usize, bool)>,
     /// A write-grade request has been issued.
     pub(crate) write_issued: bool,
     /// Retransmissions so far.
     pub(crate) retries: u32,
-    /// When the next retransmission fires.
+    /// When the next retransmission fires (never, for a fill).
     pub(crate) next_retry: u64,
+    /// The fill's line, held here since a fill for another context
+    /// evicted it from the cache.
+    pub(crate) held: Option<LineState>,
+    /// Home demands on the block, deferred until the fill is used.
+    pub(crate) demands: Vec<(usize, CohMsg)>,
 }
 
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FenceFlush {
-    pub(crate) block: u32,
-    pub(crate) retries: u32,
-    pub(crate) next_retry: u64,
+impl Entry {
+    /// The store's sort key.
+    pub(crate) fn key(&self) -> (u32, u32, Wait) {
+        (self.block, self.xid, self.wait)
+    }
+}
+
+/// The state a fill grants: `Modified` for a write, else `Shared`.
+fn granted(write: bool) -> LineState {
+    if write {
+        LineState::Modified
+    } else {
+        LineState::Shared
+    }
 }
 
 /// Controller event counters.
@@ -149,31 +180,32 @@ pub struct CacheController {
     pub(crate) node: usize,
     /// The processor cache (tags + MSI state).
     pub cache: Cache,
-    pub(crate) txns: HashMap<u32, Txn>,
-    /// Outstanding fenced flushes by flush id (awaiting `FlushAck`).
-    pub(crate) flushes: HashMap<u32, FenceFlush>,
+    /// The transaction store, in `(block, xid, wait)` order: requests
+    /// awaiting replies, fenced flushes awaiting `FlushAck`, and fills
+    /// awaiting their frame's first access. It holds about a request
+    /// and a fill per hardware frame, plus the fenced flushes not yet
+    /// acknowledged, so it is searched linearly.
+    ///
+    /// A fill's entry closes ALEWIFE's "window of vulnerability": the
+    /// controller guarantees the woken context one access before
+    /// surrendering the line, deferring home demands on it and holding
+    /// it aside if another context's fill evicts it. Without that, a
+    /// context whose fill is stolen before its retry livelocks — the
+    /// paper's Section 3.1 thrashing problems, "addressed with
+    /// appropriate hardware interlock mechanisms" (DESIGN.md §4 item
+    /// 7).
+    pub(crate) store: Vec<Entry>,
     pub(crate) next_xid: u32,
     pub(crate) clock: u64,
-    /// The exact earliest `next_retry` over all outstanding
-    /// transactions and fenced flushes (`u64::MAX` when none are
-    /// pending). Min-updated when a deadline is scheduled and
-    /// recomputed when a completion shrinks the pending set: keeping
-    /// the bound tight means the event-driven machine never schedules
-    /// a visit for a deadline that no longer exists, so in a
-    /// fault-free run [`CacheController::tick`] only ever fires for
-    /// true retransmissions.
+    /// The exact earliest `next_retry` over all outstanding requests
+    /// and fenced flushes (`u64::MAX` when none are pending).
+    /// Min-updated when a deadline is scheduled and recomputed when a
+    /// completion shrinks the pending set: keeping the bound tight
+    /// means the event-driven machine never schedules a visit for a
+    /// deadline that no longer exists, so in a fault-free run
+    /// [`CacheController::tick`] only ever fires for true
+    /// retransmissions.
     pub(crate) next_deadline: u64,
-    /// Blocks filled for a waiting context but not yet accessed: the
-    /// controller guarantees the processor one access before
-    /// surrendering the line again, closing ALEWIFE's "window of
-    /// vulnerability" (a context whose fill is stolen before its retry
-    /// would otherwise livelock — the paper's Section 3.1 thrashing
-    /// problems, "addressed with appropriate hardware interlock
-    /// mechanisms").
-    pub(crate) pinned: std::collections::HashSet<u32>,
-    /// Protocol requests deferred while their block is pinned.
-    pub(crate) deferred: Vec<(usize, CohMsg)>,
-    pub(crate) fence: u32,
     pub(crate) cfg: CtlConfig,
     /// Event counters.
     pub stats: CtlStats,
@@ -187,14 +219,10 @@ impl CacheController {
         CacheController {
             node,
             cache: Cache::new(cache_cfg),
-            txns: HashMap::default(),
-            flushes: HashMap::default(),
+            store: Vec::new(),
             next_xid: 0,
             clock: 0,
             next_deadline: u64::MAX,
-            pinned: std::collections::HashSet::default(),
-            deferred: Vec::new(),
-            fence: 0,
             cfg,
             stats: CtlStats::default(),
             probe: Probe::default(),
@@ -219,32 +247,60 @@ impl CacheController {
     /// Outstanding fenced write-backs (the FENCE instruction stalls
     /// while this is non-zero).
     pub fn fence_count(&self) -> u32 {
-        self.fence
+        self.count(Wait::FlushAck) as u32
     }
 
     /// Number of remote transactions currently in flight.
     pub fn outstanding(&self) -> usize {
-        self.txns.len()
+        self.count(Wait::Reply)
+    }
+
+    fn count(&self, wait: Wait) -> usize {
+        self.store.iter().filter(|e| e.wait == wait).count()
     }
 
     /// Outstanding transactions as `(block, xid, write_issued,
     /// waiting_frames)`, sorted by block — the requester slice of a
     /// deadlock post-mortem.
     pub fn outstanding_txns(&self) -> Vec<(u32, u32, bool, Vec<usize>)> {
-        let mut v: Vec<_> = self
-            .txns
+        self.store
             .iter()
-            .map(|(&b, t)| {
-                (
-                    b,
-                    t.xid,
-                    t.write_issued,
-                    t.frames.iter().map(|&(f, _)| f).collect(),
-                )
+            .filter(|e| e.wait == Wait::Reply)
+            .map(|e| {
+                let frames = e.frames.iter().map(|&(f, _)| f).collect();
+                (e.block, e.xid, e.write_issued, frames)
             })
-            .collect();
-        v.sort_by_key(|&(b, ..)| b);
-        v
+            .collect()
+    }
+
+    /// Lines held aside for a woken frame after another context's fill
+    /// evicted them, as `(block, deferred demands)` in block order.
+    pub fn held_lines(&self) -> Vec<(u32, usize)> {
+        self.store
+            .iter()
+            .filter(|e| e.held.is_some())
+            .map(|e| (e.block, e.demands.len()))
+            .collect()
+    }
+
+    /// The store index of `block`'s entry awaiting `wait`.
+    fn find(&self, block: u32, wait: Wait) -> Option<usize> {
+        self.store
+            .iter()
+            .position(|e| e.block == block && e.wait == wait)
+    }
+
+    /// The store index of the request on `block` that a reply echoing
+    /// `xid` answers.
+    fn request(&self, block: u32, xid: u32) -> Option<usize> {
+        self.find(block, Wait::Reply)
+            .filter(|&i| self.store[i].xid == xid)
+    }
+
+    fn insert(&mut self, entry: Entry) {
+        self.next_deadline = self.next_deadline.min(entry.next_retry);
+        let at = self.store.partition_point(|e| e.key() < entry.key());
+        self.store.insert(at, entry);
     }
 
     fn fresh_xid(&mut self) -> u32 {
@@ -274,25 +330,15 @@ impl CacheController {
         self.cfg.retry.enabled && self.next_deadline <= now
     }
 
-    fn note_deadline(&mut self, at: u64) {
-        if at < self.next_deadline {
-            self.next_deadline = at;
-        }
-    }
-
     /// Recomputes the exact earliest deadline after a completion or a
-    /// reschedule changed the pending set. O(outstanding), and the
-    /// outstanding sets are small (bounded by the frames that can miss
-    /// concurrently plus unacknowledged fenced flushes).
+    /// reschedule changed the pending set.
     fn recompute_deadline(&mut self) {
-        let mut min_next = u64::MAX;
-        for t in self.txns.values() {
-            min_next = min_next.min(t.next_retry);
-        }
-        for f in self.flushes.values() {
-            min_next = min_next.min(f.next_retry);
-        }
-        self.next_deadline = min_next;
+        self.next_deadline = self
+            .store
+            .iter()
+            .map(|e| e.next_retry)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Advances the controller's notion of the current cycle without
@@ -322,17 +368,20 @@ impl CacheController {
         out: &mut Vec<(usize, CohMsg)>,
     ) -> Outcome {
         let block = self.cache.config().block_of(addr);
+        if !self.store.is_empty() {
+            self.settle_fills(block, frame, &home_of, out);
+        }
         if self.cache.access(addr, write) {
             self.stats.hits += 1;
-            // The emptiness test spares the hit path a SipHash when
-            // nothing is pinned, the common case.
-            if !self.pinned.is_empty() && self.pinned.remove(&block) {
-                self.service_deferred(block, &home_of, out);
+            if let Some(i) = self.find(block, Wait::Use) {
+                let used = self.store.remove(i);
+                self.retire_fill(used, &home_of, out);
             }
             return Outcome::Hit;
         }
         // Already waiting on this block?
-        if let Some(txn) = self.txns.get_mut(&block) {
+        if let Some(i) = self.find(block, Wait::Reply) {
+            let txn = &mut self.store[i];
             if !txn.frames.contains(&(frame, write)) {
                 txn.frames.push((frame, write));
             }
@@ -353,16 +402,7 @@ impl CacheController {
         if home == self.node {
             if let Some(dir) = dir {
                 if dir.grant_local(self.node, block, write) {
-                    self.fill(
-                        block,
-                        if write {
-                            LineState::Modified
-                        } else {
-                            LineState::Shared
-                        },
-                        &home_of,
-                        out,
-                    );
+                    self.fill(block, granted(write), &home_of, out);
                     self.stats.local_fills += 1;
                     self.probe
                         .emit(self.clock, EventKind::CacheMiss, block as u64, 0);
@@ -374,18 +414,14 @@ impl CacheController {
         }
         // Remote (or locally-contended) transaction.
         let xid = self.fresh_xid();
-        let retry_at = self.clock + self.cfg.retry.timeout;
-        self.note_deadline(retry_at);
-        self.txns.insert(
+        self.insert(Entry {
             block,
-            Txn {
-                xid,
-                frames: vec![(frame, write)],
-                write_issued: write,
-                retries: 0,
-                next_retry: retry_at,
-            },
-        );
+            xid,
+            frames: vec![(frame, write)],
+            write_issued: write,
+            next_retry: self.clock + self.cfg.retry.timeout,
+            ..Entry::default()
+        });
         let msg = if write {
             CohMsg::WrReq { block, xid }
         } else {
@@ -398,6 +434,58 @@ impl CacheController {
         Outcome::Remote
     }
 
+    /// Readies the fills awaiting use for `frame`'s access to `block`.
+    /// A fill for `block` that is held aside goes back into the cache,
+    /// so the access hits. A fill that woke `frame` for another block
+    /// is released: the frame has moved on without it (its thread was
+    /// unloaded, say), and nothing else would ever free it.
+    fn settle_fills(
+        &mut self,
+        block: u32,
+        frame: usize,
+        home_of: &dyn Fn(u32) -> usize,
+        out: &mut Vec<(usize, CohMsg)>,
+    ) {
+        while let Some(i) = self.store.iter().position(|e| {
+            e.wait == Wait::Use && e.block != block && e.frames.iter().any(|&(f, _)| f == frame)
+        }) {
+            let passed = self.store.remove(i);
+            self.retire_fill(passed, home_of, out);
+        }
+        if let Some(state) = self
+            .find(block, Wait::Use)
+            .and_then(|i| self.store[i].held.take())
+        {
+            self.fill(block, state, home_of, out);
+        }
+    }
+
+    /// Ends a fill's wait for its first access. A line still held
+    /// aside leaves the node as its eviction would have, written back
+    /// if dirty; then the demands deferred on the block are answered.
+    fn retire_fill(
+        &mut self,
+        fill: Entry,
+        home_of: &dyn Fn(u32) -> usize,
+        out: &mut Vec<(usize, CohMsg)>,
+    ) {
+        if fill.held == Some(LineState::Modified) {
+            self.write_back(fill.block, home_of, out);
+        }
+        for (from, msg) in fill.demands {
+            // Only home-initiated demands are ever deferred, and those
+            // never fail or wake frames.
+            let woken = self.handle_msg_dyn(from, msg, home_of, out);
+            debug_assert!(
+                matches!(woken.as_deref(), Ok([])),
+                "deferred requests never wake frames or fail"
+            );
+        }
+    }
+
+    /// Fills `block` in `state`, superseding a line of it held aside.
+    /// A victim whose fill still awaits its first access is held in its
+    /// store entry, not evicted.
     fn fill(
         &mut self,
         block: u32,
@@ -405,47 +493,53 @@ impl CacheController {
         home_of: &dyn Fn(u32) -> usize,
         out: &mut Vec<(usize, CohMsg)>,
     ) {
-        if let Some(victim) = self.cache.fill(block, state) {
-            if victim.dirty {
-                self.stats.writebacks += 1;
-                out.push((
-                    home_of(victim.block),
-                    CohMsg::FlushData {
-                        block: victim.block,
-                        fenced: false,
-                        xid: 0,
-                    },
-                ));
-            }
-            if !self.pinned.is_empty() && self.pinned.remove(&victim.block) {
-                self.service_deferred(victim.block, home_of, out);
-            }
+        if let Some(i) = self.find(block, Wait::Use) {
+            self.store[i].held = None;
+        }
+        let Some(victim) = self.cache.fill(block, state) else {
+            return;
+        };
+        if let Some(i) = self.find(victim.block, Wait::Use) {
+            self.store[i].held = Some(granted(victim.dirty));
+        } else if victim.dirty {
+            self.write_back(victim.block, home_of, out);
         }
     }
 
-    /// Replays protocol requests that were deferred while `block` was
-    /// pinned for a waking context.
-    fn service_deferred(
+    fn write_back(
         &mut self,
         block: u32,
         home_of: &dyn Fn(u32) -> usize,
         out: &mut Vec<(usize, CohMsg)>,
     ) {
-        let mut rest = Vec::new();
-        for (from, msg) in std::mem::take(&mut self.deferred) {
-            if msg.block() == Some(block) {
-                // Only home-initiated demands are ever deferred, and
-                // those never fail or wake frames.
-                let woken = self.handle_msg_dyn(from, msg, home_of, out);
-                debug_assert!(
-                    matches!(woken.as_deref(), Ok([])),
-                    "deferred requests never wake frames or fail"
-                );
-            } else {
-                rest.push((from, msg));
-            }
+        self.stats.writebacks += 1;
+        out.push((
+            home_of(block),
+            CohMsg::FlushData {
+                block,
+                fenced: false,
+                xid: 0,
+            },
+        ));
+    }
+
+    /// Keeps `block`'s fill for the `frames` it woke until its first
+    /// access, and returns the frames to wake.
+    fn pin(&mut self, block: u32, xid: u32, frames: Vec<(usize, bool)>) -> Vec<usize> {
+        let woken = frames.iter().map(|&(f, _)| f).collect();
+        match self.find(block, Wait::Use) {
+            _ if frames.is_empty() => {}
+            Some(i) => self.store[i].frames.extend(frames),
+            None => self.insert(Entry {
+                block,
+                xid,
+                wait: Wait::Use,
+                frames,
+                next_retry: u64::MAX,
+                ..Entry::default()
+            }),
         }
-        self.deferred = rest;
+        woken
     }
 
     /// Handles a protocol message addressed to this cache (replies and
@@ -469,80 +563,50 @@ impl CacheController {
         home_of: &dyn Fn(u32) -> usize,
         out: &mut Vec<(usize, CohMsg)>,
     ) -> Result<Vec<usize>, ProtocolError> {
+        if let CohMsg::Inval { block, .. }
+        | CohMsg::DownReq { block, .. }
+        | CohMsg::WbInvalReq { block, .. } = msg
+        {
+            if let Some(i) = self.find(block, Wait::Use) {
+                self.store[i].demands.push((from, msg));
+                return Ok(Vec::new());
+            }
+        }
         match msg {
-            CohMsg::RdReply { block, xid } => {
+            CohMsg::RdReply { block, xid } | CohMsg::WrReply { block, xid } => {
                 // Accept only if it answers the live transaction; a
                 // duplicated or stale reply must not touch the cache.
-                match self.txns.get_mut(&block) {
-                    Some(txn) if txn.xid == xid => {}
-                    _ => {
-                        self.stats.stale_replies += 1;
-                        return Ok(Vec::new());
-                    }
-                }
-                self.fill(block, LineState::Shared, home_of, out);
-                let retry_at = self.clock + self.cfg.retry.timeout;
-                let Some(txn) = self.txns.get_mut(&block) else {
+                let Some(i) = self.request(block, xid) else {
+                    self.stats.stale_replies += 1;
                     return Ok(Vec::new());
                 };
-                let mut woken = Vec::new();
-                txn.frames.retain(|&(f, w)| {
-                    if w {
-                        true
-                    } else {
-                        woken.push(f);
-                        false
-                    }
-                });
-                // The request was answered; retransmission timing
-                // restarts for any still-pending write upgrade.
+                let write = matches!(msg, CohMsg::WrReply { .. });
+                self.fill(block, granted(write), home_of, out);
+                let next_retry = self.clock + self.cfg.retry.timeout;
+                let txn = &mut self.store[i];
+                // A read reply wakes the readers only. The request was
+                // answered; retransmission timing restarts for any
+                // still-pending write upgrade.
+                let woken = txn
+                    .frames
+                    .extract_if(.., |&mut (_, w)| write || !w)
+                    .collect();
                 txn.retries = 0;
-                txn.next_retry = retry_at;
+                txn.next_retry = next_retry;
                 if txn.frames.is_empty() {
-                    self.txns.remove(&block);
+                    self.store.remove(i);
                 }
                 self.recompute_deadline();
-                if !woken.is_empty() {
-                    self.pinned.insert(block);
-                }
-                Ok(woken)
-            }
-            CohMsg::WrReply { block, xid } => {
-                match self.txns.get(&block) {
-                    Some(txn) if txn.xid == xid => {}
-                    _ => {
-                        self.stats.stale_replies += 1;
-                        return Ok(Vec::new());
-                    }
-                }
-                self.fill(block, LineState::Modified, home_of, out);
-                let removed = self.txns.remove(&block);
-                self.recompute_deadline();
-                match removed {
-                    Some(txn) => {
-                        let woken: Vec<usize> = txn.frames.into_iter().map(|(f, _)| f).collect();
-                        if !woken.is_empty() {
-                            self.pinned.insert(block);
-                        }
-                        Ok(woken)
-                    }
-                    None => Ok(Vec::new()),
-                }
+                Ok(self.pin(block, xid, woken))
             }
             CohMsg::Nack { block, xid } => {
                 // The home's waiter queue was full: back off and retry.
-                let mut rescheduled = None;
-                if let Some(txn) = self.txns.get_mut(&block) {
-                    if txn.xid == xid {
-                        self.stats.nacks += 1;
-                        self.probe
-                            .emit(self.clock, EventKind::NackRecv, block as u64, xid as u64);
-                        let at = self.clock + self.cfg.retry.backoff(txn.retries);
-                        txn.next_retry = at;
-                        rescheduled = Some(at);
-                    }
-                }
-                if rescheduled.is_some() {
+                if let Some(i) = self.request(block, xid) {
+                    self.stats.nacks += 1;
+                    self.probe
+                        .emit(self.clock, EventKind::NackRecv, block as u64, xid as u64);
+                    let txn = &mut self.store[i];
+                    txn.next_retry = self.clock + self.cfg.retry.backoff(txn.retries);
                     // The backoff may have *raised* this transaction's
                     // deadline past others'; recompute to stay tight.
                     self.recompute_deadline();
@@ -550,10 +614,6 @@ impl CacheController {
                 Ok(Vec::new())
             }
             CohMsg::Inval { block, xid } => {
-                if self.pinned.contains(&block) {
-                    self.deferred.push((from, msg));
-                    return Ok(Vec::new());
-                }
                 if self.cache.invalidate(block) == Some(true) {
                     self.stats.writebacks += 1;
                 }
@@ -562,35 +622,30 @@ impl CacheController {
                 Ok(Vec::new())
             }
             CohMsg::DownReq { block, xid } => {
-                if self.pinned.contains(&block) {
-                    self.deferred.push((from, msg));
-                    return Ok(Vec::new());
-                }
                 self.cache.downgrade(block);
                 self.stats.downgrades += 1;
                 out.push((from, CohMsg::DownAck { block, xid }));
                 Ok(Vec::new())
             }
             CohMsg::WbInvalReq { block, xid } => {
-                if self.pinned.contains(&block) {
-                    self.deferred.push((from, msg));
-                    return Ok(Vec::new());
-                }
                 self.cache.invalidate(block);
                 self.stats.writebacks += 1;
                 out.push((from, CohMsg::WbInvalAck { block, xid }));
                 Ok(Vec::new())
             }
-            CohMsg::FlushAck { fenced, xid, .. } => {
+            CohMsg::FlushAck {
+                fenced: true, xid, ..
+            } => {
                 // Only the first ack for a tracked fenced flush lowers
                 // the fence; duplicates are ignored.
-                if fenced && self.flushes.remove(&xid).is_some() {
-                    self.fence = self.fence.saturating_sub(1);
+                let flush = |e: &Entry| e.wait == Wait::FlushAck && e.xid == xid;
+                if let Some(i) = self.store.iter().position(flush) {
+                    self.store.remove(i);
                     self.recompute_deadline();
                 }
                 Ok(Vec::new())
             }
-            CohMsg::BlockXfer { .. } | CohMsg::Ipi => Ok(Vec::new()),
+            CohMsg::FlushAck { .. } | CohMsg::BlockXfer { .. } | CohMsg::Ipi => Ok(Vec::new()),
             other => Err(ProtocolError::UnexpectedMessage {
                 node: self.node,
                 from,
@@ -601,7 +656,8 @@ impl CacheController {
 
     /// Advances the controller's clock to `now` and retransmits
     /// overdue requests and fenced flushes with bounded exponential
-    /// backoff, or reports [`ProtocolError::RetriesExhausted`].
+    /// backoff, in store order, or reports the first
+    /// [`ProtocolError::RetriesExhausted`] in that order.
     pub fn tick(
         &mut self,
         now: u64,
@@ -616,74 +672,42 @@ impl CacheController {
             return Ok(());
         }
         let retry = self.cfg.retry;
-        let node = self.node;
         let mut resend = Vec::new();
         // Recompute the exact earliest deadline while scanning: not-due
         // entries contribute their existing `next_retry`, retransmitted
         // entries their freshly scheduled one.
         let mut min_next = u64::MAX;
-        for (&block, txn) in &mut self.txns {
-            if txn.next_retry > now {
-                min_next = min_next.min(txn.next_retry);
+        for e in &mut self.store {
+            if e.next_retry > now {
+                min_next = min_next.min(e.next_retry);
                 continue;
             }
-            if txn.retries >= retry.max_retries {
+            if e.retries >= retry.max_retries {
                 return Err(ProtocolError::RetriesExhausted {
-                    node,
-                    block,
-                    xid: txn.xid,
-                    retries: txn.retries,
+                    node: self.node,
+                    block: e.block,
+                    xid: e.xid,
+                    retries: e.retries,
                 });
             }
-            let msg = if txn.write_issued {
-                CohMsg::WrReq {
+            let (block, xid) = (e.block, e.xid);
+            let msg = match e.wait {
+                Wait::FlushAck => CohMsg::FlushData {
                     block,
-                    xid: txn.xid,
-                }
-            } else {
-                CohMsg::RdReq {
-                    block,
-                    xid: txn.xid,
-                }
-            };
-            txn.retries += 1;
-            resend.push((home_of(block), msg, txn.retries));
-            txn.next_retry = now + retry.backoff(txn.retries);
-            min_next = min_next.min(txn.next_retry);
-        }
-        for (&xid, fl) in &mut self.flushes {
-            if fl.next_retry > now {
-                min_next = min_next.min(fl.next_retry);
-                continue;
-            }
-            if fl.retries >= retry.max_retries {
-                return Err(ProtocolError::RetriesExhausted {
-                    node,
-                    block: fl.block,
-                    xid,
-                    retries: fl.retries,
-                });
-            }
-            fl.retries += 1;
-            resend.push((
-                home_of(fl.block),
-                CohMsg::FlushData {
-                    block: fl.block,
                     fenced: true,
                     xid,
                 },
-                fl.retries,
-            ));
-            fl.next_retry = now + retry.backoff(fl.retries);
-            min_next = min_next.min(fl.next_retry);
+                _ if e.write_issued => CohMsg::WrReq { block, xid },
+                _ => CohMsg::RdReq { block, xid },
+            };
+            e.retries += 1;
+            resend.push((home_of(block), msg, e.retries));
+            e.next_retry = now + retry.backoff(e.retries);
+            min_next = min_next.min(e.next_retry);
         }
         self.next_deadline = min_next;
         self.stats.retransmits += resend.len() as u64;
-        // Deterministic send order regardless of hash-map iteration.
-        // Trace events are emitted in the same sorted order (a lane's
-        // event sequence must not depend on map iteration).
-        resend.sort_by_key(|&(to, msg, _)| (msg.block(), msg.xid(), to));
-        for &(to, msg, retries) in &resend {
+        for (to, msg, retries) in resend {
             self.probe.emit(
                 self.clock,
                 EventKind::Retransmit,
@@ -707,19 +731,15 @@ impl CacheController {
         let block = self.cache.config().block_of(addr);
         match self.cache.invalidate(block) {
             Some(true) => {
-                self.fence += 1;
                 self.stats.writebacks += 1;
                 let xid = self.fresh_xid();
-                let retry_at = self.clock + self.cfg.retry.timeout;
-                self.note_deadline(retry_at);
-                self.flushes.insert(
+                self.insert(Entry {
+                    block,
                     xid,
-                    FenceFlush {
-                        block,
-                        retries: 0,
-                        next_retry: retry_at,
-                    },
-                );
+                    wait: Wait::FlushAck,
+                    next_retry: self.clock + self.cfg.retry.timeout,
+                    ..Entry::default()
+                });
                 out.push((
                     home_of(block),
                     CohMsg::FlushData {
@@ -802,11 +822,10 @@ mod tests {
         c.cpu_access(0x40, false, 1, 5, None, |_| 5, &mut out);
         assert_eq!(out.len(), 1, "one request for two frames");
         let xid = xid_of(&c, 0x40);
-        let mut woken = c
+        let woken = c
             .handle_msg(5, CohMsg::RdReply { block: 0x40, xid }, |_| 5, &mut out)
             .unwrap();
-        woken.sort();
-        assert_eq!(woken, vec![0, 1]);
+        assert_eq!(woken, vec![0, 1], "in the order the frames missed");
     }
 
     #[test]
@@ -1194,6 +1213,125 @@ mod tests {
             )]
         );
         assert_eq!(c.cache.probe(0x40), Some(LineState::Shared));
+    }
+
+    /// A 4-set direct-mapped cache: blocks 0x00, 0x40 and 0x80 share a
+    /// set.
+    fn direct_mapped() -> CacheController {
+        let cache = CacheConfig {
+            size_bytes: 64,
+            block_bytes: 16,
+            assoc: 1,
+        };
+        CacheController::new(0, cache, CtlConfig::default())
+    }
+
+    /// Frame `frame` misses on `block` (home 5) and the reply wakes it.
+    fn woken(c: &mut CacheController, block: u32, write: bool, frame: usize) {
+        let mut out = Vec::new();
+        c.cpu_access(block, write, frame, 5, None, |_| 5, &mut out);
+        let xid = xid_of(c, block);
+        let reply = if write {
+            CohMsg::WrReply { block, xid }
+        } else {
+            CohMsg::RdReply { block, xid }
+        };
+        assert_eq!(c.handle_msg(5, reply, |_| 5, &mut out), Ok(vec![frame]));
+    }
+
+    #[test]
+    fn a_fill_evicted_by_a_sibling_is_held_until_its_frame_uses_it() {
+        let mut c = direct_mapped();
+        let mut out = Vec::new();
+        woken(&mut c, 0x00, false, 1);
+        woken(&mut c, 0x40, false, 2);
+        // Frame 2's fill took the set; frame 1's line is held aside.
+        assert_eq!(c.cache.probe(0x00), None);
+        assert_eq!(c.held_lines(), vec![(0x00, 0)]);
+        let before = c.cache.stats;
+        assert_eq!(
+            c.cpu_access(0x04, false, 1, 5, None, |_| 5, &mut out),
+            Outcome::Hit
+        );
+        // One access and no miss; frame 2's line is held in its turn.
+        assert_eq!(c.cache.stats.reads, before.reads + 1);
+        assert_eq!(c.cache.stats.read_misses, before.read_misses);
+        assert_eq!(c.held_lines(), vec![(0x40, 0)]);
+        assert_eq!(
+            c.cpu_access(0x44, false, 2, 5, None, |_| 5, &mut out),
+            Outcome::Hit
+        );
+        assert!(c.held_lines().is_empty() && c.store.is_empty());
+        assert!(out.is_empty(), "no re-miss, no write-back");
+    }
+
+    #[test]
+    fn a_woken_frame_that_accesses_another_block_releases_its_fill() {
+        // Frame 1's dirty line is held aside with an invalidation
+        // deferred on it; then frame 1's thread is swapped out, and the
+        // frame's next access goes elsewhere.
+        let mut c = direct_mapped();
+        let mut out = Vec::new();
+        woken(&mut c, 0x00, true, 1);
+        woken(&mut c, 0x40, false, 2);
+        let inval = CohMsg::Inval {
+            block: 0x00,
+            xid: 7,
+        };
+        assert_eq!(c.handle_msg(3, inval, |_| 5, &mut out), Ok(vec![]));
+        assert_eq!(c.held_lines(), vec![(0x00, 1)]);
+        assert!(out.is_empty(), "the demand waits for frame 1");
+        c.cpu_access(0x104, false, 1, 5, None, |_| 5, &mut out);
+        assert_eq!(
+            out[..2],
+            [
+                (
+                    5,
+                    CohMsg::FlushData {
+                        block: 0x00,
+                        fenced: false,
+                        xid: 0
+                    }
+                ),
+                (
+                    3,
+                    CohMsg::InvAck {
+                        block: 0x00,
+                        xid: 7
+                    }
+                ),
+            ]
+        );
+        assert!(c.held_lines().is_empty());
+        // Frame 2's fill still awaits its frame.
+        assert_eq!(c.store.iter().filter(|e| e.wait == Wait::Use).count(), 1);
+    }
+
+    #[test]
+    fn retries_exhaust_at_the_lowest_block_in_every_controller() {
+        let retry = RetryConfig {
+            max_retries: 0,
+            ..RetryConfig::default()
+        };
+        for node in 0..64 {
+            let mut c = CacheController::new(
+                node,
+                CacheConfig::default(),
+                CtlConfig {
+                    local_mem_latency: 10,
+                    retry,
+                },
+            );
+            let mut out = Vec::new();
+            // The higher block's request is the older one.
+            c.cpu_access(0x80, false, 0, 99, None, |_| 99, &mut out);
+            c.cpu_access(0x40, false, 1, 99, None, |_| 99, &mut out);
+            let err = c.tick(retry.timeout, |_| 99, &mut out).unwrap_err();
+            assert!(
+                matches!(err, ProtocolError::RetriesExhausted { block: 0x40, .. }),
+                "node {node}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! in-flight state — outstanding transactions, retry deadlines, busy
 //! epochs — is what lets a restored machine replay the exact same
 //! protocol schedule as the original run. Hash-map-backed state
-//! (transactions, directory entries, pinned blocks) is written in
-//! sorted key order, so equal states encode to equal bytes.
+//! (directory entries) is written in sorted key order, and the
+//! controller's transaction store is kept sorted, so equal states
+//! encode to equal bytes.
 
 use crate::alloc::BumpAllocator;
 use crate::cache::{Cache, CacheStats, Line, LineState};
-use crate::controller::{CacheController, CtlStats, FenceFlush, Txn};
+use crate::controller::{CacheController, CtlStats, Entry, Wait};
 use crate::directory::{
     Busy, BusyKind, DirEntry, DirState, DirStats, Directory, SharerRepr, SharerSet,
 };
@@ -200,17 +201,22 @@ fn check_restored_sets(cache: &Cache) -> Result<(), WireError> {
     Ok(())
 }
 
-wire_fields!(Txn {
+impl Wire for Wait {
+    fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
+        c.variant(self, &[Wait::Reply, Wait::FlushAck, Wait::Use])
+    }
+}
+
+wire_fields!(Entry {
+    block,
     xid,
+    wait,
     frames,
     write_issued,
     retries,
     next_retry,
-});
-wire_fields!(FenceFlush {
-    block,
-    retries,
-    next_retry,
+    held,
+    demands,
 });
 wire_fields!(CtlStats {
     hits,
@@ -224,25 +230,42 @@ wire_fields!(CtlStats {
     stale_replies,
 });
 
-/// A cache controller's complete state — cache contents, outstanding
-/// transactions, fenced flushes, pinned blocks, deferred requests,
-/// counters, and trace probe. Restores require the same node id and
-/// cache geometry.
+/// A cache controller's complete state — cache contents, the
+/// transaction store, the fence count, counters, and trace probe.
+/// Restores require the same node id and cache geometry, a store in
+/// strictly ascending `(block, xid, wait)` order whose held lines all
+/// await a use, and a fence count equal to its flush entries.
 impl Wire for CacheController {
     fn wire<C: Codec>(&mut self, c: &mut C) -> Result<(), WireError> {
         c.same(self.node, "controller node id mismatch")?;
         self.cache.wire(c)?;
-        self.txns.wire(c)?;
-        self.flushes.wire(c)?;
+        self.store.wire(c)?;
+        if C::READS {
+            check_restored_store(&self.store)?;
+        }
         c.u32(&mut self.next_xid)?;
         c.u64(&mut self.clock)?;
         c.u64(&mut self.next_deadline)?;
-        self.pinned.wire(c)?;
-        self.deferred.wire(c)?;
-        c.u32(&mut self.fence)?;
+        c.same(self.fence_count(), "fence differs from the flush entries")?;
         self.stats.wire(c)?;
         self.probe.wire(c)
     }
+}
+
+/// Rejects a restored store that no run produces: entries out of
+/// `(block, xid, wait)` order or repeated, or a held line on an entry
+/// that is not awaiting a use.
+fn check_restored_store(store: &[Entry]) -> Result<(), WireError> {
+    if store.windows(2).any(|w| w[0].key() >= w[1].key()) {
+        return Err(WireError::Corrupt("store entries out of order or repeated"));
+    }
+    let stray = |e: &Entry| e.held.is_some() && e.wait != Wait::Use;
+    if store.iter().any(stray) {
+        return Err(WireError::Corrupt(
+            "held line on an entry not awaiting a use",
+        ));
+    }
+    Ok(())
 }
 
 /// A directory state's tag: precise sharer sets (inline or spill)
@@ -461,9 +484,9 @@ mod tests {
         assert_eq!(w2.finish(), bytes);
     }
 
-    fn encode(cache: &mut Cache) -> Vec<u8> {
+    fn encode(x: &mut impl Wire) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        cache.wire(&mut w).unwrap();
+        x.wire(&mut w).unwrap();
         w.finish()
     }
 
@@ -575,6 +598,52 @@ mod tests {
         // A node-id mismatch is rejected.
         let mut other = CacheController::new(5, CacheConfig::default(), CtlConfig::default());
         assert!(other.wire(&mut ByteReader::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn controller_restore_rejects_a_store_no_run_produces() {
+        let mk = || CacheController::new(3, CacheConfig::default(), CtlConfig::default());
+        let mut ctl = mk();
+        let mut out = Vec::new();
+        // A fenced flush of a local dirty line, then two requests.
+        ctl.cpu_access(
+            0x40,
+            true,
+            0,
+            3,
+            Some(&mut Directory::new()),
+            |_| 3,
+            &mut out,
+        );
+        ctl.flush(0x40, |_| 3, &mut out);
+        ctl.cpu_access(0x8000, false, 0, 0, None, |_| 0, &mut out);
+        ctl.cpu_access(0x9000, true, 1, 0, None, |_| 0, &mut out);
+        let restore = |bytes: &[u8]| mk().wire(&mut ByteReader::new(bytes));
+        assert_eq!(restore(&encode(&mut ctl)), Ok(()));
+        let corrupt = |edit: fn(&mut Vec<Entry>), why| {
+            let mut hostile = ctl.clone();
+            edit(&mut hostile.store);
+            assert_eq!(restore(&encode(&mut hostile)), Err(WireError::Corrupt(why)));
+        };
+        corrupt(|s| s.swap(1, 2), "store entries out of order or repeated");
+        corrupt(
+            |s| s.insert(1, s[1].clone()),
+            "store entries out of order or repeated",
+        );
+        corrupt(
+            |s| s[1].held = Some(LineState::Shared),
+            "held line on an entry not awaiting a use",
+        );
+        // The fence count follows the store, after the xid counter,
+        // clock and deadline.
+        let mut bytes = encode(&mut ctl);
+        let at = 8 + encode(&mut ctl.cache).len() + encode(&mut ctl.store).len() + 20;
+        assert_eq!(bytes[at..at + 4], 1u32.to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            restore(&bytes),
+            Err(WireError::Corrupt("fence differs from the flush entries"))
+        );
     }
 
     #[test]

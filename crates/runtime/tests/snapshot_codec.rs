@@ -109,7 +109,7 @@ fn golden_runtime_snapshot_bytes_are_pinned() {
     let bytes = golden_bytes();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (28_379, 0x70a4_8787_4782_b780)
+        (28_283, 0x0e36_80f3_4bfd_c3f9)
     );
 }
 

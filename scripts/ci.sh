@@ -71,6 +71,14 @@ stage "lockstep/event scheduler equivalence (3 fault seeds)"
 # scheduler's booked runs.
 cargo test -q --release -p april-machine --test lockstep_vs_skip
 
+stage "the paper's programs on the paper's machine (release)"
+# Mul-T under Runtime<Alewife> on 2x2x2, 4x4 and 5x5 meshes whose
+# direct-mapped caches alias every node's run-time layout: the five
+# eager runs that livelocked before fills were held for their frames,
+# and eager and lazy queens(8), each under lockstep and the skip, equal
+# in value and cycles and equal to the interpreter's value.
+cargo test -q --release --test window
+
 stage "1089-node directory-kind agreement (release)"
 # Adds the suite's release-only case: a 33x33 mesh halts at the same
 # final cycle under all three kinds, the sparse ones in less storage.
