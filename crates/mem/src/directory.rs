@@ -1025,8 +1025,27 @@ impl Directory {
         if self.next_deadline > now {
             return Ok(());
         }
-        let mut resend = Vec::new();
         let retry = self.cfg.retry;
+        // Every due episode is scanned before any is touched, so the
+        // block named is the lowest exhausted one and no episode's state
+        // depends on the map's iteration order.
+        let exhausted = self
+            .entries
+            .iter()
+            .filter_map(|(&block, e)| Some((block, e.busy.as_deref()?)))
+            .filter(|(_, b)| {
+                !b.pending.is_empty() && b.next_retry <= now && b.retries >= retry.max_retries
+            })
+            .min_by_key(|&(block, _)| block);
+        if let Some((block, busy)) = exhausted {
+            return Err(ProtocolError::RetriesExhausted {
+                node: usize::MAX,
+                block,
+                xid: busy.epoch,
+                retries: busy.retries,
+            });
+        }
+        let mut resend = Vec::new();
         let mut retransmits = 0;
         // Recompute the exact earliest deadline while scanning: not-due
         // episodes contribute their existing `next_retry`, retransmitted
@@ -1040,14 +1059,6 @@ impl Directory {
             if busy.next_retry > now {
                 min_next = min_next.min(busy.next_retry);
                 continue;
-            }
-            if busy.retries >= retry.max_retries {
-                return Err(ProtocolError::RetriesExhausted {
-                    node: usize::MAX,
-                    block,
-                    xid: busy.epoch,
-                    retries: busy.retries,
-                });
             }
             busy.retries += 1;
             for &t in &busy.pending {
@@ -1501,6 +1512,32 @@ mod tests {
             err,
             ProtocolError::RetriesExhausted { block: 0, .. }
         ));
+    }
+
+    #[test]
+    fn retries_exhaust_at_the_lowest_block_in_every_directory() {
+        let retry = RetryConfig {
+            max_retries: 0,
+            ..RetryConfig::default()
+        };
+        let cfg = DirConfig {
+            retry,
+            ..DirConfig::default()
+        };
+        // Fresh directories hash their keys differently: a scan that
+        // stopped at the first exhausted episode named either block.
+        for k in 0..64 {
+            let mut d = Directory::with_config(cfg, 8);
+            for block in [0x80, 0x40] {
+                d.handle_request(1, block, false, 1);
+                d.handle_request(2, block, true, 2);
+            }
+            let err = d.tick(retry.timeout, &mut Vec::new()).unwrap_err();
+            assert!(
+                matches!(err, ProtocolError::RetriesExhausted { block: 0x40, .. }),
+                "directory {k}: {err:?}"
+            );
+        }
     }
 
     #[test]
