@@ -721,7 +721,10 @@ impl CacheController {
 
     /// Implements the FLUSH instruction: drops the line containing
     /// `addr`; if dirty, writes it back and increments the fence
-    /// counter (Section 3.4).
+    /// counter (Section 3.4). A fill of the block still awaiting its
+    /// frame's first access counts the flush as that access: the entry
+    /// is released and its deferred demands answered before the line
+    /// goes, as after a hit (DESIGN.md §4 item 7).
     pub fn flush(
         &mut self,
         addr: u32,
@@ -729,6 +732,10 @@ impl CacheController {
         out: &mut Vec<(usize, CohMsg)>,
     ) -> u32 {
         let block = self.cache.config().block_of(addr);
+        if let Some(i) = self.find(block, Wait::Use) {
+            let used = self.store.remove(i);
+            self.retire_fill(used, &home_of, out);
+        }
         match self.cache.invalidate(block) {
             Some(true) => {
                 self.stats.writebacks += 1;
@@ -1305,6 +1312,37 @@ mod tests {
         assert!(c.held_lines().is_empty());
         // Frame 2's fill still awaits its frame.
         assert_eq!(c.store.iter().filter(|e| e.wait == Wait::Use).count(), 1);
+    }
+
+    #[test]
+    fn a_flush_releases_a_fill_awaiting_use() {
+        // Frame 1's write fill awaits its first access with an
+        // invalidation deferred on it; the program flushes the block.
+        let mut c = direct_mapped();
+        let mut out = Vec::new();
+        woken(&mut c, 0x40, true, 1);
+        let inval = CohMsg::Inval {
+            block: 0x40,
+            xid: 7,
+        };
+        assert_eq!(c.handle_msg(3, inval, |_| 5, &mut out), Ok(vec![]));
+        assert!(out.is_empty(), "the demand waits for frame 1");
+        c.flush(0x40, |_| 5, &mut out);
+        // The demand is answered now, not after the home's retries.
+        let ack = CohMsg::InvAck {
+            block: 0x40,
+            xid: 7,
+        };
+        assert_eq!(out, vec![(3, ack)]);
+        assert!(
+            !c.store.iter().any(|e| e.wait == Wait::Use),
+            "no fill awaits a use that cannot come"
+        );
+        // The frame's access is an ordinary miss.
+        out.clear();
+        let o = c.cpu_access(0x40, true, 1, 5, None, |_| 5, &mut out);
+        assert_eq!(o, Outcome::Remote);
+        assert!(!c.store.iter().any(|e| e.wait == Wait::Use));
     }
 
     #[test]
