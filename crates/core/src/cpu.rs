@@ -16,8 +16,9 @@
 //! [`Cpu::charge_handler`].
 
 use crate::decoded::{eval_alu, exec, lower_instr, SafeAlu};
+use crate::memport::NoMemory;
 use crate::frame::{FrameState, TaskFrame};
-use crate::isa::{AluOp, Cond, FpOp, Instr, Operand, Reg};
+use crate::isa::{AluOp, FpOp, Instr, Operand, Reg};
 use crate::memport::{AccessCtx, LoadReply, MemoryPort, StoreReply};
 use crate::program::Program;
 use crate::psr::{CondCodes, FpCond};
@@ -391,9 +392,25 @@ impl Cpu {
             return StepEvent::Halted;
         };
 
-        // Default PC-chain advance; control transfers override new_npc.
+        // The run-ahead ops retire through the statement booked runs
+        // share (`crate::decoded`); memory ops and the ops that could
+        // trap fall through to the arms below.
+        let fp = self.fp;
+        if exec(
+            &mut self.globals,
+            &mut self.frames[fp],
+            fp,
+            lower_instr(instr),
+            0,
+            &mut NoMemory,
+        ) {
+            self.stats.instructions += 1;
+            self.stats.useful_cycles += 1;
+            return StepEvent::Executed;
+        }
+
         let new_pc = npc;
-        let mut new_npc = npc.wrapping_add(1);
+        let new_npc = npc.wrapping_add(1);
         let mut cost: u64 = 1;
         let mut rtcall: Option<u16> = None;
 
@@ -517,15 +534,15 @@ impl Cpu {
                 self.stats.useful_cycles += 1;
                 return StepEvent::Halted;
             }
-            // Tagged, or multi-cycle: the untagged add…sra ops are
-            // bookable and fall to the last arm.
+            // Multi-cycle, or tagged with a future operand: the others
+            // retired above.
             Instr::Alu {
                 op,
                 s1,
                 s2,
                 d,
                 tagged,
-            } if tagged || SafeAlu::of(op).is_none() => {
+            } => {
                 let a = self.get_reg(s1);
                 let b = match s2 {
                     Operand::Reg(r) => self.get_reg(r),
@@ -574,22 +591,6 @@ impl Cpu {
                 };
                 self.set_reg(d, Word(result));
                 self.frames[self.fp].psr.cc = cc;
-            }
-            Instr::Branch { cond, offset } => {
-                if self.eval_cond(cond) {
-                    new_npc = (pc as i64 + offset as i64) as u32;
-                }
-            }
-            Instr::Jmpl { s1, s2, d } => {
-                let base = self.get_reg(s1).0;
-                let off = match s2 {
-                    Operand::Reg(r) => self.get_reg(r).0,
-                    Operand::Imm(i) => i as u32,
-                };
-                new_npc = base.wrapping_add(off);
-                // Link value: address of the instruction after the
-                // delay slot, stored raw.
-                self.set_reg(d, Word(pc + 2));
             }
             Instr::Load {
                 flavor,
@@ -733,9 +734,7 @@ impl Cpu {
                 mem.stio(reg, w);
                 cost = self.cfg.io_cycles;
             }
-            // The bookable forms: one statement, shared with booked runs
-            // (`crate::decoded`).
-            _ => self.exec_bookable(instr),
+            _ => unreachable!("{instr:?} runs ahead and retired above"),
         }
 
         // Commit.
@@ -750,40 +749,6 @@ impl Cpu {
         }
     }
 
-    /// Executes a bookable instruction through the per-op statement
-    /// booked runs share.
-    #[inline(always)]
-    fn exec_bookable(&mut self, instr: Instr) {
-        let fp = self.fp;
-        exec(
-            &mut self.globals,
-            &mut self.frames[fp],
-            fp,
-            lower_instr(instr),
-        );
-    }
-
-    fn eval_cond(&self, cond: Cond) -> bool {
-        let psr = &self.frames[self.fp].psr;
-        let cc = psr.cc;
-        match cond {
-            Cond::Always => true,
-            Cond::Never => false,
-            Cond::Eq => cc.z,
-            Cond::Ne => !cc.z,
-            Cond::Lt => cc.n != cc.v,
-            Cond::Le => cc.z || (cc.n != cc.v),
-            Cond::Gt => !(cc.z || (cc.n != cc.v)),
-            Cond::Ge => cc.n == cc.v,
-            Cond::Ltu => cc.c,
-            Cond::Geu => !cc.c,
-            Cond::Full => psr.fe_cond,
-            Cond::Empty => !psr.fe_cond,
-            Cond::FpEq => psr.fcc == FpCond::Eq,
-            Cond::FpLt => psr.fcc == FpCond::Lt,
-            Cond::FpGt => psr.fcc == FpCond::Gt,
-        }
-    }
 }
 
 /// Trace payload encoding of a register name: globals map to their
@@ -838,7 +803,7 @@ pub(crate) fn logic_cc(r: u32) -> (u32, CondCodes) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::{LoadFlavor, StoreFlavor};
+    use crate::isa::{Cond, LoadFlavor, StoreFlavor};
     use crate::program::ProgramBuilder;
 
     /// A flat, always-full test memory.

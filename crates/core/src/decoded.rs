@@ -1,58 +1,65 @@
 //! Pre-decoded bytecode for booked runs, and the one statement of the
-//! bookable instructions' semantics.
+//! run-ahead instructions' semantics.
 //!
 //! [`Cpu::step`] re-fetches a fat [`Instr`] enum and re-dispatches a
 //! large `match` on every visited cycle, re-checking interrupts and
-//! frame state each time. For straight-line runs of simple compute
-//! instructions all of that is invariant: no traps, no stalls, no
-//! memory traffic, no probe events, unit cycle cost, and a PC chain
-//! that just walks forward. This module lowers a [`Program`] once into
-//! a dense, flat bytecode ([`DecOp`]) with register indices and
-//! immediates pre-resolved, and segments it into *runs* — maximal
-//! straight-line stretches of safe ops — so a scheduler can execute a
-//! whole run as one tight loop ([`Cpu::run_decoded`]) instead of one
-//! `step` per cycle. `step` runs every safe instruction through the
-//! same per-op `exec` as the run loop.
+//! frame state each time. For a stretch of ops that cannot trap, stall,
+//! send a message or emit a probe event, all of that is invariant. This
+//! module lowers a [`Program`] once into a dense, flat bytecode
+//! ([`DecOp`]) with register indices and immediates pre-resolved, so a
+//! scheduler can *run ahead* ([`Cpu::run_ahead`]): execute op after op
+//! in one tight loop, one op per cycle, until the first op that could
+//! do any of those things. `step` runs every run-ahead op through the
+//! same per-op [`exec`] as the run loop.
 //!
-//! # The safety whitelist
+//! # The run-ahead set
 //!
-//! An instruction is *safe* (lowered to a real [`DecOp`]) only when
-//! executing it can never diverge from `step`'s slow path:
+//! An op may run ahead only when executing it can never diverge from
+//! `step`'s slow path over the same cycle:
 //!
-//! * it cannot trap (no tagged ALU ops, no loads/stores, no divides),
-//! * it cannot stall (no memory or I/O access),
-//! * it costs exactly **1 cycle** (so `k` ops booked at cycle `t`
-//!   account exactly for cycles `t .. t + k`),
-//! * it emits no trace-probe events and sends no messages,
+//! * it costs exactly **1 cycle** (so `k` ops run ahead at cycle `t`
+//!   account exactly for cycles `t .. t + k`);
+//! * it emits no trace-probe events and sends no messages;
 //! * it does not touch the frame pointer, frame state, or PSR control
-//!   bits (condition codes are data, not control, and are updated
-//!   exactly as `step` would).
+//!   bits (condition codes and the full/empty condition bit are data,
+//!   updated exactly as `step` would).
 //!
-//! Everything else lowers to [`DecOp::Other`], which terminates a run
-//! and which `step` executes through its own `match`. The decoded
-//! image is **derived state**: machines rebuild it from the program on
+//! That admits the untagged single-cycle ALU ops, `nop`, `movi`,
+//! `fmovi`, `rdpsr`, `rdfp`, branches (taken or not; the delay slot is
+//! simply the next op of the PC chain), `jmpl`, and tagged ALU ops —
+//! the last only when no operand is a future, checked per execution.
+//! Loads and stores (integer and FP, every full/empty flavor) run
+//! ahead when their address is aligned and not a future and the
+//! [`RunMemory`] says the access completes at once; with [`NoMemory`]
+//! none does, and a run is register-only.
+//!
+//! Everything else lowers to [`DecOp::Other`], which ends a run and
+//! which `step` executes through its own `match`. The decoded image is
+//! **derived state**: machines rebuild it from the program on
 //! construction and on snapshot restore, and it must never be encoded
 //! into an APRL snapshot (DESIGN.md §13).
 
 use crate::cpu::{alu_add, alu_sub, logic_cc, Cpu};
 use crate::frame::{FrameState, TaskFrame};
-use crate::isa::{AluOp, Instr, Operand, Reg};
+use crate::isa::{AluOp, Cond, Instr, LoadFlavor, Operand, Reg, StoreFlavor};
+use crate::memport::{NoMemory, RunMemory};
 use crate::program::Program;
-use crate::psr::CondCodes;
+use crate::psr::{CondCodes, FpCond, Psr};
 use crate::word::Word;
 
 /// Upper bound on a single booked run, in instructions. Bounds how far
-/// a CPU's architectural state may lag the machine clock (settling a
-/// reservation is O(len)) and keeps the progress-signature plateau a
-/// booked run creates far below any plausible watchdog horizon.
+/// a CPU's architectural state may run ahead of the machine clock
+/// (rewinding a cut run replays O(len) ops) and keeps the
+/// progress-signature plateau a booked run creates far below any
+/// plausible watchdog horizon.
 pub const MAX_RUN: u32 = 64;
 
 /// Pre-resolved register index: `0..8` are the globals (`0` is the
 /// hardwired-zero `g0`), `8..40` are the active frame's locals.
 pub type RegIdx = u8;
 
-/// ALU operations that can appear in a safe run: the untagged,
-/// single-cycle, trap-free subset of [`AluOp`].
+/// ALU operations that can run ahead: the single-cycle, divide-free
+/// subset of [`AluOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SafeAlu {
     /// Integer add.
@@ -95,7 +102,8 @@ impl SafeAlu {
 /// One pre-decoded instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecOp {
-    /// Not on the whitelist: executed by [`Cpu::step`]'s own `match`.
+    /// Outside the run-ahead set: executed by [`Cpu::step`]'s own
+    /// `match`.
     Other,
     /// No operation.
     Nop,
@@ -117,6 +125,8 @@ pub enum DecOp {
     AluRR {
         /// Operation.
         op: SafeAlu,
+        /// Strict: runs ahead only while neither operand is a future.
+        tagged: bool,
         /// First source.
         s1: RegIdx,
         /// Second source.
@@ -128,6 +138,8 @@ pub enum DecOp {
     AluRI {
         /// Operation.
         op: SafeAlu,
+        /// Strict: runs ahead only while `s1` is not a future.
+        tagged: bool,
         /// First source.
         s1: RegIdx,
         /// Pre-resolved immediate (sign-extended to 32 bits).
@@ -145,17 +157,78 @@ pub enum DecOp {
         /// Destination register.
         d: RegIdx,
     },
+    /// Conditional branch with a delay slot.
+    Branch {
+        /// Condition.
+        cond: Cond,
+        /// Signed word offset from the branch.
+        offset: i32,
+    },
+    /// `d = pc + 2; npc = s1 + s2` (register form).
+    JmplR {
+        /// Base register.
+        s1: RegIdx,
+        /// Offset register.
+        s2: RegIdx,
+        /// Link destination.
+        d: RegIdx,
+    },
+    /// `d = pc + 2; npc = s1 + imm` (immediate form).
+    JmplI {
+        /// Base register.
+        s1: RegIdx,
+        /// Pre-resolved offset.
+        imm: u32,
+        /// Link destination.
+        d: RegIdx,
+    },
+    /// `d = mem[a + offset]`.
+    Load {
+        /// Full/empty flavor.
+        flavor: LoadFlavor,
+        /// Base address register.
+        a: RegIdx,
+        /// Byte offset (two's complement).
+        offset: u32,
+        /// Destination.
+        d: RegIdx,
+    },
+    /// `mem[a + offset] = s`.
+    Store {
+        /// Full/empty flavor.
+        flavor: StoreFlavor,
+        /// Base address register.
+        a: RegIdx,
+        /// Byte offset (two's complement).
+        offset: u32,
+        /// Source.
+        s: RegIdx,
+    },
+    /// FP register `fd = mem[a + offset]`.
+    LdF {
+        /// Base address register.
+        a: RegIdx,
+        /// Byte offset (two's complement).
+        offset: u32,
+        /// Destination FP register.
+        fd: u8,
+    },
+    /// `mem[a + offset] =` FP register `fs`.
+    StF {
+        /// Source FP register.
+        fs: u8,
+        /// Base address register.
+        a: RegIdx,
+        /// Byte offset (two's complement).
+        offset: u32,
+    },
 }
 
-/// A program lowered to flat bytecode, with per-address run lengths.
+/// A program lowered to flat bytecode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedProgram {
     /// `ops[pc]` is the decoded form of `prog.instrs[pc]`.
     ops: Vec<DecOp>,
-    /// `run_len[pc]`: length (capped at [`MAX_RUN`]) of the maximal
-    /// safe straight-line run starting at `pc`; `0` when `ops[pc]` is
-    /// [`DecOp::Other`].
-    run_len: Vec<u8>,
 }
 
 fn reg_idx(r: Reg) -> RegIdx {
@@ -165,7 +238,7 @@ fn reg_idx(r: Reg) -> RegIdx {
     }
 }
 
-/// `ins` as a whitelisted [`DecOp`], or [`DecOp::Other`].
+/// `ins` as a run-ahead [`DecOp`], or [`DecOp::Other`].
 #[inline(always)]
 pub(crate) fn lower_instr(ins: Instr) -> DecOp {
     match ins {
@@ -179,53 +252,84 @@ pub(crate) fn lower_instr(ins: Instr) -> DecOp {
             s1,
             s2,
             d,
-            tagged: false,
+            tagged,
         } => {
             let Some(op) = SafeAlu::of(op) else {
                 return DecOp::Other;
             };
+            let (s1, d) = (reg_idx(s1), reg_idx(d));
             match s2 {
                 Operand::Reg(r) => DecOp::AluRR {
                     op,
-                    s1: reg_idx(s1),
+                    tagged,
+                    s1,
                     s2: reg_idx(r),
-                    d: reg_idx(d),
+                    d,
                 },
                 Operand::Imm(i) => DecOp::AluRI {
                     op,
-                    s1: reg_idx(s1),
+                    tagged,
+                    s1,
                     imm: i as u32,
-                    d: reg_idx(d),
+                    d,
                 },
             }
         }
+        Instr::Branch { cond, offset } => DecOp::Branch { cond, offset },
+        Instr::Jmpl { s1, s2, d } => match s2 {
+            Operand::Reg(r) => DecOp::JmplR {
+                s1: reg_idx(s1),
+                s2: reg_idx(r),
+                d: reg_idx(d),
+            },
+            Operand::Imm(i) => DecOp::JmplI {
+                s1: reg_idx(s1),
+                imm: i as u32,
+                d: reg_idx(d),
+            },
+        },
+        Instr::Load {
+            flavor,
+            a,
+            offset,
+            d,
+        } => DecOp::Load {
+            flavor,
+            a: reg_idx(a),
+            offset: offset as u32,
+            d: reg_idx(d),
+        },
+        Instr::Store {
+            flavor,
+            a,
+            offset,
+            s,
+        } => DecOp::Store {
+            flavor,
+            a: reg_idx(a),
+            offset: offset as u32,
+            s: reg_idx(s),
+        },
+        Instr::LdF { a, offset, fd } => DecOp::LdF {
+            a: reg_idx(a),
+            offset: offset as u32,
+            fd,
+        },
+        Instr::StF { fs, a, offset } => DecOp::StF {
+            fs,
+            a: reg_idx(a),
+            offset: offset as u32,
+        },
         _ => DecOp::Other,
     }
 }
 
 impl DecodedProgram {
-    /// Lowers `prog` into flat bytecode and computes the run table.
+    /// Lowers `prog` into flat bytecode.
     pub fn lower(prog: &Program) -> DecodedProgram {
-        let ops: Vec<DecOp> = prog.instrs.iter().map(|&i| lower_instr(i)).collect();
-        let mut run_len = vec![0u8; ops.len()];
-        let mut run: u32 = 0;
-        for i in (0..ops.len()).rev() {
-            run = if ops[i] == DecOp::Other {
-                0
-            } else {
-                (run + 1).min(MAX_RUN)
-            };
-            run_len[i] = run as u8;
+        DecodedProgram {
+            ops: prog.instrs.iter().map(|&i| lower_instr(i)).collect(),
         }
-        DecodedProgram { ops, run_len }
-    }
-
-    /// Length of the safe straight-line run starting at `pc` (capped at
-    /// [`MAX_RUN`]); `0` past the end of the text segment or at an
-    /// unsafe instruction.
-    #[inline]
-    pub fn run_len(&self, pc: u32) -> u32 {
-        self.run_len.get(pc as usize).copied().unwrap_or(0) as u32
     }
 
     /// The decoded op at `pc` (for diagnostics and tests).
@@ -278,24 +382,86 @@ pub(crate) fn eval_alu(op: SafeAlu, a: u32, b: u32) -> (u32, CondCodes) {
     }
 }
 
-/// One safe op's register and condition-code effects on the active
-/// frame `f` (index `fp`); the caller commits the PC chain and ledger.
+/// Whether `cond` holds under `psr`.
 #[inline(always)]
-pub(crate) fn exec(globals: &mut [Word; 8], f: &mut TaskFrame, fp: usize, op: DecOp) {
+pub(crate) fn cond_holds(psr: &Psr, cond: Cond) -> bool {
+    let cc = psr.cc;
+    match cond {
+        Cond::Always => true,
+        Cond::Never => false,
+        Cond::Eq => cc.z,
+        Cond::Ne => !cc.z,
+        Cond::Lt => cc.n != cc.v,
+        Cond::Le => cc.z || (cc.n != cc.v),
+        Cond::Gt => !(cc.z || (cc.n != cc.v)),
+        Cond::Ge => cc.n == cc.v,
+        Cond::Ltu => cc.c,
+        Cond::Geu => !cc.c,
+        Cond::Full => psr.fe_cond,
+        Cond::Empty => !psr.fe_cond,
+        Cond::FpEq => psr.fcc == FpCond::Eq,
+        Cond::FpLt => psr.fcc == FpCond::Lt,
+        Cond::FpGt => psr.fcc == FpCond::Gt,
+    }
+}
+
+/// The address `base + offset` a memory op of the run-ahead set uses,
+/// or `None` where `step` would trap instead: a future base (an
+/// implicit touch) or a misaligned address.
+#[inline(always)]
+fn address(base: Word, offset: u32) -> Option<u32> {
+    let addr = base.0.wrapping_add(offset);
+    (!base.is_future() && addr & 3 == 0).then_some(addr)
+}
+
+/// Executes `op`, the instruction at the PC of the active frame `f`
+/// (index `fp`), as op `k` of a run: its register, condition-code and
+/// PC-chain effects, its memory access through `mem`. Returns `false`,
+/// having changed nothing, when `op` is outside the run-ahead set, a
+/// tagged operand is a future, or the access would trap or `mem`
+/// declines it. The caller charges the ledger.
+#[inline(always)]
+pub(crate) fn exec(
+    globals: &mut [Word; 8],
+    f: &mut TaskFrame,
+    fp: usize,
+    op: DecOp,
+    k: u32,
+    mem: &mut impl RunMemory,
+) -> bool {
+    let mut npc = f.npc.wrapping_add(1);
     match op {
+        DecOp::Other => return false,
         DecOp::Nop => {}
         DecOp::MovI { d, imm } => wr(globals, f, d, Word(imm)),
         DecOp::FMovI { fd, bits } => f.fregs[(fd & 7) as usize] = bits,
-        DecOp::AluRR { op, s1, s2, d } => {
-            let a = rd(globals, f, s1).0;
-            let b = rd(globals, f, s2).0;
-            let (r, cc) = eval_alu(op, a, b);
+        DecOp::AluRR {
+            op,
+            tagged,
+            s1,
+            s2,
+            d,
+        } => {
+            let (a, b) = (rd(globals, f, s1), rd(globals, f, s2));
+            if tagged && (a.is_future() || b.is_future()) {
+                return false;
+            }
+            let (r, cc) = eval_alu(op, a.0, b.0);
             wr(globals, f, d, Word(r));
             f.psr.cc = cc;
         }
-        DecOp::AluRI { op, s1, imm, d } => {
-            let a = rd(globals, f, s1).0;
-            let (r, cc) = eval_alu(op, a, imm);
+        DecOp::AluRI {
+            op,
+            tagged,
+            s1,
+            imm,
+            d,
+        } => {
+            let a = rd(globals, f, s1);
+            if tagged && a.is_future() {
+                return false;
+            }
+            let (r, cc) = eval_alu(op, a.0, imm);
             wr(globals, f, d, Word(r));
             f.psr.cc = cc;
         }
@@ -304,58 +470,181 @@ pub(crate) fn exec(globals: &mut [Word; 8], f: &mut TaskFrame, fp: usize, op: De
             wr(globals, f, d, w);
         }
         DecOp::RdFp { d } => wr(globals, f, d, Word::fixnum(fp as i32)),
-        DecOp::Other => unreachable!("executed an unsafe op as a safe one"),
+        DecOp::Branch { cond, offset } => {
+            if cond_holds(&f.psr, cond) {
+                npc = (f.pc as i64 + offset as i64) as u32;
+            }
+        }
+        DecOp::JmplR { s1, s2, d } => {
+            npc = rd(globals, f, s1).0.wrapping_add(rd(globals, f, s2).0);
+            // Link value: the instruction after the delay slot, raw.
+            wr(globals, f, d, Word(f.pc.wrapping_add(2)));
+        }
+        DecOp::JmplI { s1, imm, d } => {
+            npc = rd(globals, f, s1).0.wrapping_add(imm);
+            wr(globals, f, d, Word(f.pc.wrapping_add(2)));
+        }
+        DecOp::Load {
+            flavor,
+            a,
+            offset,
+            d,
+        } => {
+            let Some(addr) = address(rd(globals, f, a), offset) else {
+                return false;
+            };
+            let Some((word, fe)) = mem.load(k, addr, flavor) else {
+                return false;
+            };
+            wr(globals, f, d, word);
+            if !flavor.fe_trap {
+                f.psr.fe_cond = fe;
+            }
+        }
+        DecOp::Store {
+            flavor,
+            a,
+            offset,
+            s,
+        } => {
+            let Some(addr) = address(rd(globals, f, a), offset) else {
+                return false;
+            };
+            let Some(fe) = mem.store(k, addr, rd(globals, f, s), flavor) else {
+                return false;
+            };
+            if !flavor.fe_trap {
+                f.psr.fe_cond = fe;
+            }
+        }
+        DecOp::LdF { a, offset, fd } => {
+            let Some(addr) = address(rd(globals, f, a), offset) else {
+                return false;
+            };
+            let Some((word, _)) = mem.load(k, addr, LoadFlavor::NORMAL) else {
+                return false;
+            };
+            f.fregs[(fd & 7) as usize] = word.0;
+        }
+        DecOp::StF { fs, a, offset } => {
+            let Some(addr) = address(rd(globals, f, a), offset) else {
+                return false;
+            };
+            let value = Word(f.fregs[(fs & 7) as usize]);
+            if mem.store(k, addr, value, StoreFlavor::NORMAL).is_none() {
+                return false;
+            }
+        }
     }
+    f.pc = f.npc;
+    f.npc = npc;
+    true
+}
+
+/// Runs `f` ahead through at most `max` ops of `ops`, stopping before
+/// the first op [`exec`] refuses or past the end of the text. Returns
+/// how many ops executed.
+#[inline(always)]
+fn run(
+    globals: &mut [Word; 8],
+    f: &mut TaskFrame,
+    fp: usize,
+    ops: &[DecOp],
+    max: u32,
+    mem: &mut impl RunMemory,
+) -> u32 {
+    let mut k = 0;
+    while k < max {
+        match ops.get(f.pc as usize) {
+            Some(&op) if exec(globals, f, fp, op, k, mem) => k += 1,
+            _ => break,
+        }
+    }
+    k
+}
+
+/// What a run can change: the active frame and the globals. A machine
+/// keeps the state a run started from, so that a cut can rewind to it
+/// and replay the ops before the cut.
+#[derive(Debug, Clone, Default)]
+pub struct RunStart {
+    frame: TaskFrame,
+    globals: [Word; 8],
 }
 
 impl Cpu {
-    /// Length of the safe run the scheduler could book for this
-    /// processor right now: non-zero only when the processor is not
-    /// halted, has no pending interrupt, the active frame is `Ready`
-    /// and mid-straight-line (`npc == pc + 1`, i.e. not in the delay
-    /// slot of a taken control transfer), and the decoded program has a
-    /// safe run at `pc`. Every condition `step` checks before executing
-    /// is re-established here, so a booked run of length `k` retires
-    /// exactly the instructions `step` would retire over the next `k`
-    /// cycles.
-    pub fn bookable_run(&self, dec: &DecodedProgram) -> u32 {
-        if self.halted || !self.irqs.is_empty() {
-            return 0;
-        }
-        let f = &self.frames[self.fp];
-        if f.state != FrameState::Ready || f.npc != f.pc.wrapping_add(1) {
-            return 0;
-        }
-        dec.run_len(f.pc)
+    /// Whether the processor may run ahead: it is not halted, has no
+    /// pending interrupt, and its active frame is `Ready` — every
+    /// condition `step` checks before executing, re-established here.
+    #[inline]
+    fn can_run_ahead(&self) -> bool {
+        !self.halted && self.irqs.is_empty() && self.frames[self.fp].state == FrameState::Ready
     }
 
-    /// Executes `n` decoded ops starting at the active frame's PC, as
-    /// one tight loop over the `exec` that `step` runs them through
-    /// too: register reads/writes, condition codes, and the PC chain
-    /// end up bit-identical to `n` consecutive [`Cpu::step`] calls, and
-    /// the ledger is charged `n` instructions and `n` useful cycles.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the preconditions [`Cpu::bookable_run`]
-    /// established at booking time; in release an out-of-range `n`
-    /// panics on the slice bound.
-    pub fn run_decoded(&mut self, dec: &DecodedProgram, n: u32) {
+    /// Runs ahead: executes up to `max` ops from the active frame's PC,
+    /// one per cycle, stopping before the first op outside the
+    /// run-ahead set, one that would trap, or one whose access `mem`
+    /// declines. Registers, condition codes and the PC chain end up
+    /// bit-identical to that many consecutive [`Cpu::step`] calls; the
+    /// ledger is not charged (see [`Cpu::retire_run`]). Returns the
+    /// number of ops executed: `0` when the processor is halted, has an
+    /// interrupt pending, or has no ready active frame.
+    pub fn run_ahead(&mut self, dec: &DecodedProgram, max: u32, mem: &mut impl RunMemory) -> u32 {
+        if !self.can_run_ahead() {
+            return 0;
+        }
         let fp = self.fp;
         let Cpu {
             frames, globals, ..
         } = self;
-        let f = &mut frames[fp];
-        debug_assert!(f.state == FrameState::Ready);
-        debug_assert_eq!(f.npc, f.pc.wrapping_add(1));
-        let pc = f.pc as usize;
-        for &op in &dec.ops[pc..pc + n as usize] {
-            exec(globals, f, fp, op);
-        }
-        f.pc = f.pc.wrapping_add(n);
-        f.npc = f.pc.wrapping_add(1);
+        run(globals, &mut frames[fp], fp, &dec.ops, max, mem)
+    }
+
+    /// Charges `n` ops executed ahead: `n` instructions and `n` useful
+    /// cycles. The memory ops among them are charged as their accesses
+    /// retire, by whoever applies them.
+    pub fn retire_run(&mut self, n: u32) {
         self.stats.instructions += n as u64;
         self.stats.useful_cycles += n as u64;
+    }
+
+    /// Saves the state a run from here can change into `start`.
+    pub fn save_run_start(&self, start: &mut RunStart) {
+        start.frame.clone_from(&self.frames[self.fp]);
+        start.globals = self.globals;
+    }
+
+    /// Puts back the state [`Cpu::save_run_start`] saved: undoes a run
+    /// (the frame pointer must not have moved since).
+    pub fn rewind(&mut self, start: &RunStart) {
+        self.frames[self.fp].clone_from(&start.frame);
+        self.globals = start.globals;
+    }
+
+    /// Length of the register-only run the processor could run ahead
+    /// right now (capped at [`MAX_RUN`]), found on a copy of its state:
+    /// `0` when it is halted, has an interrupt pending, has no ready
+    /// active frame, or the op at its PC is a memory op or outside the
+    /// run-ahead set.
+    pub fn bookable_run(&self, dec: &DecodedProgram) -> u32 {
+        if !self.can_run_ahead() {
+            return 0;
+        }
+        let (mut f, mut g) = (self.frames[self.fp].clone(), self.globals);
+        run(&mut g, &mut f, self.fp, &dec.ops, MAX_RUN, &mut NoMemory)
+    }
+
+    /// Executes and retires the next `n` register-only ops, which
+    /// [`Cpu::bookable_run`] found: the same state as `n` consecutive
+    /// [`Cpu::step`] calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` ops could run.
+    pub fn run_decoded(&mut self, dec: &DecodedProgram, n: u32) {
+        let done = self.run_ahead(dec, n, &mut NoMemory);
+        assert_eq!(done, n, "run_decoded past the bookable run");
+        self.retire_run(n);
     }
 }
 
@@ -366,7 +655,7 @@ mod tests {
     use crate::isa::asm::assemble;
 
     #[test]
-    fn lowering_classifies_the_whitelist() {
+    fn lowering_classifies_the_run_ahead_set() {
         let prog = assemble(
             "
             movi 7, r1
@@ -375,30 +664,43 @@ mod tests {
             nop
             ld r1+0, r4
             sub r3, 1, r3
+            mul r3, r3, r3
             halt
         ",
         )
         .unwrap();
         let dec = DecodedProgram::lower(&prog);
-        assert_eq!(dec.run_len(0), 4, "movi/add/xor/nop");
-        assert_eq!(dec.run_len(3), 1, "nop alone before the load");
-        assert_eq!(dec.run_len(4), 0, "load is unsafe");
-        assert_eq!(dec.run_len(5), 1, "sub before halt");
-        assert_eq!(dec.run_len(6), 0, "halt is unsafe");
-        assert_eq!(dec.run_len(999), 0, "past the end");
-        assert_eq!(dec.op(4), Some(DecOp::Other));
+        assert!(matches!(dec.op(4), Some(DecOp::Load { .. })));
+        assert_eq!(dec.op(6), Some(DecOp::Other), "mul takes three cycles");
+        assert_eq!(dec.op(7), Some(DecOp::Other), "halt");
+        assert_eq!(dec.op(999), None, "past the end");
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.boot(0);
+        assert_eq!(cpu.bookable_run(&dec), 4, "register-only up to the load");
     }
 
     #[test]
-    fn run_len_caps_at_max_run() {
-        let mut src = String::new();
-        for _ in 0..(MAX_RUN + 40) {
-            src.push_str("nop\n");
-        }
-        src.push_str("halt\n");
-        let prog = assemble(&src).unwrap();
+    fn runs_go_through_branches_and_cap_at_max_run() {
+        let prog = assemble("top:\nadd r1, 1, r1\njmp top\nnop\nhalt").unwrap();
         let dec = DecodedProgram::lower(&prog);
-        assert_eq!(dec.run_len(0), MAX_RUN);
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.boot(0);
+        assert_eq!(cpu.bookable_run(&dec), MAX_RUN);
+        cpu.run_decoded(&dec, MAX_RUN);
+        // 64 ops: 21 trips of add, jmp, nop, then one more add.
+        assert_eq!(cpu.get_reg(Reg::L(1)), Word(22));
+        assert_eq!(cpu.stats.instructions, MAX_RUN as u64);
+    }
+
+    #[test]
+    fn a_future_operand_ends_a_tagged_run() {
+        let prog = assemble("tadd r1, 4, r2\ntadd r2, r3, r4\nhalt").unwrap();
+        let dec = DecodedProgram::lower(&prog);
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.boot(0);
+        assert_eq!(cpu.bookable_run(&dec), 2);
+        cpu.set_reg(Reg::L(3), Word::future_ptr(0x40));
+        assert_eq!(cpu.bookable_run(&dec), 1, "the second tadd would trap");
     }
 
     #[test]
@@ -415,11 +717,22 @@ mod tests {
         assert_eq!(cpu.bookable_run(&dec), 0, "pending IRQ blocks booking");
         cpu.irqs.clear();
 
-        cpu.active_frame_mut().npc = 7;
-        assert_eq!(cpu.bookable_run(&dec), 0, "delay slot blocks booking");
-        cpu.active_frame_mut().npc = 1;
-
         cpu.halt();
         assert_eq!(cpu.bookable_run(&dec), 0, "halted CPU never books");
+    }
+
+    #[test]
+    fn rewind_undoes_a_run() {
+        let prog = assemble("movi 5, r1\nmovi 6, g1\njmp 0\nnop").unwrap();
+        let dec = DecodedProgram::lower(&prog);
+        let mut cpu = Cpu::new(CpuConfig::default());
+        cpu.boot(0);
+        let before = (cpu.active_frame().clone(), cpu.get_reg(Reg::G(1)));
+        let mut start = RunStart::default();
+        cpu.save_run_start(&mut start);
+        assert_eq!(cpu.run_ahead(&dec, 10, &mut NoMemory), 10);
+        cpu.rewind(&start);
+        assert_eq!((cpu.active_frame().clone(), cpu.get_reg(Reg::G(1))), before);
+        assert_eq!(cpu.stats.instructions, 0, "running ahead charges nothing");
     }
 }

@@ -118,3 +118,36 @@ impl<M: MemoryPort + ?Sized> MemoryPort for &mut M {
         (**self).stio(reg, value)
     }
 }
+
+/// What a booked run asks of memory (DESIGN.md §13): the values its
+/// loads read and the full/empty bits its stores find, for accesses
+/// that complete this cycle with no trap, stall or message. `k` is the
+/// op's index in the run, so the op executes at the run's start cycle
+/// plus `k`. Returning `None` ends the run before the op, which
+/// [`Cpu::step`](crate::cpu::Cpu::step) then executes through a
+/// [`MemoryPort`].
+pub trait RunMemory {
+    /// The word and full/empty bit a `flavor` load of `addr` reads, or
+    /// `None` if the load would miss, stall or trap.
+    fn load(&mut self, k: u32, addr: u32, flavor: LoadFlavor) -> Option<(Word, bool)>;
+
+    /// The full/empty bit a `flavor` store of `value` to `addr` finds,
+    /// or `None` if the store would miss, stall or trap.
+    fn store(&mut self, k: u32, addr: u32, value: Word, flavor: StoreFlavor) -> Option<bool>;
+}
+
+/// The memory of a register-only run: every access ends the run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoMemory;
+
+impl RunMemory for NoMemory {
+    #[inline(always)]
+    fn load(&mut self, _: u32, _: u32, _: LoadFlavor) -> Option<(Word, bool)> {
+        None
+    }
+
+    #[inline(always)]
+    fn store(&mut self, _: u32, _: u32, _: Word, _: StoreFlavor) -> Option<bool> {
+        None
+    }
+}

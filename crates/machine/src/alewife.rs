@@ -14,7 +14,7 @@
 //! write-backs, contention — is simulated faithfully.
 
 use crate::config::MachineConfig;
-use crate::kernel::{cpu_word, proto_words, Schedule, Scratch, BLOCK};
+use crate::kernel::{cpu_word, proto_words, Run, Schedule, Scratch, BLOCK};
 use crate::traffic::{ArrivalPlan, NodeTraffic, IO_RETIRE};
 use crate::watchdog::{
     BusyEntry, FrameStall, InFlightMsg, MachineFault, OutstandingTxn, PostMortem, UndeliverableMsg,
@@ -61,41 +61,17 @@ pub struct Node {
     /// Home-side directory for this node's memory region.
     pub dir: Directory,
     pub(crate) io_regs: [u32; 8],
-    /// An outstanding *booked run* on the decode engine (DESIGN.md
-    /// §13): at cycle `start` the CPU was known to execute `len`
-    /// straight-line safe instructions over cycles `start ..
-    /// start+len`, so the scheduler charged the whole span up front
-    /// (`ready_at = start + len`) and deferred executing the ops. The
-    /// run *materializes* — executes for real, in one tight loop — at
-    /// the next visit, or is cut short the moment anything could
-    /// observe or perturb the CPU (a delivery addressed to it, a
-    /// driver mutation, a checkpoint). Scheduler bookkeeping, never
-    /// snapshotted: restores clear it.
-    pub(crate) resv: Option<Resv>,
     /// Open-loop traffic state (DESIGN.md §15): `Some` on edge
     /// I/O-handler nodes of a machine with [`MachineConfig::traffic`]
     /// set, `None` everywhere else.
     pub(crate) traffic: Option<Box<NodeTraffic>>,
 }
 
-/// A booked decode-engine run: `len` safe instructions promised over
-/// cycles `start .. start + len`. See [`Node::resv`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Resv {
-    pub(crate) start: u64,
-    pub(crate) len: u32,
-}
-
-/// The smallest run worth booking: a 1-instruction "run" costs the
-/// same bookkeeping as stepping, so book only from 2 up.
-pub(crate) const MIN_RUN: u32 = 2;
-
 /// Whether a delivered message can observe or perturb the destination
 /// CPU. An IPI posts an interrupt the next step must take; every
 /// controller-bound message can wake task frames. Directory-bound
-/// messages only touch home-directory state, which a booked run of
-/// safe (register-only) instructions can neither read nor write, so
-/// they leave a reservation standing.
+/// messages only touch home-directory state, which a booked run can
+/// neither read nor write, so they leave it standing.
 pub(crate) fn msg_touches_cpu(msg: &CohMsg) -> bool {
     !matches!(
         msg,
@@ -126,6 +102,11 @@ pub struct Alewife {
     /// The program lowered to flat bytecode for booked runs. Derived
     /// state: rebuilt by construction, never part of a snapshot.
     pub(crate) dec: DecodedProgram,
+    /// Each node's booked run (DESIGN.md §13), kept beside the nodes
+    /// rather than in them: a run's record is large and a node's size
+    /// is a measured cost. Scheduler bookkeeping, never snapshotted:
+    /// restores close every run.
+    pub(crate) runs: Vec<Run>,
     pub(crate) cfg: MachineConfig,
     pub(crate) ready_at: Vec<u64>,
     pub(crate) now: u64,
@@ -185,7 +166,6 @@ impl Alewife {
                 ctl: CacheController::new(i, cfg.cache, cfg.ctl),
                 dir: Directory::with_config(cfg.dir, n),
                 io_regs: [0; 8],
-                resv: None,
                 traffic: plan
                     .as_ref()
                     .filter(|p| p.is_edge(i))
@@ -199,6 +179,7 @@ impl Alewife {
             net: Network::new(cfg.topology, cfg.net),
             prog,
             dec,
+            runs: (0..n).map(|_| Run::default()).collect(),
             cfg,
             ready_at: vec![0; n],
             now: 0,
@@ -300,7 +281,7 @@ impl Alewife {
     /// Rebuilds the schedule from the nodes (construction, boot,
     /// restore).
     pub(crate) fn rebuild_schedule(&mut self) {
-        self.sched = Schedule::new(&self.nodes, &self.parked, &self.ready_at);
+        self.sched = Schedule::new(&self.nodes, &self.runs, &self.parked, &self.ready_at);
         self.lent = None;
     }
 
@@ -363,26 +344,22 @@ impl Alewife {
     }
 
     /// Settles node `i`'s booked run *after* the current cycle's work:
-    /// instructions through cycle `now` inclusive materialize and the
-    /// node is ready next cycle. Called before anything outside the
-    /// advance loop (a driver mutation, a checkpoint) can observe the
-    /// CPU.
+    /// instructions through cycle `now` inclusive retire and the node
+    /// is ready next cycle. Called before anything outside the advance
+    /// loop (a driver mutation, a checkpoint) can observe the CPU.
     pub(crate) fn settle_resv(&mut self, i: usize) {
-        let done = self.pending_booked(i) as u32;
-        let Some(r) = self.nodes[i].resv.take() else {
-            return;
-        };
-        self.nodes[i].cpu.run_decoded(&self.dec, done);
-        self.sched.materialized(r.start, done);
-        self.ready_at[i] = self.now + 1;
-        self.sched.cpu.set(i, self.ready_at[i]);
+        if self.runs[i].is_open() {
+            self.cut(i, self.now + 1);
+            self.ready_at[i] = self.now + 1;
+            self.sched.cpu.set(i, self.ready_at[i]);
+        }
     }
 
     /// Instructions node `i`'s booked run has executed through cycle
     /// `now`: lockstep, which never books, has retired them already.
     pub(crate) fn pending_booked(&self, i: usize) -> u64 {
-        let run = self.nodes[i].resv;
-        run.map_or(0, |r| (self.now + 1 - r.start).min(r.len as u64))
+        let r = &self.runs[i];
+        (self.now + 1).saturating_sub(r.start).min(r.len as u64)
     }
 
     /// Whether the machine still owes anyone an answer: packets in

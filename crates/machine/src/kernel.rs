@@ -15,13 +15,13 @@
 //! order — and the first fatal fault is recorded on the machine (later
 //! ones are dropped: the run-time aborts on the first anyway).
 
-use crate::alewife::{
-    dispatch_to_node, msg_touches_cpu, Alewife, Env, Node, NodePort, Resv, MIN_RUN,
-};
+use crate::alewife::{dispatch_to_node, msg_touches_cpu, Alewife, Env, Node, NodePort};
 use crate::config::MachineConfig;
 use crate::traffic::{inject_due, record_retire};
 use crate::watchdog::MachineFault;
 use april_core::cpu::StepEvent;
+use april_core::decoded::{RunStart, MAX_RUN};
+use april_core::memport::NoMemory;
 use april_mem::msg::CohMsg;
 use april_net::network::Network;
 
@@ -87,6 +87,33 @@ pub(crate) fn proto_words(n: &Node) -> (u64, u64) {
         ctl.min(n.dir.tick_deadline()),
         ctl.min(n.dir.next_deadline()),
     )
+}
+
+/// A node's booked run (DESIGN.md §13). At cycle `start` the CPU ran
+/// ahead through `len` ops, one per cycle over `start .. start + len`:
+/// their register effects are on the CPU already, and the scheduler
+/// charged the whole span up front (`ready_at = start + len`). The run
+/// retires at the next visit, or is *cut* at an earlier cycle the
+/// moment anything could observe or perturb the CPU (a delivery
+/// addressed to it, a driver mutation, a checkpoint): the CPU rewinds
+/// to `from`, the state it started from, and replays the ops before
+/// the cut.
+#[derive(Debug, Default)]
+pub(crate) struct Run {
+    pub(crate) start: u64,
+    /// `0` while no run is open.
+    pub(crate) len: u32,
+    from: RunStart,
+}
+
+impl Run {
+    pub(crate) fn is_open(&self) -> bool {
+        self.len > 0
+    }
+
+    pub(crate) fn close(&mut self) {
+        self.len = 0;
+    }
 }
 
 /// Nodes per block of [`Wake`] bounds.
@@ -163,10 +190,10 @@ pub(crate) struct Schedule {
 }
 
 impl Schedule {
-    pub(crate) fn new(nodes: &[Node], parked: &[bool], ready_at: &[u64]) -> Schedule {
+    pub(crate) fn new(nodes: &[Node], runs: &[Run], parked: &[bool], ready_at: &[u64]) -> Schedule {
         let cpu = nodes.iter().zip(parked.iter().zip(ready_at));
         let (tick, skip) = nodes.iter().map(proto_words).unzip();
-        let runs = nodes.iter().filter_map(|n| n.resv);
+        let runs = runs.iter().filter(|r| r.is_open());
         Schedule {
             cpu: Wake::new(cpu.map(|(n, (&p, &r))| cpu_word(n, p, r)).collect()),
             tick: Wake::new(tick),
@@ -233,6 +260,21 @@ impl Schedule {
 }
 
 impl Alewife {
+    /// Ends node `i`'s open run at cycle `t`, `start < t ≤ start +
+    /// len`: the ops before `t` retire, the rest are undone.
+    pub(crate) fn cut(&mut self, i: usize, t: u64) {
+        let (run, cpu) = (&mut self.runs[i], &mut self.nodes[i].cpu);
+        let done = (t - run.start).min(run.len as u64) as u32;
+        if done < run.len {
+            cpu.rewind(&run.from);
+            let redone = cpu.run_ahead(&self.dec, done, &mut NoMemory);
+            debug_assert_eq!(redone, done, "a replay runs as far as the run did");
+        }
+        cpu.retire_run(done);
+        self.sched.materialized(run.start, done);
+        run.close();
+    }
+
     /// Runs `act` on every node whose word in `wake(self)` is at most
     /// `c`, in index order, skipping blocks whose bound is past `c`; a
     /// block scanned with nothing due gets its exact bound.
@@ -290,6 +332,17 @@ impl Alewife {
     /// exactly the CPU-touching deliveries unpark their destination and
     /// cut its booked run.
     pub(crate) fn deliver(&mut self, c: u64, dst: usize, env: Env) {
+        if msg_touches_cpu(&env.msg) {
+            // Cut a booked run *before* this cycle's instruction: the
+            // `c - start` instructions whose cycles have fully elapsed
+            // retire, and the node steps (or re-books) this cycle — so
+            // e.g. an IPI's interrupt is taken exactly where lockstep
+            // would take it.
+            if self.runs[dst].is_open() {
+                self.cut(dst, c);
+                self.ready_at[dst] = c;
+            }
+        }
         let node = &mut self.nodes[dst];
         // Clocks are stamped on demand: the handlers below timestamp
         // trace events and compute retry deadlines from their engine's
@@ -309,17 +362,6 @@ impl Alewife {
                     self.ready_at[dst] = c;
                 }
                 self.parked[dst] = false;
-            }
-            // Cut a booked run *before* this cycle's instruction: the
-            // `c - start` instructions whose cycles have fully elapsed
-            // materialize, and the node steps (or re-books) this cycle
-            // — so e.g. an IPI's interrupt is taken exactly where
-            // lockstep would take it.
-            if let Some(r) = node.resv.take() {
-                let done = (c - r.start) as u32;
-                node.cpu.run_decoded(&self.dec, done);
-                self.sched.materialized(r.start, done);
-                self.ready_at[dst] = c;
             }
             self.sched
                 .cpu
@@ -382,21 +424,24 @@ impl Alewife {
         node.cpu.set_clock(c);
         node.ctl.set_clock(c);
         node.dir.set_clock(c);
-        // Booked runs (DESIGN.md §13): a visit first materializes the
-        // run that just elapsed, then — if the next instructions are a
-        // safe straight-line run — books a new one: charge the whole
-        // span now, execute at the next visit. A booked cycle emits no
-        // event and sends nothing (safe ops can't), which is exactly
-        // what lockstep's per-cycle `Executed` steps amount to. Lockstep
+        // Booked runs (DESIGN.md §13): a visit first retires the run
+        // that just elapsed, then runs the CPU ahead as far as it can
+        // go without an event and books the ops it ran: the whole span
+        // is charged now and retires at the next visit. A booked cycle
+        // emits no event and sends nothing, which is exactly what
+        // lockstep's per-cycle `Executed` steps amount to. Lockstep
         // never books: it is the per-instruction referee.
-        if let Some(r) = node.resv.take() {
-            node.cpu.run_decoded(&self.dec, r.len);
-            self.sched.materialized(r.start, r.len);
+        let run = &mut self.runs[i];
+        if run.is_open() {
+            node.cpu.retire_run(run.len);
+            self.sched.materialized(run.start, run.len);
+            run.close();
         }
         if !self.cfg.lockstep {
-            let len = node.cpu.bookable_run(&self.dec);
-            if len >= MIN_RUN {
-                node.resv = Some(Resv { start: c, len });
+            node.cpu.save_run_start(&mut run.from);
+            let len = node.cpu.run_ahead(&self.dec, MAX_RUN, &mut NoMemory);
+            if len > 0 {
+                (run.start, run.len) = (c, len);
                 self.sched.book(c);
                 self.ready_at[i] = c + len as u64;
                 self.sched.cpu.set(i, self.ready_at[i]);

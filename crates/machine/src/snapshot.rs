@@ -477,8 +477,8 @@ impl Alewife {
         self.parked.fill(false);
         // Booked runs are scheduler bookkeeping over pre-restore state;
         // snapshots are always settled, so none can survive a restore.
-        for n in &mut self.nodes {
-            n.resv = None;
+        for r in &mut self.runs {
+            r.close();
         }
         self.rebuild_schedule();
         Ok(())
