@@ -16,9 +16,9 @@
 //! [`Cpu::charge_handler`].
 
 use crate::decoded::{eval_alu, exec, lower_instr, SafeAlu};
-use crate::memport::NoMemory;
 use crate::frame::{FrameState, TaskFrame};
 use crate::isa::{AluOp, FpOp, Instr, Operand, Reg};
+use crate::memport::NoMemory;
 use crate::memport::{AccessCtx, LoadReply, MemoryPort, StoreReply};
 use crate::program::Program;
 use crate::psr::{CondCodes, FpCond};
@@ -748,7 +748,6 @@ impl Cpu {
             None => StepEvent::Executed,
         }
     }
-
 }
 
 /// Trace payload encoding of a register name: globals map to their

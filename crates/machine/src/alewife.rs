@@ -423,7 +423,11 @@ impl Alewife {
     /// The node scan reads the schedule's dense words, opening a node
     /// only to confirm that a CPU word which would lower `t` does not
     /// name a CPU a driver has since halted.
-    fn next_event(&mut self) -> u64 {
+    ///
+    /// Never past `cap`, and the network routes nothing past it either:
+    /// a checkpoint at `cap` then holds the network lockstep holds there,
+    /// whatever the CPUs' next events are.
+    fn next_event(&mut self, cap: u64) -> u64 {
         debug_assert!(self.wake_words_consistent());
         let floor = self.now + 1;
         // The block with the lowest bound first, so that `t` drops early
@@ -471,6 +475,7 @@ impl Alewife {
         // `t` is now the earliest cycle any traffic source can act, the
         // bound `earliest_delivery` needs (the watchdog, below, sends
         // nothing, so it does not constrain the bound).
+        t = t.min(cap);
         if let Some(d) = self.net.earliest_delivery(t) {
             t = t.min(d.max(floor));
         }
@@ -492,14 +497,18 @@ impl Alewife {
         }
     }
 
-    /// The cycle the next `advance()` would jump to: the next event
-    /// under the event-driven skip, or simply `now + 1` in lockstep
-    /// mode or once a fault has been recorded.
-    fn advance_target(&mut self) -> u64 {
+    /// The cycle the next `advance()` would jump to, never past `cap`:
+    /// the next event under the event-driven skip, or simply `now + 1`
+    /// in lockstep mode or once a fault has been recorded.
+    fn advance_target(&mut self, cap: u64) -> u64 {
+        // Driver writes since the last advance overtook the booked
+        // memory ops of later cycles that touch the same words: cut
+        // those runs after the write's cycle before looking ahead.
+        self.cut_written(self.now + 1);
         if self.cfg.lockstep || self.fault.is_some() {
             self.now + 1
         } else {
-            self.next_event()
+            self.next_event(cap)
         }
     }
 
@@ -523,7 +532,7 @@ impl Alewife {
             self.now
         );
         evs.clear();
-        let target = self.advance_target().min(cap);
+        let target = self.advance_target(cap);
         self.advance_to(target, evs);
     }
 
@@ -544,16 +553,26 @@ impl Alewife {
         self.reclaim_lent();
         let faulted = self.fault.is_some();
         let watch = self.cfg.watchdog.enabled && !faulted;
+        // The skipped cycles' booked memory ops take effect before
+        // anything at `target` can see memory or the caches (those of
+        // cycles up to `now` did at the end of the last advance).
+        if target > self.now + 1 {
+            self.apply_due_mem(target - 1);
+        }
         if watch {
-            // Lockstep saw the skipped cycles' booked instructions, the
-            // last of them at `target - 1`.
-            let (instrs, dir_events, ctl_events) = self.sched.through(target - 1);
+            // Lockstep saw the skipped cycles' booked instructions and
+            // hits, the last of them at `target - 1`.
+            let (instrs, dir_events, ctl_events) = self.sched.settle(&self.nodes, target - 1);
             let sig = (instrs, self.net.stats.delivered, dir_events, ctl_events);
             self.watchdog
                 .observe(target - 1, sig, self.cfg.watchdog.horizon);
         }
         self.now = target;
         self.ingress(target);
+        if self.plan.is_some() {
+            // Ingress wrote at `target`, before this cycle's steps.
+            self.cut_written(target);
+        }
         let mut deliveries = std::mem::take(&mut self.scratch_deliveries);
         deliveries.clear();
         self.net.poll_into(target, &mut deliveries);
@@ -563,6 +582,8 @@ impl Alewife {
         self.scratch_deliveries = deliveries;
         self.step(target, evs);
         self.tick(target);
+        // A driver reads memory, ledgers and counters after this cycle.
+        self.apply_due_mem(target);
         // Forward-progress watchdog: fire only when work is pending —
         // a stable signature on an idle machine is quiescence. Both
         // moves of its firing deadline are narrated on the meta lane.
@@ -633,6 +654,7 @@ impl Alewife {
             let halted_stale = n.cpu.is_halted() && cpu == ready_at;
             (cpu == cpu_word(n, self.parked[k], ready_at) || halted_stale)
                 && (self.sched.tick.get(k), self.sched.skip.get(k)) == proto_words(n)
+                && self.sched.mem.get(k) == self.runs[k].next_mem()
         })
     }
 
@@ -928,7 +950,7 @@ impl Machine for Alewife {
         // charged them one idle cycle each — replayed in bulk by
         // `advance_to`.
         evs.clear();
-        let target = self.advance_target();
+        let target = self.advance_target(u64::MAX);
         self.advance_to(target, evs);
     }
 

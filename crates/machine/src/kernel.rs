@@ -20,8 +20,12 @@ use crate::config::MachineConfig;
 use crate::traffic::{inject_due, record_retire};
 use crate::watchdog::MachineFault;
 use april_core::cpu::StepEvent;
-use april_core::decoded::{RunStart, MAX_RUN};
-use april_core::memport::NoMemory;
+use april_core::decoded::{DecOp, RunStart, MAX_RUN};
+use april_core::isa::{LoadFlavor, StoreFlavor};
+use april_core::memport::RunMemory;
+use april_core::word::Word;
+use april_mem::controller::CacheController;
+use april_mem::femem::{FeMemory, Written};
 use april_mem::msg::CohMsg;
 use april_net::network::Network;
 
@@ -38,6 +42,7 @@ pub(crate) struct Scratch {
     dir_out: Vec<(usize, CohMsg)>,
     io: Vec<(usize, CohMsg)>,
     retired: Vec<u32>,
+    written: Written,
 }
 
 /// Injects one unit's messages into the network, sized for the wire.
@@ -92,18 +97,27 @@ pub(crate) fn proto_words(n: &Node) -> (u64, u64) {
 /// A node's booked run (DESIGN.md §13). At cycle `start` the CPU ran
 /// ahead through `len` ops, one per cycle over `start .. start + len`:
 /// their register effects are on the CPU already, and the scheduler
-/// charged the whole span up front (`ready_at = start + len`). The run
-/// retires at the next visit, or is *cut* at an earlier cycle the
-/// moment anything could observe or perturb the CPU (a delivery
-/// addressed to it, a driver mutation, a checkpoint): the CPU rewinds
-/// to `from`, the state it started from, and replays the ops before
-/// the cut.
+/// charged the whole span up front (`ready_at = start + len`). Their
+/// memory effects — the word written, the cache's access, the hit and
+/// memory-op counts — wait in `mem` and are applied as the clock
+/// passes each op's cycle ([`Alewife::apply_mem`]). The run retires at
+/// the next visit, or is *cut* at an earlier cycle the moment anything
+/// could observe or perturb what it did (a delivery addressed to its
+/// CPU, a driver mutation, a checkpoint, a write to a word it accesses
+/// later): the CPU rewinds to `from`, the state it started from, and
+/// replays the ops before the cut with the values their loads read.
 #[derive(Debug, Default)]
 pub(crate) struct Run {
     pub(crate) start: u64,
     /// `0` while no run is open.
     pub(crate) len: u32,
     from: RunStart,
+    /// The run's memory ops in program order.
+    mem: Vec<MemOp>,
+    /// How many of `mem` have been applied.
+    applied: usize,
+    /// The [`Written::mask`]s of the words `mem` accesses, ORed.
+    mask: u64,
 }
 
 impl Run {
@@ -113,6 +127,130 @@ impl Run {
 
     pub(crate) fn close(&mut self) {
         self.len = 0;
+        self.mem.clear();
+        self.applied = 0;
+    }
+
+    /// The cycle of the next memory op to apply, or `u64::MAX`.
+    pub(crate) fn next_mem(&self) -> u64 {
+        let next = self.mem.get(self.applied);
+        next.map_or(u64::MAX, |op| self.start + op.k as u64)
+    }
+}
+
+/// One memory op of a booked run: op `k` of the run accessed the word
+/// at `addr` and read `word` (a load) or wrote it (a store), finding
+/// the full/empty bit `fe`.
+#[derive(Debug, Clone, Copy)]
+struct MemOp {
+    k: u32,
+    addr: u32,
+    word: Word,
+    fe: bool,
+    access: Access,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    Load(LoadFlavor),
+    Store(StoreFlavor),
+}
+
+impl MemOp {
+    /// Whether the access needs write permission: a store, or a load
+    /// that empties the word.
+    fn write_grade(&self) -> bool {
+        match self.access {
+            Access::Load(f) => f.reset_fe,
+            Access::Store(_) => true,
+        }
+    }
+
+    /// The word at `addr` and its full/empty bit after this op, given
+    /// them before it.
+    fn after(&self, word: Word, fe: bool) -> (Word, bool) {
+        match self.access {
+            Access::Load(f) => (word, fe && !f.reset_fe),
+            Access::Store(f) => (self.word, fe || f.set_fe),
+        }
+    }
+}
+
+/// The memory a CPU runs ahead against at booking: an access runs
+/// ahead when the controller says it would only hit
+/// ([`CacheController::hits_only`]) and the full/empty bit lets it
+/// complete. It reads memory as the run's own earlier stores left it:
+/// nothing else can write the word before the op's cycle without
+/// cutting the run.
+struct Ahead<'a> {
+    ctl: &'a CacheController,
+    /// The running frame.
+    frame: usize,
+    mem: &'a FeMemory,
+    ops: &'a mut Vec<MemOp>,
+}
+
+impl Ahead<'_> {
+    /// The word at `addr` and its full/empty bit, if an access of that
+    /// grade only hits.
+    fn hit(&self, addr: u32, write: bool) -> Option<(Word, bool)> {
+        if !self.ctl.hits_only(addr, self.frame, write) {
+            return None;
+        }
+        let mine = self.ops.iter().filter(|op| op.addr == addr);
+        Some(mine.fold(self.mem.word_state(addr), |(w, fe), op| op.after(w, fe)))
+    }
+}
+
+impl RunMemory for Ahead<'_> {
+    fn load(&mut self, k: u32, addr: u32, flavor: LoadFlavor) -> Option<(Word, bool)> {
+        let (word, fe) = self.hit(addr, flavor.reset_fe)?;
+        if flavor.fe_trap && !fe {
+            return None;
+        }
+        let access = Access::Load(flavor);
+        self.ops.push(MemOp {
+            k,
+            addr,
+            word,
+            fe,
+            access,
+        });
+        Some((word, fe))
+    }
+
+    fn store(&mut self, k: u32, addr: u32, value: Word, flavor: StoreFlavor) -> Option<bool> {
+        let (_, fe) = self.hit(addr, true)?;
+        if flavor.fe_trap && fe {
+            return None;
+        }
+        let access = Access::Store(flavor);
+        self.ops.push(MemOp {
+            k,
+            addr,
+            word: value,
+            fe,
+            access,
+        });
+        Some(fe)
+    }
+}
+
+/// A cut run's memory as its replay sees it: each access gets what it
+/// got when the run was booked.
+struct Replay<'a>(std::slice::Iter<'a, MemOp>);
+
+impl RunMemory for Replay<'_> {
+    fn load(&mut self, k: u32, addr: u32, _: LoadFlavor) -> Option<(Word, bool)> {
+        let op = self.0.next()?;
+        debug_assert_eq!((op.k, op.addr), (k, addr), "a replay diverged");
+        Some((op.word, op.fe))
+    }
+
+    fn store(&mut self, k: u32, addr: u32, _: Word, _: StoreFlavor) -> Option<bool> {
+        let op = self.0.next()?;
+        debug_assert_eq!((op.k, op.addr), (k, addr), "a replay diverged");
+        Some(op.fe)
     }
 }
 
@@ -176,6 +314,9 @@ pub(crate) struct Schedule {
     /// Where the skip must stop for each node's protocol engines: the
     /// masked deadlines (a directory masks a stale raw one while idle).
     pub(crate) skip: Wake,
+    /// When each node's booked run next has a memory op to apply
+    /// ([`Run::next_mem`]).
+    pub(crate) mem: Wake,
     /// Instructions are added as they retire; a node whose protocol
     /// engines ran is marked, and [`Self::settle`] adds what the marked
     /// nodes counted since they last were.
@@ -193,15 +334,18 @@ impl Schedule {
     pub(crate) fn new(nodes: &[Node], runs: &[Run], parked: &[bool], ready_at: &[u64]) -> Schedule {
         let cpu = nodes.iter().zip(parked.iter().zip(ready_at));
         let (tick, skip) = nodes.iter().map(proto_words).unzip();
-        let runs = runs.iter().filter(|r| r.is_open());
         Schedule {
             cpu: Wake::new(cpu.map(|(n, (&p, &r))| cpu_word(n, p, r)).collect()),
             tick: Wake::new(tick),
             skip: Wake::new(skip),
+            mem: Wake::new(runs.iter().map(Run::next_mem).collect()),
             sig: signature(nodes),
             counted: nodes.iter().map(protocol_counts).collect(),
             marked: vec![0; nodes.len().div_ceil(64)],
-            booked: runs.fold((0, 0), |(k, s), r| (k + 1, s + r.start)),
+            booked: runs
+                .iter()
+                .filter(|r| r.is_open())
+                .fold((0, 0), |(k, s), r| (k + 1, s + r.start)),
             halted: nodes.iter().filter(|n| n.cpu.is_halted()).count(),
         }
     }
@@ -209,10 +353,15 @@ impl Schedule {
     /// Node `k`'s protocol engines ran: its counts and deadlines may
     /// have moved.
     fn protocol_ran(&mut self, k: usize, n: &Node) {
-        self.marked[k / 64] |= 1 << (k % 64);
+        self.counts_moved(k);
         let (tick, skip) = proto_words(n);
         self.tick.set(k, tick);
         self.skip.set(k, skip);
+    }
+
+    /// Node `k`'s protocol counts may have moved, not its deadlines.
+    fn counts_moved(&mut self, k: usize) {
+        self.marked[k / 64] |= 1 << (k % 64);
     }
 
     fn retire(&mut self, instructions: u64) {
@@ -261,18 +410,97 @@ impl Schedule {
 
 impl Alewife {
     /// Ends node `i`'s open run at cycle `t`, `start < t ≤ start +
-    /// len`: the ops before `t` retire, the rest are undone.
+    /// len`, whose memory ops before `t` are applied and the rest not:
+    /// the ops before `t` retire, the rest are undone.
     pub(crate) fn cut(&mut self, i: usize, t: u64) {
         let (run, cpu) = (&mut self.runs[i], &mut self.nodes[i].cpu);
         let done = (t - run.start).min(run.len as u64) as u32;
+        debug_assert!(run
+            .mem
+            .iter()
+            .enumerate()
+            .all(|(j, op)| (op.k < done) == (j < run.applied)));
         if done < run.len {
             cpu.rewind(&run.from);
-            let redone = cpu.run_ahead(&self.dec, done, &mut NoMemory);
+            let redone = cpu.run_ahead(&self.dec, done, &mut Replay(run.mem.iter()));
             debug_assert_eq!(redone, done, "a replay runs as far as the run did");
         }
         cpu.retire_run(done);
         self.sched.materialized(run.start, done);
         run.close();
+        self.sched.mem.set(i, u64::MAX);
+    }
+
+    /// Applies node `i`'s booked memory ops of cycles up to `through`,
+    /// in order: the word written, the cache's access and the hit and
+    /// memory-op counts, all as its step would have at that cycle.
+    pub(crate) fn apply_mem(&mut self, i: usize, through: u64) {
+        let (run, node) = (&mut self.runs[i], &mut self.nodes[i]);
+        for op in &run.mem[run.applied..] {
+            if run.start + op.k as u64 > through {
+                break;
+            }
+            node.ctl
+                .retire_hit(op.addr, node.cpu.fp(), op.write_grade());
+            node.cpu.stats.mem_ops += 1;
+            match op.access {
+                Access::Load(f) if f.reset_fe => {
+                    let got = self.mem.apply_load(op.addr, f);
+                    debug_assert_eq!(got, Some((op.word, op.fe)));
+                }
+                Access::Load(_) => {}
+                Access::Store(f) => {
+                    let got = self.mem.apply_store(op.addr, op.word, f);
+                    debug_assert_eq!(got, Some(op.fe));
+                }
+            }
+            run.applied += 1;
+        }
+        self.sched.mem.set(i, run.next_mem());
+        // A hit moves the controller's counts, never its deadlines.
+        self.sched.counts_moved(i);
+    }
+
+    /// Applies every booked memory op of cycles up to `through`
+    /// (DESIGN.md §13 R1): what a reader of memory, a ledger or the
+    /// signature after that cycle sees is what lockstep shows.
+    pub(crate) fn apply_due_mem(&mut self, through: u64) {
+        self.for_each_due(
+            through,
+            |m| &mut m.sched.mem,
+            |m, i| m.apply_mem(i, through),
+        );
+    }
+
+    /// Cuts at cycle `t` every booked run with a memory op still to
+    /// apply on a word written through [`FeMemory`]'s journaled
+    /// mutators since the last call (DESIGN.md §13 R3): lockstep would
+    /// have made that op see the write.
+    pub(crate) fn cut_written(&mut self, t: u64) {
+        if !self.mem.has_written() {
+            return;
+        }
+        let mut written = std::mem::take(&mut self.scratch.written);
+        self.mem.swap_written(&mut written);
+        let stale = |run: &Run| {
+            written.may_cover(run.mask)
+                && run.mem[run.applied..]
+                    .iter()
+                    .any(|op| written.covers(op.addr))
+        };
+        self.for_each_due(
+            u64::MAX - 1,
+            |m| &mut m.sched.mem,
+            |m, i| {
+                if stale(&m.runs[i]) {
+                    m.cut(i, t);
+                    m.ready_at[i] = t;
+                    m.sched.cpu.set(i, t);
+                }
+            },
+        );
+        written.clear();
+        self.scratch.written = written;
     }
 
     /// Runs `act` on every node whose word in `wake(self)` is at most
@@ -437,11 +665,20 @@ impl Alewife {
             self.sched.materialized(run.start, run.len);
             run.close();
         }
-        if !self.cfg.lockstep {
+        let pc = node.cpu.active_frame().pc;
+        if !self.cfg.lockstep && self.dec.op(pc).is_some_and(|op| op != DecOp::Other) {
             node.cpu.save_run_start(&mut run.from);
-            let len = node.cpu.run_ahead(&self.dec, MAX_RUN, &mut NoMemory);
+            let mut ahead = Ahead {
+                ctl: &node.ctl,
+                frame: node.cpu.fp(),
+                mem: &self.mem,
+                ops: &mut run.mem,
+            };
+            let len = node.cpu.run_ahead(&self.dec, MAX_RUN, &mut ahead);
             if len > 0 {
                 (run.start, run.len) = (c, len);
+                run.mask = run.mem.iter().fold(0, |m, op| m | Written::mask(op.addr));
+                self.sched.mem.set(i, run.next_mem());
                 self.sched.book(c);
                 self.ready_at[i] = c + len as u64;
                 self.sched.cpu.set(i, self.ready_at[i]);

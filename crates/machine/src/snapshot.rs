@@ -30,6 +30,7 @@ use crate::config::MachineConfig;
 use crate::traffic::NodeTraffic;
 use crate::watchdog::Watchdog;
 use april_core::program::Program;
+use april_mem::femem::Written;
 use april_util::wire::{digest64, ByteReader, ByteWriter, Codec, Wire, WireError};
 use april_util::wire_fields;
 use std::fmt;
@@ -480,6 +481,7 @@ impl Alewife {
         for r in &mut self.runs {
             r.close();
         }
+        self.mem.swap_written(&mut Written::default());
         self.rebuild_schedule();
         Ok(())
     }

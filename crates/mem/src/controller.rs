@@ -244,6 +244,39 @@ impl CacheController {
         &self.probe
     }
 
+    /// Whether `frame`'s access to `addr` (write-grade if `write`)
+    /// would hit and do nothing else: the cache holds the line in a
+    /// state that hits, and no fill awaiting its first access is on the
+    /// block or names the frame, so the access neither puts a held line
+    /// back, nor releases a fill, nor answers a deferred demand.
+    /// Requests and fenced flushes in the store do not matter: a hit
+    /// never reads them. A machine may run such an access ahead and
+    /// apply it at its cycle with [`CacheController::retire_hit`].
+    pub fn hits_only(&self, addr: u32, frame: usize, write: bool) -> bool {
+        let block = self.cache.config().block_of(addr);
+        let hits = match self.cache.probe(addr) {
+            Some(LineState::Modified) => true,
+            Some(LineState::Shared) => !write,
+            None => false,
+        };
+        hits && !self.store.iter().any(|e| {
+            e.wait == Wait::Use && (e.block == block || e.frames.iter().any(|&(f, _)| f == frame))
+        })
+    }
+
+    /// Retires `frame`'s access to `addr` that
+    /// [`CacheController::hits_only`] — all
+    /// [`CacheController::cpu_access`] does for it: the cache records
+    /// the access (LRU, counters) and the hit is counted.
+    pub fn retire_hit(&mut self, addr: u32, frame: usize, write: bool) {
+        debug_assert!(
+            self.hits_only(addr, frame, write),
+            "a booked access must only hit"
+        );
+        self.cache.access(addr, write);
+        self.stats.hits += 1;
+    }
+
     /// Outstanding fenced write-backs (the FENCE instruction stalls
     /// while this is non-zero).
     pub fn fence_count(&self) -> u32 {

@@ -62,6 +62,65 @@ impl Chunk {
     }
 }
 
+/// Words a journal holds before it gives up naming them.
+const JOURNAL_WORDS: usize = 64;
+
+/// A journal of the words [`FeMemory`]'s driver-side mutators
+/// ([`FeMemory::write`], [`FeMemory::set_fe`],
+/// [`FeMemory::set_word_state`]) wrote, so a machine that runs CPUs
+/// ahead can find the runs whose memory ops a write overtook
+/// (DESIGN.md §13). The processor-side [`FeMemory::apply_load`] and
+/// [`FeMemory::apply_store`] are not journaled. Bounded: past 64
+/// words it covers every word, so a memory no one drains costs
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Written {
+    words: Vec<u32>,
+    /// Bit `(addr / 4) % 64` of every word in `words`: most words
+    /// never written are told apart by one test.
+    bits: u64,
+    all: bool,
+}
+
+impl Written {
+    /// Whether nothing was written.
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty() && !self.all
+    }
+
+    /// Whether the word at `addr` may have been written.
+    pub fn covers(&self, addr: u32) -> bool {
+        self.may_cover(Written::mask(addr)) && (self.all || self.words.contains(&addr))
+    }
+
+    /// Whether a word of `mask`, an OR of [`Written::mask`]s, may have
+    /// been written: a one-test filter ahead of [`Written::covers`].
+    pub fn may_cover(&self, mask: u64) -> bool {
+        self.all || self.bits & mask != 0
+    }
+
+    /// The filter bit of the word at `addr`.
+    pub fn mask(addr: u32) -> u64 {
+        1 << ((addr >> 2) & 63)
+    }
+
+    /// Forgets every write.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.bits = 0;
+        self.all = false;
+    }
+
+    fn note(&mut self, addr: u32) {
+        if self.words.len() < JOURNAL_WORDS {
+            self.words.push(addr);
+            self.bits |= Written::mask(addr);
+        } else {
+            self.all = true;
+        }
+    }
+}
+
 /// Memory of tagged words, each with a full/empty bit, backed by
 /// lazily allocated 4 KiB chunks.
 ///
@@ -84,6 +143,8 @@ impl Chunk {
 pub struct FeMemory {
     pub(crate) len_words: usize,
     pub(crate) chunks: Vec<Option<Box<Chunk>>>,
+    /// The driver-side writes since the last [`FeMemory::swap_written`].
+    written: Written,
 }
 
 impl std::fmt::Debug for FeMemory {
@@ -105,7 +166,21 @@ impl FeMemory {
         FeMemory {
             len_words: n,
             chunks: vec![None; n.div_ceil(CHUNK_WORDS)],
+            written: Written::default(),
         }
+    }
+
+    /// Swaps the journal of driver-side writes with `into`: a machine
+    /// passes in a cleared journal and takes the writes made since the
+    /// last swap.
+    pub fn swap_written(&mut self, into: &mut Written) {
+        std::mem::swap(&mut self.written, into);
+    }
+
+    /// Whether a driver-side mutator wrote since the last
+    /// [`FeMemory::swap_written`].
+    pub fn has_written(&self) -> bool {
+        !self.written.is_empty()
     }
 
     /// Memory size in bytes.
@@ -146,6 +221,7 @@ impl FeMemory {
     /// Writes the word at `addr` (does not touch the full/empty bit).
     pub fn write(&mut self, addr: u32, w: Word) {
         let i = self.index(addr);
+        self.written.note(addr);
         let (c, k) = self.chunk_mut(i);
         c.words[k] = w;
     }
@@ -163,6 +239,7 @@ impl FeMemory {
     /// Sets the full/empty bit at `addr`.
     pub fn set_fe(&mut self, addr: u32, full: bool) {
         let i = self.index(addr);
+        self.written.note(addr);
         let (c, k) = self.chunk_mut(i);
         c.set_fe_bit(k, full);
     }
@@ -180,6 +257,7 @@ impl FeMemory {
     /// open-loop ingress write).
     pub fn set_word_state(&mut self, addr: u32, w: Word, full: bool) {
         let i = self.index(addr);
+        self.written.note(addr);
         let (c, k) = self.chunk_mut(i);
         c.words[k] = w;
         c.set_fe_bit(k, full);
@@ -375,5 +453,25 @@ mod tests {
         m.write(4096, Word::fixnum(5));
         assert_eq!(m.read(4096), Word::fixnum(5));
         assert_eq!(m.len_bytes(), 4100);
+    }
+
+    #[test]
+    fn driver_writes_are_journaled_and_processor_accesses_are_not() {
+        let mut m = FeMemory::new(1 << 16);
+        m.apply_store(0x10, Word(1), StoreFlavor::NORMAL);
+        m.apply_load(0x14, LoadFlavor::ALL[3]);
+        assert!(!m.has_written(), "processor accesses");
+        m.write(0x20, Word(2));
+        m.set_fe(0x24, false);
+        let mut w = Written::default();
+        m.swap_written(&mut w);
+        assert!(w.covers(0x20) && w.covers(0x24) && !w.covers(0x10));
+        assert!(!m.has_written(), "the swap took the journal");
+        w.clear();
+        for k in 0..=JOURNAL_WORDS as u32 {
+            m.set_word_state(4 * k, Word(k), true);
+        }
+        m.swap_written(&mut w);
+        assert!(w.covers(0xfff0), "a full journal covers every word");
     }
 }
