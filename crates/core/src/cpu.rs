@@ -15,7 +15,7 @@
 //! charged here; handler bodies charge their own cycles through
 //! [`Cpu::charge_handler`].
 
-use crate::decoded::{eval_alu, exec, lower_instr, SafeAlu};
+use crate::decoded::{eval_alu, exec, lower_instr, InPlace, SafeAlu};
 use crate::frame::{FrameState, TaskFrame};
 use crate::isa::{AluOp, FpOp, Instr, Operand, Reg};
 use crate::memport::NoMemory;
@@ -396,14 +396,12 @@ impl Cpu {
         // share (`crate::decoded`); memory ops and the ops that could
         // trap fall through to the arms below.
         let fp = self.fp;
-        if exec(
-            &mut self.globals,
-            &mut self.frames[fp],
-            fp,
-            lower_instr(instr),
-            0,
-            &mut NoMemory,
-        ) {
+        let mut x = InPlace {
+            globals: &mut self.globals,
+            f: &mut self.frames[fp],
+        };
+        if let Some(next) = exec(&mut x, fp, lower_instr(instr), (pc, npc), 0, &mut NoMemory) {
+            (x.f.pc, x.f.npc) = (npc, next);
             self.stats.instructions += 1;
             self.stats.useful_cycles += 1;
             return StepEvent::Executed;

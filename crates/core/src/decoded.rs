@@ -49,7 +49,7 @@ use crate::word::Word;
 
 /// Upper bound on a single booked run, in instructions. Bounds how far
 /// a CPU's architectural state may run ahead of the machine clock
-/// (rewinding a cut run replays O(len) ops) and keeps the
+/// (cutting a run replays O(len) ops) and keeps the
 /// progress-signature plateau a booked run creates far below any
 /// plausible watchdog horizon.
 pub const MAX_RUN: u32 = 64;
@@ -238,15 +238,23 @@ fn reg_idx(r: Reg) -> RegIdx {
     }
 }
 
+/// A destination register's index: writes to `g0` go to the sink.
+fn dst_idx(r: Reg) -> RegIdx {
+    match r {
+        Reg::G(0) => SINK,
+        r => reg_idx(r),
+    }
+}
+
 /// `ins` as a run-ahead [`DecOp`], or [`DecOp::Other`].
 #[inline(always)]
 pub(crate) fn lower_instr(ins: Instr) -> DecOp {
     match ins {
         Instr::Nop => DecOp::Nop,
-        Instr::MovI { imm, d } => DecOp::MovI { d: reg_idx(d), imm },
+        Instr::MovI { imm, d } => DecOp::MovI { d: dst_idx(d), imm },
         Instr::FMovI { bits, fd } => DecOp::FMovI { fd, bits },
-        Instr::RdPsr { d } => DecOp::RdPsr { d: reg_idx(d) },
-        Instr::RdFp { d } => DecOp::RdFp { d: reg_idx(d) },
+        Instr::RdPsr { d } => DecOp::RdPsr { d: dst_idx(d) },
+        Instr::RdFp { d } => DecOp::RdFp { d: dst_idx(d) },
         Instr::Alu {
             op,
             s1,
@@ -257,7 +265,7 @@ pub(crate) fn lower_instr(ins: Instr) -> DecOp {
             let Some(op) = SafeAlu::of(op) else {
                 return DecOp::Other;
             };
-            let (s1, d) = (reg_idx(s1), reg_idx(d));
+            let (s1, d) = (reg_idx(s1), dst_idx(d));
             match s2 {
                 Operand::Reg(r) => DecOp::AluRR {
                     op,
@@ -280,12 +288,12 @@ pub(crate) fn lower_instr(ins: Instr) -> DecOp {
             Operand::Reg(r) => DecOp::JmplR {
                 s1: reg_idx(s1),
                 s2: reg_idx(r),
-                d: reg_idx(d),
+                d: dst_idx(d),
             },
             Operand::Imm(i) => DecOp::JmplI {
                 s1: reg_idx(s1),
                 imm: i as u32,
-                d: reg_idx(d),
+                d: dst_idx(d),
             },
         },
         Instr::Load {
@@ -297,7 +305,7 @@ pub(crate) fn lower_instr(ins: Instr) -> DecOp {
             flavor,
             a: reg_idx(a),
             offset: offset as u32,
-            d: reg_idx(d),
+            d: dst_idx(d),
         },
         Instr::Store {
             flavor,
@@ -348,22 +356,101 @@ impl DecodedProgram {
     }
 }
 
-#[inline(always)]
-fn rd(globals: &[Word; 8], f: &TaskFrame, r: RegIdx) -> Word {
-    if r < 8 {
-        globals[r as usize]
-    } else {
-        f.regs[(r - 8) as usize]
+/// The register-file index writes to `g0` lower to: a slot no op
+/// reads, so `g0` itself stays zero.
+const SINK: RegIdx = 40;
+
+/// What an op reads and writes besides memory: the registers by
+/// [`RegIdx`], the active frame's FP registers and PSR.
+pub(crate) trait Regs {
+    fn rd(&self, r: RegIdx) -> Word;
+    fn wr(&mut self, r: RegIdx, w: Word);
+    fn fregs(&mut self) -> &mut [u32; 8];
+    fn psr(&mut self) -> &mut Psr;
+}
+
+/// `step`'s view: the globals and the active frame, in place.
+pub(crate) struct InPlace<'a> {
+    pub(crate) globals: &'a mut [Word; 8],
+    pub(crate) f: &'a mut TaskFrame,
+}
+
+impl Regs for InPlace<'_> {
+    #[inline(always)]
+    fn rd(&self, r: RegIdx) -> Word {
+        if r < 8 {
+            self.globals[r as usize]
+        } else {
+            self.f.regs[(r - 8) as usize]
+        }
+    }
+
+    #[inline(always)]
+    fn wr(&mut self, r: RegIdx, w: Word) {
+        match r {
+            0 | SINK => {}
+            1..8 => self.globals[r as usize] = w,
+            _ => self.f.regs[(r - 8) as usize] = w,
+        }
+    }
+
+    #[inline(always)]
+    fn fregs(&mut self) -> &mut [u32; 8] {
+        &mut self.f.fregs
+    }
+
+    #[inline(always)]
+    fn psr(&mut self) -> &mut Psr {
+        &mut self.f.psr
     }
 }
 
-#[inline(always)]
-fn wr(globals: &mut [Word; 8], f: &mut TaskFrame, r: RegIdx, w: Word) {
-    if r >= 8 {
-        f.regs[(r - 8) as usize] = w;
-    } else if r != 0 {
-        // g0 is hardwired to zero; writes are discarded.
-        globals[r as usize] = w;
+/// A run's view: the globals and the active frame's registers copied
+/// into one array (`g0` at 0, never written; the sink at 40), so a
+/// register access is one index with no branch.
+#[derive(Debug, Clone)]
+struct Flat {
+    r: [Word; 41],
+    fregs: [u32; 8],
+    psr: Psr,
+}
+
+impl Flat {
+    fn load(&mut self, globals: &[Word; 8], f: &TaskFrame) {
+        self.r[..8].copy_from_slice(globals);
+        self.r[8..40].copy_from_slice(&f.regs);
+        self.fregs = f.fregs;
+        self.psr = f.psr;
+    }
+
+    fn store(&self, globals: &mut [Word; 8], f: &mut TaskFrame) {
+        debug_assert_eq!(self.r[0], Word::ZERO, "g0 was written");
+        globals[1..].copy_from_slice(&self.r[1..8]);
+        f.regs.copy_from_slice(&self.r[8..40]);
+        f.fregs = self.fregs;
+        f.psr = self.psr;
+    }
+}
+
+impl Regs for Flat {
+    #[inline(always)]
+    fn rd(&self, r: RegIdx) -> Word {
+        self.r[r as usize]
+    }
+
+    #[inline(always)]
+    fn wr(&mut self, r: RegIdx, w: Word) {
+        self.r[r as usize] = w;
+    }
+
+    #[inline(always)]
+    fn fregs(&mut self) -> &mut [u32; 8] {
+        &mut self.fregs
+    }
+
+    #[inline(always)]
+    fn psr(&mut self) -> &mut Psr {
+        &mut self.psr
     }
 }
 
@@ -414,27 +501,30 @@ fn address(base: Word, offset: u32) -> Option<u32> {
     (!base.is_future() && addr & 3 == 0).then_some(addr)
 }
 
-/// Executes `op`, the instruction at the PC of the active frame `f`
-/// (index `fp`), as op `k` of a run: its register, condition-code and
-/// PC-chain effects, its memory access through `mem`. Returns `false`,
-/// having changed nothing, when `op` is outside the run-ahead set, a
-/// tagged operand is a future, or the access would trap or `mem`
-/// declines it. The caller charges the ledger.
+/// Executes `op`, the instruction at `pc` with `npc` next in the PC
+/// chain of the active frame (index `fp`, registers `x`), as op `k` of
+/// a run: its register and condition-code effects, its memory access
+/// through `mem`. Returns the PC that follows `npc` — the caller moves
+/// the chain on to `(npc, returned)` — or `None`, having changed
+/// nothing, when `op` is outside the run-ahead set, a tagged operand
+/// is a future, or the access would trap or `mem` declines it. The
+/// caller charges the ledger. The chain stays in the caller's locals
+/// so that a run's next fetch never waits on a store.
 #[inline(always)]
 pub(crate) fn exec(
-    globals: &mut [Word; 8],
-    f: &mut TaskFrame,
+    x: &mut impl Regs,
     fp: usize,
     op: DecOp,
+    (pc, npc): (u32, u32),
     k: u32,
     mem: &mut impl RunMemory,
-) -> bool {
-    let mut npc = f.npc.wrapping_add(1);
+) -> Option<u32> {
+    let mut next = npc.wrapping_add(1);
     match op {
-        DecOp::Other => return false,
+        DecOp::Other => return None,
         DecOp::Nop => {}
-        DecOp::MovI { d, imm } => wr(globals, f, d, Word(imm)),
-        DecOp::FMovI { fd, bits } => f.fregs[(fd & 7) as usize] = bits,
+        DecOp::MovI { d, imm } => x.wr(d, Word(imm)),
+        DecOp::FMovI { fd, bits } => x.fregs()[(fd & 7) as usize] = bits,
         DecOp::AluRR {
             op,
             tagged,
@@ -442,13 +532,13 @@ pub(crate) fn exec(
             s2,
             d,
         } => {
-            let (a, b) = (rd(globals, f, s1), rd(globals, f, s2));
+            let (a, b) = (x.rd(s1), x.rd(s2));
             if tagged && (a.is_future() || b.is_future()) {
-                return false;
+                return None;
             }
             let (r, cc) = eval_alu(op, a.0, b.0);
-            wr(globals, f, d, Word(r));
-            f.psr.cc = cc;
+            x.wr(d, Word(r));
+            x.psr().cc = cc;
         }
         DecOp::AluRI {
             op,
@@ -457,32 +547,32 @@ pub(crate) fn exec(
             imm,
             d,
         } => {
-            let a = rd(globals, f, s1);
+            let a = x.rd(s1);
             if tagged && a.is_future() {
-                return false;
+                return None;
             }
             let (r, cc) = eval_alu(op, a.0, imm);
-            wr(globals, f, d, Word(r));
-            f.psr.cc = cc;
+            x.wr(d, Word(r));
+            x.psr().cc = cc;
         }
         DecOp::RdPsr { d } => {
-            let w = f.psr.to_word();
-            wr(globals, f, d, w);
+            let w = x.psr().to_word();
+            x.wr(d, w);
         }
-        DecOp::RdFp { d } => wr(globals, f, d, Word::fixnum(fp as i32)),
+        DecOp::RdFp { d } => x.wr(d, Word::fixnum(fp as i32)),
         DecOp::Branch { cond, offset } => {
-            if cond_holds(&f.psr, cond) {
-                npc = (f.pc as i64 + offset as i64) as u32;
+            if cond_holds(x.psr(), cond) {
+                next = (pc as i64 + offset as i64) as u32;
             }
         }
         DecOp::JmplR { s1, s2, d } => {
-            npc = rd(globals, f, s1).0.wrapping_add(rd(globals, f, s2).0);
+            next = x.rd(s1).0.wrapping_add(x.rd(s2).0);
             // Link value: the instruction after the delay slot, raw.
-            wr(globals, f, d, Word(f.pc.wrapping_add(2)));
+            x.wr(d, Word(pc.wrapping_add(2)));
         }
         DecOp::JmplI { s1, imm, d } => {
-            npc = rd(globals, f, s1).0.wrapping_add(imm);
-            wr(globals, f, d, Word(f.pc.wrapping_add(2)));
+            next = x.rd(s1).0.wrapping_add(imm);
+            x.wr(d, Word(pc.wrapping_add(2)));
         }
         DecOp::Load {
             flavor,
@@ -490,15 +580,11 @@ pub(crate) fn exec(
             offset,
             d,
         } => {
-            let Some(addr) = address(rd(globals, f, a), offset) else {
-                return false;
-            };
-            let Some((word, fe)) = mem.load(k, addr, flavor) else {
-                return false;
-            };
-            wr(globals, f, d, word);
+            let addr = address(x.rd(a), offset)?;
+            let (word, fe) = mem.load(k, addr, flavor)?;
+            x.wr(d, word);
             if !flavor.fe_trap {
-                f.psr.fe_cond = fe;
+                x.psr().fe_cond = fe;
             }
         }
         DecOp::Store {
@@ -507,69 +593,49 @@ pub(crate) fn exec(
             offset,
             s,
         } => {
-            let Some(addr) = address(rd(globals, f, a), offset) else {
-                return false;
-            };
-            let Some(fe) = mem.store(k, addr, rd(globals, f, s), flavor) else {
-                return false;
-            };
+            let addr = address(x.rd(a), offset)?;
+            let fe = mem.store(k, addr, x.rd(s), flavor)?;
             if !flavor.fe_trap {
-                f.psr.fe_cond = fe;
+                x.psr().fe_cond = fe;
             }
         }
         DecOp::LdF { a, offset, fd } => {
-            let Some(addr) = address(rd(globals, f, a), offset) else {
-                return false;
-            };
-            let Some((word, _)) = mem.load(k, addr, LoadFlavor::NORMAL) else {
-                return false;
-            };
-            f.fregs[(fd & 7) as usize] = word.0;
+            let addr = address(x.rd(a), offset)?;
+            let (word, _) = mem.load(k, addr, LoadFlavor::NORMAL)?;
+            x.fregs()[(fd & 7) as usize] = word.0;
         }
         DecOp::StF { fs, a, offset } => {
-            let Some(addr) = address(rd(globals, f, a), offset) else {
-                return false;
-            };
-            let value = Word(f.fregs[(fs & 7) as usize]);
-            if mem.store(k, addr, value, StoreFlavor::NORMAL).is_none() {
-                return false;
-            }
+            let addr = address(x.rd(a), offset)?;
+            let value = Word(x.fregs()[(fs & 7) as usize]);
+            mem.store(k, addr, value, StoreFlavor::NORMAL)?;
         }
     }
-    f.pc = f.npc;
-    f.npc = npc;
-    true
+    Some(next)
 }
 
-/// Runs `f` ahead through at most `max` ops of `ops`, stopping before
-/// the first op [`exec`] refuses or past the end of the text. Returns
-/// how many ops executed.
-#[inline(always)]
-fn run(
-    globals: &mut [Word; 8],
-    f: &mut TaskFrame,
-    fp: usize,
-    ops: &[DecOp],
-    max: u32,
-    mem: &mut impl RunMemory,
-) -> u32 {
-    let mut k = 0;
-    while k < max {
-        match ops.get(f.pc as usize) {
-            Some(&op) if exec(globals, f, fp, op, k, mem) => k += 1,
-            _ => break,
+/// A run's result: the registers, condition codes and PC chain of the
+/// active frame and the globals after the ops it executed, held apart
+/// from the processor until [`Cpu::commit_run`] installs them. A
+/// machine keeps one per booked run.
+#[derive(Debug, Clone)]
+pub struct RunState {
+    x: Flat,
+    pc: u32,
+    npc: u32,
+}
+
+impl Default for RunState {
+    fn default() -> RunState {
+        RunState {
+            x: Flat {
+                r: [Word::ZERO; 41],
+                fregs: [0; 8],
+                psr: Psr::default(),
+            },
+            pc: 0,
+            npc: 0,
         }
     }
-    k
-}
-
-/// What a run can change: the active frame and the globals. A machine
-/// keeps the state a run started from, so that a cut can rewind to it
-/// and replay the ops before the cut.
-#[derive(Debug, Clone, Default)]
-pub struct RunStart {
-    frame: TaskFrame,
-    globals: [Word; 8],
 }
 
 impl Cpu {
@@ -581,57 +647,58 @@ impl Cpu {
         !self.halted && self.irqs.is_empty() && self.frames[self.fp].state == FrameState::Ready
     }
 
-    /// Runs ahead: executes up to `max` ops from the active frame's PC,
-    /// one per cycle, stopping before the first op outside the
-    /// run-ahead set, one that would trap, or one whose access `mem`
-    /// declines. Registers, condition codes and the PC chain end up
-    /// bit-identical to that many consecutive [`Cpu::step`] calls; the
-    /// ledger is not charged (see [`Cpu::retire_run`]). Returns the
-    /// number of ops executed: `0` when the processor is halted, has an
-    /// interrupt pending, or has no ready active frame.
-    pub fn run_ahead(&mut self, dec: &DecodedProgram, max: u32, mem: &mut impl RunMemory) -> u32 {
+    /// Runs ahead on a copy: executes up to `max` ops from the active
+    /// frame's PC, one per cycle, into `out`, stopping before the first
+    /// op outside the run-ahead set, one that would trap, or one whose
+    /// access `mem` declines. Returns the number of ops executed: `0`
+    /// when the processor is halted, has an interrupt pending, or has
+    /// no ready active frame. The processor itself is untouched;
+    /// [`Cpu::commit_run`] leaves it bit-identical to that many
+    /// consecutive [`Cpu::step`] calls.
+    pub fn run_ahead(
+        &self,
+        dec: &DecodedProgram,
+        max: u32,
+        mem: &mut impl RunMemory,
+        out: &mut RunState,
+    ) -> u32 {
         if !self.can_run_ahead() {
             return 0;
         }
-        let fp = self.fp;
-        let Cpu {
-            frames, globals, ..
-        } = self;
-        run(globals, &mut frames[fp], fp, &dec.ops, max, mem)
+        let f = &self.frames[self.fp];
+        out.x.load(&self.globals, f);
+        let (mut pc, mut npc, mut k) = (f.pc, f.npc, 0);
+        while k < max {
+            let Some(&op) = dec.ops.get(pc as usize) else {
+                break;
+            };
+            let Some(next) = exec(&mut out.x, self.fp, op, (pc, npc), k, mem) else {
+                break;
+            };
+            (pc, npc, k) = (npc, next, k + 1);
+        }
+        (out.pc, out.npc) = (pc, npc);
+        k
     }
 
-    /// Charges `n` ops executed ahead: `n` instructions and `n` useful
-    /// cycles. The memory ops among them are charged as their accesses
-    /// retire, by whoever applies them.
-    pub fn retire_run(&mut self, n: u32) {
+    /// Installs the state of `n` ops [`Cpu::run_ahead`] executed from
+    /// the processor's current state, and charges them: `n`
+    /// instructions and `n` useful cycles. The memory ops among them
+    /// are charged as their accesses retire, by whoever applies them.
+    pub fn commit_run(&mut self, run: &RunState, n: u32) {
+        let f = &mut self.frames[self.fp];
+        run.x.store(&mut self.globals, f);
+        (f.pc, f.npc) = (run.pc, run.npc);
         self.stats.instructions += n as u64;
         self.stats.useful_cycles += n as u64;
     }
 
-    /// Saves the state a run from here can change into `start`.
-    pub fn save_run_start(&self, start: &mut RunStart) {
-        start.frame.clone_from(&self.frames[self.fp]);
-        start.globals = self.globals;
-    }
-
-    /// Puts back the state [`Cpu::save_run_start`] saved: undoes a run
-    /// (the frame pointer must not have moved since).
-    pub fn rewind(&mut self, start: &RunStart) {
-        self.frames[self.fp].clone_from(&start.frame);
-        self.globals = start.globals;
-    }
-
     /// Length of the register-only run the processor could run ahead
-    /// right now (capped at [`MAX_RUN`]), found on a copy of its state:
-    /// `0` when it is halted, has an interrupt pending, has no ready
-    /// active frame, or the op at its PC is a memory op or outside the
-    /// run-ahead set.
+    /// right now (capped at [`MAX_RUN`]): `0` when it is halted, has an
+    /// interrupt pending, has no ready active frame, or the op at its
+    /// PC is a memory op or outside the run-ahead set.
     pub fn bookable_run(&self, dec: &DecodedProgram) -> u32 {
-        if !self.can_run_ahead() {
-            return 0;
-        }
-        let (mut f, mut g) = (self.frames[self.fp].clone(), self.globals);
-        run(&mut g, &mut f, self.fp, &dec.ops, MAX_RUN, &mut NoMemory)
+        self.run_ahead(dec, MAX_RUN, &mut NoMemory, &mut RunState::default())
     }
 
     /// Executes and retires the next `n` register-only ops, which
@@ -642,9 +709,10 @@ impl Cpu {
     ///
     /// Panics if fewer than `n` ops could run.
     pub fn run_decoded(&mut self, dec: &DecodedProgram, n: u32) {
-        let done = self.run_ahead(dec, n, &mut NoMemory);
+        let mut run = RunState::default();
+        let done = self.run_ahead(dec, n, &mut NoMemory, &mut run);
         assert_eq!(done, n, "run_decoded past the bookable run");
-        self.retire_run(n);
+        self.commit_run(&run, n);
     }
 }
 
@@ -653,6 +721,7 @@ mod tests {
     use super::*;
     use crate::cpu::CpuConfig;
     use crate::isa::asm::assemble;
+    use crate::memport::{AccessCtx, LoadReply, StoreReply};
 
     #[test]
     fn lowering_classifies_the_run_ahead_set() {
@@ -722,17 +791,34 @@ mod tests {
     }
 
     #[test]
-    fn rewind_undoes_a_run() {
-        let prog = assemble("movi 5, r1\nmovi 6, g1\njmp 0\nnop").unwrap();
+    fn running_ahead_leaves_the_processor_until_the_commit() {
+        let prog = assemble("movi 5, r1\nmovi 6, g1\nmovi 7, g0\njmp 0\nnop").unwrap();
         let dec = DecodedProgram::lower(&prog);
         let mut cpu = Cpu::new(CpuConfig::default());
         cpu.boot(0);
-        let before = (cpu.active_frame().clone(), cpu.get_reg(Reg::G(1)));
-        let mut start = RunStart::default();
-        cpu.save_run_start(&mut start);
-        assert_eq!(cpu.run_ahead(&dec, 10, &mut NoMemory), 10);
-        cpu.rewind(&start);
-        assert_eq!((cpu.active_frame().clone(), cpu.get_reg(Reg::G(1))), before);
-        assert_eq!(cpu.stats.instructions, 0, "running ahead charges nothing");
+        let before = cpu.active_frame().clone();
+        let mut run = RunState::default();
+        assert_eq!(cpu.run_ahead(&dec, 10, &mut NoMemory, &mut run), 10);
+        assert_eq!(cpu.active_frame(), &before, "running ahead changes nothing");
+        assert_eq!(cpu.stats.instructions, 0, "and charges nothing");
+        cpu.commit_run(&run, 10);
+        struct Unused;
+        impl crate::memport::MemoryPort for Unused {
+            fn load(&mut self, _: u32, _: LoadFlavor, _: AccessCtx) -> LoadReply {
+                unreachable!("the program has no loads")
+            }
+            fn store(&mut self, _: u32, _: Word, _: StoreFlavor, _: AccessCtx) -> StoreReply {
+                unreachable!("the program has no stores")
+            }
+        }
+        let mut stepped = Cpu::new(CpuConfig::default());
+        stepped.boot(0);
+        for _ in 0..10 {
+            stepped.step(&prog, &mut Unused);
+        }
+        assert_eq!(cpu.active_frame(), stepped.active_frame());
+        assert_eq!(cpu.get_reg(Reg::G(1)), Word(6));
+        assert_eq!(cpu.get_reg(Reg::G(0)), Word::ZERO, "g0 stays zero");
+        assert_eq!(cpu.stats, stepped.stats);
     }
 }

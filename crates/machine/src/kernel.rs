@@ -20,7 +20,7 @@ use crate::config::MachineConfig;
 use crate::traffic::{inject_due, record_retire};
 use crate::watchdog::MachineFault;
 use april_core::cpu::StepEvent;
-use april_core::decoded::{DecOp, RunStart, MAX_RUN};
+use april_core::decoded::{DecOp, RunState, MAX_RUN};
 use april_core::isa::{LoadFlavor, StoreFlavor};
 use april_core::memport::RunMemory;
 use april_core::word::Word;
@@ -95,23 +95,24 @@ pub(crate) fn proto_words(n: &Node) -> (u64, u64) {
 }
 
 /// A node's booked run (DESIGN.md §13). At cycle `start` the CPU ran
-/// ahead through `len` ops, one per cycle over `start .. start + len`:
-/// their register effects are on the CPU already, and the scheduler
-/// charged the whole span up front (`ready_at = start + len`). Their
-/// memory effects — the word written, the cache's access, the hit and
-/// memory-op counts — wait in `mem` and are applied as the clock
-/// passes each op's cycle ([`Alewife::apply_mem`]). The run retires at
-/// the next visit, or is *cut* at an earlier cycle the moment anything
-/// could observe or perturb what it did (a delivery addressed to its
-/// CPU, a driver mutation, a checkpoint, a write to a word it accesses
-/// later): the CPU rewinds to `from`, the state it started from, and
-/// replays the ops before the cut with the values their loads read.
+/// ahead, on a copy, through `len` ops, one per cycle over `start ..
+/// start + len`, and the scheduler charged the whole span up front
+/// (`ready_at = start + len`). The copy's end state, `end`, is
+/// installed at the next visit. Their memory effects — the word
+/// written, the cache's access, the hit and memory-op counts — wait in
+/// `mem` and are applied as the clock passes each op's cycle
+/// ([`Alewife::apply_mem`]). A run is *cut* at an earlier cycle the
+/// moment anything could observe or perturb what it did (a delivery
+/// addressed to its CPU, a driver mutation, a checkpoint, a write to a
+/// word it accesses later): the ops before the cut are replayed from
+/// the untouched CPU with the values their loads read, and the rest
+/// dropped.
 #[derive(Debug, Default)]
 pub(crate) struct Run {
     pub(crate) start: u64,
     /// `0` while no run is open.
     pub(crate) len: u32,
-    from: RunStart,
+    end: RunState,
     /// The run's memory ops in program order.
     mem: Vec<MemOp>,
     /// How many of `mem` have been applied.
@@ -421,11 +422,10 @@ impl Alewife {
             .enumerate()
             .all(|(j, op)| (op.k < done) == (j < run.applied)));
         if done < run.len {
-            cpu.rewind(&run.from);
-            let redone = cpu.run_ahead(&self.dec, done, &mut Replay(run.mem.iter()));
+            let redone = cpu.run_ahead(&self.dec, done, &mut Replay(run.mem.iter()), &mut run.end);
             debug_assert_eq!(redone, done, "a replay runs as far as the run did");
         }
-        cpu.retire_run(done);
+        cpu.commit_run(&run.end, done);
         self.sched.materialized(run.start, done);
         run.close();
         self.sched.mem.set(i, u64::MAX);
@@ -505,7 +505,7 @@ impl Alewife {
 
     /// Runs `act` on every node whose word in `wake(self)` is at most
     /// `c`, in index order, skipping blocks whose bound is past `c`; a
-    /// block scanned with nothing due gets its exact bound.
+    /// scanned block gets its exact bound.
     fn for_each_due(
         &mut self,
         c: u64,
@@ -517,18 +517,17 @@ impl Alewife {
             if wake(self).bound(start) > c {
                 continue;
             }
-            let (mut min, mut acted) = (u64::MAX, false);
+            let mut min = u64::MAX;
             for k in start..(start + BLOCK).min(n) {
-                let word = wake(self).get(k);
+                let mut word = wake(self).get(k);
                 if word <= c {
+                    // `act` rewrites node `k`'s word and no other.
                     act(self, k);
-                    acted = true;
+                    word = wake(self).get(k);
                 }
                 min = min.min(word);
             }
-            if !acted {
-                wake(self).set_bound(start, min);
-            }
+            wake(self).set_bound(start, min);
         }
     }
 
@@ -661,20 +660,21 @@ impl Alewife {
         // never books: it is the per-instruction referee.
         let run = &mut self.runs[i];
         if run.is_open() {
-            node.cpu.retire_run(run.len);
+            node.cpu.commit_run(&run.end, run.len);
             self.sched.materialized(run.start, run.len);
             run.close();
         }
         let pc = node.cpu.active_frame().pc;
         if !self.cfg.lockstep && self.dec.op(pc).is_some_and(|op| op != DecOp::Other) {
-            node.cpu.save_run_start(&mut run.from);
             let mut ahead = Ahead {
                 ctl: &node.ctl,
                 frame: node.cpu.fp(),
                 mem: &self.mem,
                 ops: &mut run.mem,
             };
-            let len = node.cpu.run_ahead(&self.dec, MAX_RUN, &mut ahead);
+            let len = node
+                .cpu
+                .run_ahead(&self.dec, MAX_RUN, &mut ahead, &mut run.end);
             if len > 0 {
                 (run.start, run.len) = (c, len);
                 run.mask = run.mem.iter().fold(0, |m, op| m | Written::mask(op.addr));
