@@ -71,6 +71,14 @@ stage "lockstep/event scheduler equivalence (3 fault seeds)"
 # scheduler's booked runs.
 cargo test -q --release -p april-machine --test lockstep_vs_skip
 
+stage "booked runs against step and lockstep (release)"
+# The CPU referee's 2,000-seed sweep of compiled-code-shaped programs
+# (branches, calls, tagged ops, every load and store flavor, seeded
+# misses) through run-ahead and through Cpu::step, and the Mul-T stack
+# checkpointed at eight cuts under both schedulers, byte for byte.
+cargo test -q --release -p april-core --test decoded_prop
+cargo test -q --release --test snapshot_cuts
+
 stage "the paper's programs on the paper's machine (release)"
 # Mul-T under Runtime<Alewife> on 2x2x2, 4x4 and 5x5 meshes whose
 # direct-mapped caches alias every node's run-time layout: the five
