@@ -10,7 +10,7 @@
 //! scheduler can *run ahead* ([`Cpu::run_ahead`]): execute op after op
 //! in one tight loop, one op per cycle, until the first op that could
 //! do any of those things. `step` runs every run-ahead op through the
-//! same per-op [`exec`] as the run loop.
+//! same per-op `exec` as the run loop.
 //!
 //! # The run-ahead set
 //!

@@ -954,6 +954,10 @@ impl Machine for Alewife {
         self.advance_to(target, evs);
     }
 
+    fn advance_until(&mut self, cap: u64, evs: &mut Vec<(usize, StepEvent)>) {
+        self.advance_capped(cap, evs);
+    }
+
     fn cpu(&self, i: usize) -> &Cpu {
         &self.nodes[i].cpu
     }

@@ -107,7 +107,7 @@ pub(crate) fn proto_words(n: &Node) -> (u64, u64) {
 /// word it accesses later): the ops before the cut are replayed from
 /// the untouched CPU with the values their loads read, and the rest
 /// dropped.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Run {
     pub(crate) start: u64,
     /// `0` while no run is open.
@@ -119,6 +119,27 @@ pub(crate) struct Run {
     applied: usize,
     /// The [`Written::mask`]s of the words `mem` accesses, ORed.
     mask: u64,
+    /// The most ops the node's next run may take. A cut run's node
+    /// next books at most twice the ops that survived; a run that
+    /// retires whole lets the next one take twice as many, up to
+    /// [`MAX_RUN`]. Any length is exact: this only bounds the work a
+    /// cut throws away where a line is contended, a cut every few
+    /// cycles.
+    cap: u32,
+}
+
+impl Default for Run {
+    fn default() -> Run {
+        Run {
+            start: 0,
+            len: 0,
+            end: RunState::default(),
+            mem: Vec::new(),
+            applied: 0,
+            mask: 0,
+            cap: MAX_RUN,
+        }
+    }
 }
 
 impl Run {
@@ -427,6 +448,7 @@ impl Alewife {
         }
         cpu.commit_run(&run.end, done);
         self.sched.materialized(run.start, done);
+        run.cap = (2 * done).clamp(1, MAX_RUN);
         run.close();
         self.sched.mem.set(i, u64::MAX);
     }
@@ -662,6 +684,7 @@ impl Alewife {
         if run.is_open() {
             node.cpu.commit_run(&run.end, run.len);
             self.sched.materialized(run.start, run.len);
+            run.cap = (2 * run.cap).min(MAX_RUN);
             run.close();
         }
         let pc = node.cpu.active_frame().pc;
@@ -674,7 +697,7 @@ impl Alewife {
             };
             let len = node
                 .cpu
-                .run_ahead(&self.dec, MAX_RUN, &mut ahead, &mut run.end);
+                .run_ahead(&self.dec, run.cap, &mut ahead, &mut run.end);
             if len > 0 {
                 (run.start, run.len) = (c, len);
                 run.mask = run.mem.iter().fold(0, |m, op| m | Written::mask(op.addr));

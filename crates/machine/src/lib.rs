@@ -81,6 +81,17 @@ pub trait Machine {
     /// allocation-free.
     fn advance_into(&mut self, evs: &mut Vec<(usize, StepEvent)>);
 
+    /// Like [`Machine::advance_into`], but never past cycle `cap`,
+    /// which must lie ahead of [`Machine::now`]: a machine that skips
+    /// idle cycles lands on `cap` instead of jumping over it, so a
+    /// driver can stop at an exact cycle. The provided body is
+    /// `advance_into`, exact for machines that advance one cycle at a
+    /// time.
+    fn advance_until(&mut self, cap: u64, evs: &mut Vec<(usize, StepEvent)>) {
+        let _ = cap;
+        self.advance_into(evs);
+    }
+
     /// Processor `i`.
     fn cpu(&self, i: usize) -> &Cpu;
 

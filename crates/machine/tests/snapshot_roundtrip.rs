@@ -282,7 +282,7 @@ fn golden_checkpoint_bytes_are_pinned() {
     let bytes = m.checkpoint().unwrap().as_bytes().to_vec();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (56_473, 0x3fe3_9379_2463_d7cb)
+        (56_473, 0x1cae_def6_f0fe_5b03)
     );
 }
 

@@ -276,7 +276,9 @@ impl<M: Machine> Runtime<M> {
     }
 
     /// Runs until the program completes *or* the machine clock reaches
-    /// `stop_at`, whichever happens first. `Ok(None)` means the clock
+    /// `stop_at`, whichever happens first; a machine that skips idle
+    /// cycles lands on `stop_at` exactly ([`Machine::advance_until`]).
+    /// `Ok(None)` means the clock
     /// got there with the program still in flight — the natural moment
     /// to take a [`Runtime::checkpoint`]. Because the advance sequence
     /// is deterministic, stopping and resuming (or stopping,
@@ -306,7 +308,7 @@ impl<M: Machine> Runtime<M> {
             if self.machine.now() > self.cfg.max_cycles {
                 return Err(RunError::CycleLimit(self.cfg.max_cycles));
             }
-            self.machine.advance_into(&mut evs);
+            self.machine.advance_until(stop_at, &mut evs);
             // Idle processors look for work before any handler of this
             // cycle runs: work published in a cycle is picked up from
             // the next one, whatever the node numbering, as concurrent

@@ -109,7 +109,7 @@ fn golden_runtime_snapshot_bytes_are_pinned() {
     let bytes = golden_bytes();
     assert_eq!(
         (bytes.len(), digest64(&bytes)),
-        (28_283, 0x6070_0270_e43e_f499)
+        (28_283, 0xe34a_d23d_b625_bd82)
     );
 }
 

@@ -4,10 +4,9 @@
 //! would miss a slip in a cache's LRU stamps or access counters, or a
 //! line's dirty state; the whole `RuntimeSnapshot` does not.
 //!
-//! Each program runs once under the skip and once under lockstep. The
-//! skip stops at eight cuts spread over its run (`Runtime::run_until`
-//! stops at the first cycle it visits at or past each), lockstep stops
-//! at the same cycles, and the two checkpoints must be byte-identical.
+//! Each program runs once under the skip and once under lockstep; both
+//! stop at eight cuts spread over the run (`Runtime::run_until` lands
+//! on each exactly), and the two checkpoints must be byte-identical.
 
 use april::core::program::Program;
 use april::machine::alewife::Alewife;
@@ -52,10 +51,11 @@ fn agree_at_cuts(mesh: (usize, usize), src: &str, opts: &CompileOptions) {
     let mut skip = runtime(mesh, &prog, false);
     let mut lockstep = runtime(mesh, &prog, true);
     for k in 1..=8 {
-        assert!(skip.run_until(k * total / 9).expect("runs").is_none());
-        let cut = skip.machine().now();
-        assert!(lockstep.run_until(cut).expect("runs").is_none());
-        assert_eq!(lockstep.machine().now(), cut);
+        let cut = k * total / 9;
+        for rt in [&mut skip, &mut lockstep] {
+            assert!(rt.run_until(cut).expect("runs").is_none());
+            assert_eq!(rt.machine().now(), cut);
+        }
         let (a, b) = (lockstep.checkpoint().unwrap(), skip.checkpoint().unwrap());
         assert_eq!(
             first_difference(&a, &b),
