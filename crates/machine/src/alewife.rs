@@ -105,7 +105,7 @@ pub struct Alewife {
     /// Each node's booked run (DESIGN.md §13), kept beside the nodes
     /// rather than in them: a run's record is large and a node's size
     /// is a measured cost. Scheduler bookkeeping, never snapshotted:
-    /// restores close every run.
+    /// a restore starts every node afresh.
     pub(crate) runs: Vec<Run>,
     pub(crate) cfg: MachineConfig,
     pub(crate) ready_at: Vec<u64>,

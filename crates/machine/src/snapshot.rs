@@ -27,6 +27,7 @@
 
 use crate::alewife::{Alewife, Env};
 use crate::config::MachineConfig;
+use crate::kernel::Run;
 use crate::traffic::NodeTraffic;
 use crate::watchdog::Watchdog;
 use april_core::program::Program;
@@ -479,7 +480,7 @@ impl Alewife {
         // Booked runs are scheduler bookkeeping over pre-restore state;
         // snapshots are always settled, so none can survive a restore.
         for r in &mut self.runs {
-            r.close();
+            *r = Run::default();
         }
         self.mem.swap_written(&mut Written::default());
         self.rebuild_schedule();
