@@ -12,6 +12,7 @@
 //! Usage: `postmortem [--quick]`
 
 use april_bench::run_ideal;
+use april_mult::interp::interpret;
 use april_mult::postmortem::{schedule, PmConfig};
 use april_mult::trace::trace_program;
 use april_mult::{programs, CompileOptions};
@@ -30,7 +31,8 @@ fn main() {
         ("queens", programs::queens(queens_n)),
         ("factor", programs::factor(if quick { 60 } else { 150 })),
     ] {
-        let (trace, _) = trace_program(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (trace, value) = trace_program(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(Ok(value), interpret(&src), "{name}: traced value");
         println!(
             "{name}: {} tasks, {} total work units in the trace",
             trace.len(),
@@ -40,13 +42,10 @@ fn main() {
             "{:>6} {:>14} {:>14} {:>10}",
             "procs", "post-mortem", "exec-driven", "gap"
         );
-        // Calibrate overheads to the runtime's eager-task costs in
-        // work units (1 work unit ~ 10 cycles of compiled code).
-        let cfg = PmConfig {
-            spawn_overhead: 10,
-            touch_overhead: 2,
-            block_overhead: 10,
-        };
+        // The default overheads are calibrated to the runtime's
+        // eager-task costs in work units (1 work unit ~ 10 cycles of
+        // compiled code).
+        let cfg = PmConfig::default();
         let pm1 = schedule(&trace, 1, cfg).makespan as f64;
         let ex1 = run_ideal(&src, &CompileOptions::april(), 1).cycles as f64;
         for &p in &procs {

@@ -1,12 +1,19 @@
-//! A reference interpreter for Mul-T.
+//! The Mul-T evaluator: the reference interpreter, which can also
+//! record the task graph of Figure 4's trace-driven path.
 //!
 //! Direct-style evaluation of the AST with sequential future semantics
 //! (a `future` evaluates its body in place, exactly the deterministic
 //! value every parallel schedule must produce). The compiler and
 //! run-time system are differentially tested against this oracle in
 //! `tests/differential.rs`.
+//!
+//! [`trace_program`] runs the same evaluator with a recorder: each
+//! `future` becomes a task, each `eval` one work unit of the running
+//! task, and each strict use of a future's value a touch of its task
+//! (see [`crate::trace`]).
 
 use crate::ast::{Definition, Expr, Prim, ProgramAst};
+use crate::trace::{ParallelTrace, TaskTrace, TraceEvent};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -27,6 +34,9 @@ pub enum Value {
     Vector(Rc<RefCell<Vec<Value>>>),
     /// A closure: parameters, body, captured environment.
     Closure(Rc<ClosureVal>),
+    /// A recorded future: the task that computed it and its value.
+    /// Only a recording run builds one.
+    Future(Rc<(usize, Value)>),
 }
 
 /// A closure value.
@@ -98,6 +108,7 @@ impl PartialEq for Value {
             (Value::Pair(a), Value::Pair(b)) => Rc::ptr_eq(a, b),
             (Value::Vector(a), Value::Vector(b)) => Rc::ptr_eq(a, b),
             (Value::Closure(a), Value::Closure(b)) => Rc::ptr_eq(a, b),
+            (Value::Future(a), Value::Future(b)) => Rc::ptr_eq(a, b),
             _ => false,
         }
     }
@@ -112,6 +123,7 @@ impl fmt::Display for Value {
             Value::Pair(p) => write!(f, "({} . {})", p.0, p.1),
             Value::Vector(v) => write!(f, "#({} elems)", v.borrow().len()),
             Value::Closure(_) => write!(f, "#<procedure>"),
+            Value::Future(t) => write!(f, "#<future {}: {}>", t.0, t.1),
         }
     }
 }
@@ -135,6 +147,15 @@ pub struct Interp {
     pub prints: Vec<Value>,
     fuel: u64,
     depth: u32,
+    rec: Option<Recorder>,
+}
+
+/// The task graph being recorded: the running task, and the fuel left
+/// when its open segment began (one unit per `eval`).
+struct Recorder {
+    trace: ParallelTrace,
+    task: usize,
+    mark: u64,
 }
 
 impl Interp {
@@ -149,6 +170,7 @@ impl Interp {
             prints: Vec::new(),
             fuel: 200_000_000,
             depth: 0,
+            rec: None,
         }
     }
 
@@ -163,7 +185,29 @@ impl Interp {
             .get("main")
             .cloned()
             .ok_or_else(|| InterpError("no main".into()))?;
-        self.call_def(&main, Vec::new())
+        let v = self.call_def(&main, Vec::new())?;
+        let v = self.strict(v);
+        self.close_segment();
+        Ok(v)
+    }
+
+    /// Ends the running task's open segment, when recording, and
+    /// returns that task.
+    fn close_segment(&mut self) -> Option<&mut TaskTrace> {
+        let r = self.rec.as_mut()?;
+        let task = &mut r.trace.tasks[r.task];
+        task.segments.push(r.mark - self.fuel);
+        r.mark = self.fuel;
+        Some(task)
+    }
+
+    /// A strict use of `v`: a future is touched, recording the edge, and
+    /// yields its value.
+    fn strict(&mut self, v: Value) -> Value {
+        let Value::Future(f) = v else { return v };
+        let task = self.close_segment().expect("only recording makes futures");
+        task.events.push(TraceEvent::Touch(f.0));
+        f.1.clone()
     }
 
     fn call_def(&mut self, d: &Definition, args: Vec<Value>) -> Result<Value, InterpError> {
@@ -186,18 +230,11 @@ impl Interp {
             return Err(InterpError("recursion too deep".into()));
         }
         self.depth += 1;
-        let mut last = Value::Bool(false);
-        for e in body {
-            match self.eval(e, env) {
-                Ok(v) => last = v,
-                Err(e) => {
-                    self.depth -= 1;
-                    return Err(e);
-                }
-            }
-        }
+        let last = body
+            .iter()
+            .try_fold(Value::Bool(false), |_, e| self.eval(e, env));
         self.depth -= 1;
-        Ok(last)
+        last
     }
 
     fn eval(&mut self, e: &Expr, env: &Env) -> Result<Value, InterpError> {
@@ -223,7 +260,8 @@ impl Interp {
                 Err(InterpError(format!("unbound variable {name}")))
             }
             Expr::If(c, t, f) => {
-                if self.eval(c, env)?.is_truthy() {
+                let c = self.eval(c, env)?;
+                if self.strict(c).is_truthy() {
                     self.eval(t, env)
                 } else {
                     self.eval(f, env)
@@ -238,22 +276,16 @@ impl Interp {
                 self.eval_body(body, &env)
             }
             Expr::Begin(es) => self.eval_body(es, env),
-            Expr::And(es) => {
-                let mut last = Value::Bool(true);
-                for e in es {
-                    last = self.eval(e, env)?;
-                    if !last.is_truthy() {
-                        return Ok(last);
-                    }
-                }
-                Ok(last)
-            }
-            Expr::Or(es) => {
-                let mut last = Value::Bool(false);
-                for e in es {
-                    last = self.eval(e, env)?;
-                    if last.is_truthy() {
-                        return Ok(last);
+            Expr::And(es) | Expr::Or(es) => {
+                // `and` stops at the first false operand, `or` at the
+                // first true one.
+                let or = matches!(e, Expr::Or(_));
+                let mut last = Value::Bool(!or);
+                for x in es {
+                    let v = self.eval(x, env)?;
+                    last = self.strict(v);
+                    if last.is_truthy() == or {
+                        break;
                     }
                 }
                 Ok(last)
@@ -281,7 +313,7 @@ impl Interp {
                     .iter()
                     .map(|a| self.eval(a, env))
                     .collect::<Result<Vec<_>, _>>()?;
-                match fv {
+                match self.strict(fv) {
                     Value::Closure(c) => {
                         if c.params.len() != args.len() {
                             return Err(InterpError("arity mismatch".into()));
@@ -302,18 +334,44 @@ impl Interp {
                     .collect::<Result<Vec<_>, _>>()?;
                 self.prim(*p, args)
             }
-            // Sequential future semantics: evaluate in place.
+            // Sequential future semantics: evaluate in place, as the
+            // child task when recording.
             Expr::Future(e, on) => {
                 if let Some(node) = on {
                     self.eval(node, env)?;
                 }
-                self.eval(e, env)
+                let Some(r) = &mut self.rec else {
+                    return self.eval(e, env);
+                };
+                let (parent, child) = (r.task, r.trace.tasks.len());
+                r.trace.tasks.push(TaskTrace::default());
+                let task = self.close_segment().expect("recording");
+                task.events.push(TraceEvent::Spawn(child));
+                self.rec.as_mut().expect("recording").task = child;
+                let v = self.eval(e, env)?;
+                let v = self.strict(v);
+                self.close_segment();
+                self.rec.as_mut().expect("recording").task = parent;
+                Ok(Value::Future(Rc::new((child, v))))
             }
-            Expr::Touch(e) => self.eval(e, env),
+            Expr::Touch(e) => {
+                let v = self.eval(e, env)?;
+                Ok(self.strict(v))
+            }
         }
     }
 
     fn prim(&mut self, p: Prim, args: Vec<Value>) -> Result<Value, InterpError> {
+        // Every operand is strict but `cons`'s, which stores a future's
+        // value without a touch: the trace loses that edge, one reason
+        // §7 prefers execution-driven simulation.
+        let args: Vec<Value> = args
+            .into_iter()
+            .map(|a| match a {
+                Value::Future(f) if p == Prim::Cons => f.1.clone(),
+                a => self.strict(a),
+            })
+            .collect();
         let int = |v: &Value| {
             v.as_int()
                 .ok_or_else(|| InterpError(format!("expected fixnum, got {v}")))
@@ -409,6 +467,35 @@ fn wrap30(v: i64) -> i32 {
 pub fn interpret(src: &str) -> Result<Value, InterpError> {
     let ast = crate::ast::parse_program(src).map_err(|e| InterpError(e.to_string()))?;
     Interp::new(&ast).run()
+}
+
+/// Parses and interprets `src`, recording the task graph (task 0 is
+/// `main`) along with `(main)`'s value.
+///
+/// # Errors
+///
+/// As for [`interpret`].
+pub fn trace_program(src: &str) -> Result<(ParallelTrace, Value), InterpError> {
+    let ast = crate::ast::parse_program(src).map_err(|e| InterpError(e.to_string()))?;
+    trace_ast(&ast)
+}
+
+/// Interprets an already-parsed program, recording its task graph.
+///
+/// # Errors
+///
+/// As for [`interpret`].
+pub fn trace_ast(ast: &ProgramAst) -> Result<(ParallelTrace, Value), InterpError> {
+    let mut interp = Interp::new(ast);
+    interp.rec = Some(Recorder {
+        trace: ParallelTrace {
+            tasks: vec![TaskTrace::default()],
+        },
+        task: 0,
+        mark: interp.fuel,
+    });
+    let v = interp.run()?;
+    Ok((interp.rec.expect("recording").trace, v))
 }
 
 #[cfg(test)]

@@ -14,11 +14,11 @@
 //! * [`codegen`] — the accumulator-style code generator.
 //! * [`programs`] — the paper's four benchmarks: `fib`, `factor`,
 //!   `queens`, `speech`.
-//! * [`interp`] — a reference interpreter used as a differential-
-//!   testing oracle for the whole compile-and-run pipeline.
+//! * [`interp`] — the one Mul-T evaluator: the differential-testing
+//!   oracle for the whole compile-and-run pipeline, and the tracer.
 //! * [`trace`], [`postmortem`] — the paper's Figure 4 trace-driven
-//!   path: record a parallel task graph, then schedule it post-mortem
-//!   onto abstract processors.
+//!   path: recorded parallel task graphs, and their post-mortem
+//!   schedule onto abstract processors.
 //!
 //! # Examples
 //!

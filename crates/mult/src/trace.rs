@@ -1,18 +1,15 @@
-//! Parallel trace generation — the left path of the paper's Figure 4:
+//! Parallel traces — the left path of the paper's Figure 4:
 //! "T-Mul-T emulator/tracer → parallel traces → post-mortem
 //! scheduler".
 //!
-//! The tracer evaluates a Mul-T program sequentially while recording
-//! the **task graph** a parallel execution would have: one task per
-//! `future`, with the work (in evaluation steps) each task performs
-//! between its spawn and touch events. The [`postmortem`](crate::postmortem)
+//! A trace is the **task graph** a parallel execution would have: one
+//! task per `future`, with the work (in evaluation steps) each task
+//! performs between its spawn and touch events. The tracer is the
+//! reference interpreter itself: [`trace_program`] runs it with a
+//! recorder (see [`crate::interp`]). The [`postmortem`](crate::postmortem)
 //! scheduler then replays the graph onto P abstract processors.
 
-use crate::ast::{Definition, Expr, Prim, ProgramAst};
-use crate::interp::Value;
-use std::collections::HashMap;
-use std::fmt;
-use std::rc::Rc;
+pub use crate::interp::{trace_ast, trace_program};
 
 /// An event separating two work segments of a task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,347 +61,10 @@ impl ParallelTrace {
     }
 }
 
-/// A value that is the (already computed) result of a traced task.
-#[derive(Debug, Clone)]
-struct FutureVal {
-    task: usize,
-    value: Value,
-}
-
-/// Tracer failure (dynamic error in the program).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError(pub String);
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Traced values: either plain interpreter values or task-tagged
-/// futures (which non-strict operations pass through untouched).
-#[derive(Debug, Clone)]
-enum TVal {
-    Plain(Value),
-    Future(Rc<FutureVal>),
-}
-
-type Env = Vec<(String, TVal)>;
-
-struct Tracer {
-    globals: HashMap<String, Definition>,
-    trace: ParallelTrace,
-    cur: usize,
-    work: u64,
-    fuel: u64,
-    depth: u32,
-}
-
-/// Traces `src`, returning the task graph and the program result.
-///
-/// # Errors
-///
-/// Returns [`TraceError`] on front-end or dynamic errors.
-pub fn trace_program(src: &str) -> Result<(ParallelTrace, Value), TraceError> {
-    let ast = crate::ast::parse_program(src).map_err(|e| TraceError(e.to_string()))?;
-    trace_ast(&ast)
-}
-
-/// Traces an already-parsed program.
-///
-/// # Errors
-///
-/// As for [`trace_program`].
-pub fn trace_ast(ast: &ProgramAst) -> Result<(ParallelTrace, Value), TraceError> {
-    let mut t = Tracer {
-        globals: ast
-            .defs
-            .iter()
-            .map(|d| (d.name.clone(), d.clone()))
-            .collect(),
-        trace: ParallelTrace {
-            tasks: vec![TaskTrace::default()],
-        },
-        cur: 0,
-        work: 0,
-        fuel: 100_000_000,
-        depth: 0,
-    };
-    let main = t
-        .globals
-        .get("main")
-        .cloned()
-        .ok_or_else(|| TraceError("no main".into()))?;
-    let v = t.call_def(&main, Vec::new())?;
-    let v = t.strictly(v); // the result itself is touched at the end
-    t.close_segment();
-    Ok((t.trace, v))
-}
-
-impl Tracer {
-    /// Ends the current task's running segment.
-    fn close_segment(&mut self) {
-        let w = std::mem::take(&mut self.work);
-        self.trace.tasks[self.cur].segments.push(w);
-    }
-
-    fn event(&mut self, e: TraceEvent) {
-        self.close_segment();
-        self.trace.tasks[self.cur].events.push(e);
-    }
-
-    /// Unwraps a future, recording the touch edge. (A `FutureVal`
-    /// stores a plain `Value`, so chains are already flattened.)
-    fn strictly(&mut self, v: TVal) -> Value {
-        match v {
-            TVal::Plain(p) => p,
-            TVal::Future(f) => {
-                self.event(TraceEvent::Touch(f.task));
-                f.value.clone()
-            }
-        }
-    }
-
-    fn call_def(&mut self, d: &Definition, args: Vec<TVal>) -> Result<TVal, TraceError> {
-        if d.params.len() != args.len() {
-            return Err(TraceError(format!("{} arity", d.name)));
-        }
-        let mut env: Env = Vec::new();
-        for (p, a) in d.params.iter().zip(args) {
-            env.push((p.clone(), a));
-        }
-        self.eval_body(&d.body, &env)
-    }
-
-    fn eval_body(&mut self, body: &[Expr], env: &Env) -> Result<TVal, TraceError> {
-        if self.depth > 200 {
-            return Err(TraceError("recursion too deep for the tracer".into()));
-        }
-        self.depth += 1;
-        let mut last = TVal::Plain(Value::Bool(false));
-        for e in body {
-            match self.eval(e, env) {
-                Ok(v) => last = v,
-                Err(err) => {
-                    self.depth -= 1;
-                    return Err(err);
-                }
-            }
-        }
-        self.depth -= 1;
-        Ok(last)
-    }
-
-    fn eval(&mut self, e: &Expr, env: &Env) -> Result<TVal, TraceError> {
-        self.work += 1;
-        self.fuel = self
-            .fuel
-            .checked_sub(1)
-            .ok_or_else(|| TraceError("fuel".into()))?;
-        Ok(match e {
-            Expr::Int(n) => TVal::Plain(Value::Int(*n)),
-            Expr::Bool(b) => TVal::Plain(Value::Bool(*b)),
-            Expr::Nil => TVal::Plain(Value::Nil),
-            Expr::Var(name) => {
-                if let Some((_, v)) = env.iter().rev().find(|(n, _)| n == name) {
-                    v.clone()
-                } else if self.globals.contains_key(name) {
-                    // Globals as values are rare in traces; treat as an
-                    // opaque closure marker.
-                    TVal::Plain(Value::Nil)
-                } else {
-                    return Err(TraceError(format!("unbound {name}")));
-                }
-            }
-            Expr::If(c, t, f) => {
-                let cv = self.eval(c, env)?;
-                let cv = self.strictly(cv);
-                if cv.is_truthy() {
-                    self.eval(t, env)?
-                } else {
-                    self.eval(f, env)?
-                }
-            }
-            Expr::Let(binds, body) => {
-                let mut env = env.clone();
-                for (n, init) in binds {
-                    let v = self.eval(init, &env)?;
-                    env.push((n.clone(), v));
-                }
-                self.eval_body(body, &env)?
-            }
-            Expr::Begin(es) => {
-                let mut last = TVal::Plain(Value::Bool(false));
-                for e in es {
-                    last = self.eval(e, env)?;
-                }
-                last
-            }
-            Expr::And(es) => {
-                let mut last = TVal::Plain(Value::Bool(true));
-                for e in es {
-                    let v = self.eval(e, env)?;
-                    let p = self.strictly(v);
-                    let t = p.is_truthy();
-                    last = TVal::Plain(p);
-                    if !t {
-                        break;
-                    }
-                }
-                last
-            }
-            Expr::Or(es) => {
-                let mut last = TVal::Plain(Value::Bool(false));
-                for e in es {
-                    let v = self.eval(e, env)?;
-                    let p = self.strictly(v);
-                    let t = p.is_truthy();
-                    last = TVal::Plain(p);
-                    if t {
-                        break;
-                    }
-                }
-                last
-            }
-            // The tracer doesn't model first-class closures precisely;
-            // traced benchmarks use direct calls and futures. Lambdas
-            // evaluate their body at call sites via Call below.
-            Expr::Lambda(..) => TVal::Plain(Value::Nil),
-            Expr::Call(f, args) => {
-                let Expr::Var(name) = &**f else {
-                    return Err(TraceError("tracer supports direct calls only".into()));
-                };
-                if env.iter().any(|(n, _)| n == name) {
-                    return Err(TraceError("tracer supports direct calls only".into()));
-                }
-                let d = self
-                    .globals
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| TraceError(format!("unknown procedure {name}")))?;
-                let args = args
-                    .iter()
-                    .map(|a| self.eval(a, env))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.call_def(&d, args)?
-            }
-            Expr::Prim(p, args) => {
-                let args = args
-                    .iter()
-                    .map(|a| self.eval(a, env))
-                    .collect::<Result<Vec<_>, _>>()?;
-                self.prim(*p, args)?
-            }
-            Expr::Future(e, on) => {
-                if let Some(node) = on {
-                    self.eval(node, env)?;
-                }
-                // Spawn: switch attribution to the child task.
-                let child = self.trace.tasks.len();
-                self.trace.tasks.push(TaskTrace::default());
-                self.event(TraceEvent::Spawn(child));
-                let parent = self.cur;
-                self.cur = child;
-                let v = self.eval(e, env)?;
-                let v = self.strictly(v);
-                self.close_segment();
-                self.cur = parent;
-                TVal::Future(Rc::new(FutureVal {
-                    task: child,
-                    value: v,
-                }))
-            }
-            Expr::Touch(e) => {
-                let v = self.eval(e, env)?;
-                TVal::Plain(self.strictly(v))
-            }
-        })
-    }
-
-    fn prim(&mut self, p: Prim, args: Vec<TVal>) -> Result<TVal, TraceError> {
-        // Strictness per primitive: unwrap (recording touches) exactly
-        // the operands the hardware would trap on.
-        let strict: Vec<Value> = match p {
-            Prim::Cons => Vec::new(), // non-strict
-            _ => args.iter().map(|a| self.strictly(a.clone())).collect(),
-        };
-        let int = |v: &Value| {
-            v.as_int()
-                .ok_or_else(|| TraceError(format!("fixnum, got {v}")))
-        };
-        let out = match p {
-            Prim::Add => Value::Int(int(&strict[0])? + int(&strict[1])?),
-            Prim::Sub => Value::Int(int(&strict[0])? - int(&strict[1])?),
-            Prim::Mul => Value::Int(int(&strict[0])?.wrapping_mul(int(&strict[1])?)),
-            Prim::Quotient => Value::Int(int(&strict[0])? / int(&strict[1])?.max(1)),
-            Prim::Remainder => Value::Int(int(&strict[0])? % int(&strict[1])?.max(1)),
-            Prim::Lt => Value::Bool(int(&strict[0])? < int(&strict[1])?),
-            Prim::Le => Value::Bool(int(&strict[0])? <= int(&strict[1])?),
-            Prim::Gt => Value::Bool(int(&strict[0])? > int(&strict[1])?),
-            Prim::Ge => Value::Bool(int(&strict[0])? >= int(&strict[1])?),
-            Prim::NumEq => Value::Bool(int(&strict[0])? == int(&strict[1])?),
-            Prim::Eq => Value::Bool(strict[0] == strict[1]),
-            Prim::Not => Value::Bool(!strict[0].is_truthy()),
-            Prim::Cons => {
-                // Futures stored into data structures lose their task
-                // edge in the trace (the post-mortem scheduler is an
-                // approximation, as the paper notes when preferring
-                // execution-driven simulation).
-                let a = match &args[0] {
-                    TVal::Plain(v) => v.clone(),
-                    TVal::Future(f) => f.value.clone(),
-                };
-                let b = match &args[1] {
-                    TVal::Plain(v) => v.clone(),
-                    TVal::Future(f) => f.value.clone(),
-                };
-                Value::Pair(Rc::new((a, b)))
-            }
-            Prim::Car => match &strict[0] {
-                Value::Pair(p) => p.0.clone(),
-                other => return Err(TraceError(format!("car of {other}"))),
-            },
-            Prim::Cdr => match &strict[0] {
-                Value::Pair(p) => p.1.clone(),
-                other => return Err(TraceError(format!("cdr of {other}"))),
-            },
-            Prim::NullP => Value::Bool(matches!(strict[0], Value::Nil)),
-            Prim::PairP => Value::Bool(matches!(strict[0], Value::Pair(_))),
-            Prim::MakeVector => {
-                let n = int(&strict[0])?.max(0) as usize;
-                Value::Vector(Rc::new(std::cell::RefCell::new(vec![strict[1].clone(); n])))
-            }
-            Prim::VectorRef => match &strict[0] {
-                Value::Vector(v) => v
-                    .borrow()
-                    .get(int(&strict[1])? as usize)
-                    .cloned()
-                    .ok_or_else(|| TraceError("index".into()))?,
-                other => return Err(TraceError(format!("vector-ref of {other}"))),
-            },
-            Prim::VectorSet => match &strict[0] {
-                Value::Vector(v) => {
-                    let i = int(&strict[1])? as usize;
-                    v.borrow_mut()[i] = strict[2].clone();
-                    strict[2].clone()
-                }
-                other => return Err(TraceError(format!("vector-set! of {other}"))),
-            },
-            Prim::VectorLength => match &strict[0] {
-                Value::Vector(v) => Value::Int(v.borrow().len() as i32),
-                other => return Err(TraceError(format!("vector-length of {other}"))),
-            },
-            Prim::Print => strict[0].clone(),
-        };
-        Ok(TVal::Plain(out))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::Value;
 
     #[test]
     fn fib_trace_has_one_task_per_future() {

@@ -6,7 +6,8 @@
 
 use april_machine::IdealMachine;
 use april_mult::interp::{interpret, Value};
-use april_mult::{compile, CompileOptions};
+use april_mult::trace::trace_program;
+use april_mult::{compile, programs, CompileOptions};
 use april_runtime::{RtConfig, Runtime};
 use april_util::Rng;
 
@@ -99,6 +100,26 @@ fn gen_expr(rng: &mut Rng, depth: u32, nvars: u32) -> String {
     }
 }
 
+/// The first generator's 48 programs: expressions over every form.
+fn mixed_programs() -> impl Iterator<Item = String> {
+    (0..48u64).map(|case| {
+        let mut rng = Rng::seed_from(0xd1ff ^ case);
+        format!("(define (main) {})", gen_expr(&mut rng, 4, 0))
+    })
+}
+
+/// The second generator's 48 programs: three futures around
+/// independent subtrees, joined.
+fn future_heavy_programs() -> impl Iterator<Item = String> {
+    (0..48u64).map(|case| {
+        let mut rng = Rng::seed_from(0xfu64 ^ (case << 8));
+        let a = gen_expr(&mut rng, 3, 0);
+        let b = gen_expr(&mut rng, 3, 0);
+        let c = gen_expr(&mut rng, 3, 0);
+        format!("(define (main) (+ (future {a}) (+ (future {b}) (future {c}))))")
+    })
+}
+
 fn run_pipeline(src: &str, opts: &CompileOptions, procs: usize) -> i32 {
     let prog = compile(src, opts).unwrap_or_else(|e| panic!("compile: {e}\n{src}"));
     let m = IdealMachine::new(procs, procs * (4 << 20), prog);
@@ -119,10 +140,7 @@ fn run_pipeline(src: &str, opts: &CompileOptions, procs: usize) -> i32 {
 /// Every target and machine size computes what the oracle computes.
 #[test]
 fn all_targets_match_the_oracle() {
-    for case in 0..48u64 {
-        let mut rng = Rng::seed_from(0xd1ff ^ case);
-        let expr = gen_expr(&mut rng, 4, 0);
-        let src = format!("(define (main) {expr})");
+    for src in mixed_programs() {
         let expected = match interpret(&src) {
             Ok(Value::Int(n)) => n,
             Ok(other) => panic!("oracle produced non-int {other} for\n{src}"),
@@ -147,13 +165,7 @@ fn all_targets_match_the_oracle() {
 /// Deeper, future-heavy expressions on more processors.
 #[test]
 fn future_heavy_expressions_are_deterministic() {
-    for case in 0..48u64 {
-        let mut rng = Rng::seed_from(0xfu64 ^ (case << 8));
-        // Wrap three futures around independent subtrees and join them.
-        let a = gen_expr(&mut rng, 3, 0);
-        let b = gen_expr(&mut rng, 3, 0);
-        let c = gen_expr(&mut rng, 3, 0);
-        let src = format!("(define (main) (+ (future {a}) (+ (future {b}) (future {c}))))");
+    for src in future_heavy_programs() {
         let expected = match interpret(&src) {
             Ok(Value::Int(n)) => n,
             other => panic!("oracle: {other:?} on\n{src}"),
@@ -162,5 +174,41 @@ fn future_heavy_expressions_are_deterministic() {
         let lazy = run_pipeline(&src, &CompileOptions::april_lazy(), 4);
         assert_eq!(eager, expected);
         assert_eq!(lazy, expected);
+    }
+}
+
+/// Tracing runs the oracle's evaluator: on calls through procedure
+/// values, fixnum overflow, dynamic errors and both generators'
+/// programs it gives `interpret`'s value or error.
+#[test]
+fn tracing_gives_the_oracles_result() {
+    let rows = [
+        "(define (inc x) (+ x 1)) (define (app f x) (f x)) (define (main) (app inc 41))"
+            .to_string(),
+        format!(
+            "{lib}
+            (define (sq x) (* x x))
+            (define (add a b) (+ a b))
+            (define (main)
+              (let ((v (make-vector 8 3)))
+                (pmap! sq v 2)
+                (preduce add 0 v 0 8 2)))",
+            lib = programs::data_parallel_lib()
+        ),
+        "(define (main) (+ 536870911 1))".to_string(),
+        "(define (main) (quotient 7 0))".to_string(),
+        "(define (main) (make-vector -1 0))".to_string(),
+        "(define (main) (vector-set! (make-vector 2 0) 5 1))".to_string(),
+    ];
+    let corpus = rows
+        .into_iter()
+        .chain(mixed_programs())
+        .chain(future_heavy_programs());
+    for src in corpus {
+        let want = interpret(&src).map_err(|e| e.to_string());
+        let got = trace_program(&src)
+            .map(|(_, v)| v)
+            .map_err(|e| e.to_string());
+        assert_eq!(got, want, "traced result differs on\n{src}");
     }
 }

@@ -1,9 +1,10 @@
 //! Figure 4's trace-driven path: the task graphs that E9 schedules
 //! post-mortem.
 
+use april_mult::interp::Value;
 use april_mult::postmortem::{schedule, PmConfig};
 use april_mult::programs;
-use april_mult::trace::trace_program;
+use april_mult::trace::{trace_program, TraceEvent};
 
 /// The overheads the `postmortem` bench binary charges.
 const E9: PmConfig = PmConfig {
@@ -39,4 +40,41 @@ fn e9_traces_are_pinned() {
         ];
         assert_eq!(got, figures, "size {n}");
     }
+}
+
+/// `pmap!` and `preduce` call `f` and `op` through procedure values.
+/// Their trace holds one task per `future` they run, and the
+/// post-mortem scheduler finds parallelism in it.
+#[test]
+fn higher_order_programs_trace() {
+    let src = format!(
+        "{lib}
+        (define (sq x) (* x x))
+        (define (add a b) (+ a b))
+        (define (main)
+          (let ((v (make-vector 64 3)))
+            (pmap! sq v 4)
+            (preduce add 0 v 0 64 4)))",
+        lib = programs::data_parallel_lib()
+    );
+    let (trace, v) = trace_program(&src).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(v, Value::Int(64 * 9));
+    // Each range wider than the grain runs one future and splits.
+    fn futures(width: u32, grain: u32) -> usize {
+        if width <= grain {
+            return 0;
+        }
+        1 + futures(width / 2, grain) + futures(width - width / 2, grain)
+    }
+    let spawns = trace
+        .tasks
+        .iter()
+        .flat_map(|t| &t.events)
+        .filter(|e| matches!(e, TraceEvent::Spawn(_)))
+        .count();
+    assert_eq!(spawns, 2 * futures(64, 4));
+    assert_eq!(trace.len(), spawns + 1);
+    let one = schedule(&trace, 1, E9).makespan;
+    let four = schedule(&trace, 4, E9).makespan;
+    assert!(one > four, "4 processors: {one} -> {four} work units");
 }
